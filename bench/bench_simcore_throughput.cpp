@@ -848,7 +848,6 @@ FanoutReplay run_fanout_replay() {
     const Protocol* p = protocol_by_name("mw-abd(W2R2)");
     SimHarness::Options o;
     o.cfg = ClusterConfig{5, kClients / 2, kClients / 2, 1};
-    o.table_clients = true;
     o.seed = 42;
     o.delay = std::make_unique<UniformDelay>(kMillisecond, 10 * kMillisecond);
     o.coalesce = true;

@@ -283,7 +283,7 @@ def steady_alloc_failures(doc):
 # fleet stamp the partial format they were merged from as
 # "sweep_partial_version"; unstamped artifacts (the single-process bench
 # path) are exempt.
-SWEEP_PARTIAL_VERSION = 1
+SWEEP_PARTIAL_VERSION = 2
 
 
 def partial_version_failures(artifact, baseline):

@@ -37,7 +37,7 @@ import sys
 # the C++ reader refuses other versions, and so does validate_headers()
 # below, so a stale sweep_explorer binary in a CI matrix leg fails
 # loudly instead of merging a format this build cannot actually parse.
-PARTIAL_VERSION = 1
+PARTIAL_VERSION = 2
 
 REPORT_FORMATS = (".csv", ".json")
 

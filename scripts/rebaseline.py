@@ -48,7 +48,7 @@ MEDIANED_FIELDS = ("events_per_sec", "wall_ms")
 # stamp "sweep_partial_version"; medianing runs produced by different
 # partial codecs would bake a format skew into the baseline, so any
 # stamped run must carry the version this tree supports.
-SWEEP_PARTIAL_VERSION = 1
+SWEEP_PARTIAL_VERSION = 2
 
 
 def row_key(section, row):

@@ -20,8 +20,6 @@ ClientTable::ClientTable(Network& net, const ClusterConfig& global,
       histories_(std::move(histories)),
       w_(global.w()),
       r_(global.r()) {
-  assert(writer_program_ != TableWriterProgram::kNone);
-  assert(reader_program_ != TableReaderProgram::kNone);
   const int n = w_ + r_;
   phase_.assign(static_cast<std::size_t>(n), 0);
   key_.assign(static_cast<std::size_t>(n), 0);
@@ -39,7 +37,7 @@ ClientTable::ClientTable(Network& net, const ClusterConfig& global,
     fr_.resize(static_cast<std::size_t>(r_));
     for (int ri = 0; ri < r_; ++ri) {
       auto st = std::make_unique<FrReaderState>();
-      st->val_queue.push_back(TaggedValue{});  // (0, bottom), like FastReader
+      st->val_queue.push_back(TaggedValue{});  // (0, bottom)
       if (reader_program_ == TableReaderProgram::kFrDelta) {
         st->caches.resize(static_cast<std::size_t>(global_.s()));
       }
@@ -64,8 +62,8 @@ void ClientTable::broadcast(int slot, std::uint32_t key, MsgType type,
   const std::uint64_t rpc = next_rpc_[static_cast<std::size_t>(slot)]++;
   rpc_[static_cast<std::size_t>(slot)] = rpc;
   acks_[static_cast<std::size_t>(slot)] = 0;
-  // Fan out through the byte-span path, original released afterwards — the
-  // same fan-out RpcClient::round_trip performs, in the same server order.
+  // Fan out through the byte-span path in server order, original released
+  // afterwards (the order every golden digest was recorded with).
   // The per-message engine makes one pooled copy per server (empty requests
   // skip the pool: a capacity-0 vector costs no allocation, and draining
   // the free list for them would starve the capacity-carrying payloads at
@@ -109,8 +107,6 @@ OpId ClientTable::start_write(int wi, std::uint32_t key, std::int64_t payload) {
     case TableWriterProgram::kFrLocalTs:
       begin_write_round2(slot, Tag{++local_ts_[s], node});
       break;
-    case TableWriterProgram::kNone:
-      break;
   }
   return op;
 }
@@ -151,6 +147,9 @@ OpId ClientTable::start_read(int ri, std::uint32_t key) {
     }
     case TableReaderProgram::kFrDelta: {
       FrReaderState& st = *fr_[static_cast<std::size_t>(ri)];
+      // The pruned valQueue: only the confirmed watermark value. Every
+      // server re-admits and confirms it before replying, which is all
+      // Lemma 3 needs (DESIGN.md section 6.3).
       st.queue_scratch.clear();
       st.queue_scratch.push_back(st.watermark);
       st.acked_scratch.clear();
@@ -166,8 +165,6 @@ OpId ClientTable::start_read(int ri, std::uint32_t key) {
       broadcast(slot, key, kFrReadDeltaReq, wtr.take());
       break;
     }
-    case TableReaderProgram::kNone:
-      break;
   }
   return op;
 }
@@ -196,8 +193,8 @@ void ClientTable::on_writer_reply(int slot, const Frame& m) {
   const auto s = static_cast<std::size_t>(slot);
   const ClusterConfig& kc = key_cfgs_[key_[s]];
   if (phase_[s] == 1) {
-    // RT 1: accumulate the max tag incrementally — same result as the
-    // object writers' fold over the completed reply vector.
+    // RT 1: accumulate the max tag incrementally — the same result as a
+    // fold over the quorum's replies.
     if (writer_program_ == TableWriterProgram::kAbdTwoRound) {
       acc_tag_[s] = std::max(acc_tag_[s], decode_value(m.payload).tag);
     } else {
@@ -268,8 +265,6 @@ void ClientTable::on_reader_reply(int slot, const Frame& m) {
       reader_decide_delta(slot);
       return;
     }
-    case TableReaderProgram::kNone:
-      return;
   }
 }
 
@@ -288,7 +283,7 @@ void ClientTable::reader_decide_full(int slot) {
   std::sort(st.cand.begin(), st.cand.end());
   st.cand.erase(std::unique(st.cand.begin(), st.cand.end()), st.cand.end());
   // valQueue <- valQueue union everything received (kept sorted unique —
-  // the same contents the object reader's std::set holds).
+  // the contents of the paper's valQueue set).
   st.queue_merge.clear();
   std::set_union(st.val_queue.begin(), st.val_queue.end(), st.cand.begin(),
                  st.cand.end(), std::back_inserter(st.queue_merge));
@@ -315,6 +310,8 @@ void ClientTable::reader_decide_delta(int slot) {
   st.cand.erase(std::unique(st.cand.begin(), st.cand.end()), st.cand.end());
   const TaggedValue v = fr_pick_admissible(st.cand, st.views, kc.r(), kc.s(),
                                            kc.t(), kc.first_client());
+  // valQueue semantics, compressed: the watermark is the max of everything
+  // ever received (>= the value returned).
   if (!st.cand.empty()) st.watermark = std::max(st.watermark, st.cand.back());
   complete_read(slot, v);
 }

@@ -1,25 +1,20 @@
 // Dense table-driven client state machines: one Process hosting every
-// writer and reader of a harness as struct-of-arrays slots.
+// writer and reader of a harness as struct-of-arrays slots. This is the
+// only client driver; each protocol names the programs its clients run
+// (core/protocol.h).
 //
-// The object clients (RpcClient subclasses in src/protocols/) are one heap
-// allocation plus a vtable plus per-op std::function closures per client —
-// fine for tens of clients, fatal for 10^6. The ClientTable is the same
-// move PR 3 made for events: per-client state lives inline in flat arrays
-// indexed by slot (writers first, then readers), each in-flight operation
-// is a phase enum plus an accumulator in those arrays, and replies dispatch
-// through one on_message entry point — no closures, no virtual calls, no
-// per-op allocation.
+// Per-client state lives inline in flat arrays indexed by slot (writers
+// first, then readers), each in-flight operation is a phase enum plus an
+// accumulator in those arrays, and replies dispatch through one on_message
+// entry point — no per-client heap object, no closures, no virtual calls, no
+// per-op allocation — so a harness scales to ~10^6 concurrent clients.
 //
-// Wire parity. The table reproduces the object clients' behavior exactly:
-// per-slot rpc ids start at 1 and increment per round, fan-out walks the
-// key's server ids in order acquiring one pooled payload copy per server
-// and releasing the original afterwards, and a round completes at the
-// quorum-th reply (late replies are dropped). Identical send sequences mean
-// identical delay draws, identical event interleavings, identical
-// histories — tests/client_table_test.cpp pins the golden batch digest on
-// both drivers. (The only divergence is invisible to the simulation: the
-// table decodes replies in place instead of buffering pooled copies until
-// quorum, which changes pool stats but no message, event, or history.)
+// Wire behavior. Per-slot rpc ids start at 1 and increment per round,
+// fan-out walks the key's server ids in order, and a round completes at the
+// quorum-th reply (late replies are dropped). The table replaced per-object
+// clients that issued exactly this message sequence; the golden digests
+// recorded from them (tests/golden_determinism_test.cpp,
+// tests/client_table_test.cpp) are the oracle the table is pinned against.
 //
 // Keys. Every operation addresses a key of a keyspace (core/keyspace.h);
 // requests carry Message::key so KeyRouters can dispatch to per-key
@@ -88,8 +83,7 @@ class ClientTable final : public Process {
   /// server caches, watermarks): each reader must then serve exactly one
   /// key (core/keyspace.h reader blocks).
   [[nodiscard]] bool reader_key_affine() const {
-    return reader_program_ == TableReaderProgram::kFrFull ||
-           reader_program_ == TableReaderProgram::kFrDelta;
+    return mwreg::reader_key_affine(reader_program_);
   }
 
   [[nodiscard]] int writer_count() const { return w_; }
@@ -99,6 +93,21 @@ class ClientTable final : public Process {
   /// Decode-arena growth across all fr-full readers; pinned flat after
   /// warmup by the allocation regression tests.
   [[nodiscard]] std::uint64_t decode_arena_grows() const;
+
+  /// Fast-read reader `ri`'s confirmed watermark: the largest value it has
+  /// carried on a request (delta program). Every later read of it returns a
+  /// tag >= this (Lemma 3), which server-side GC relies on.
+  [[nodiscard]] const TaggedValue& reader_watermark(int ri) const {
+    return fr_[static_cast<std::size_t>(ri)]->watermark;
+  }
+  /// Entries fast-read reader `ri` caches for server index `si` (delta
+  /// program; 0 otherwise).
+  [[nodiscard]] std::size_t reader_cache_size(int ri, int si) const {
+    const FrReaderState& st = *fr_[static_cast<std::size_t>(ri)];
+    return st.caches.empty()
+               ? 0
+               : st.caches[static_cast<std::size_t>(si)].entries.size();
+  }
 
  private:
   /// Per-reader state of the fast-read programs. Heap-boxed (one allocation
@@ -129,7 +138,7 @@ class ClientTable final : public Process {
   }
 
   /// Open a new round for `slot`: broadcast one pooled copy of `payload`
-  /// per server of `key`'s group, mirroring RpcClient::round_trip exactly.
+  /// per server of `key`'s group, in server order.
   void broadcast(int slot, std::uint32_t key, MsgType type,
                  std::vector<std::uint8_t> payload);
 

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "protocols/fastread_clients.h"
 
 namespace mwreg {
 
@@ -40,54 +44,31 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
     net_->reserve_coalescing(dests, fan_in, 64);
   }
 
-  const bool table_mode = opts.table_clients || keyspace_.multi();
-  if (!table_mode) {
-    for (NodeId s : cfg_.server_ids()) {
-      servers_.push_back(proto.make_server(s, *net_, cfg_));
+  const bool affine = reader_key_affine(proto.table_reader());
+  assert(!affine || !keyspace_.multi() || keyspace_.num_keys <= cfg_.r());
+  key_cfgs_ = key_clusters(cfg_, keyspace_, affine);
+  if (affine) {
+    for (const ClusterConfig& kc : key_cfgs_) {
+      if (!fr_witness_masks_fit(kc)) {
+        throw std::invalid_argument(
+            proto.name() + ": a key's client ids span more than the " +
+            std::to_string(kFrWitnessMaskBits) + "-bit witness masks (" +
+            cfg_.to_string() + ", " + keyspace_.to_string() + ")");
+      }
     }
-    for (NodeId w : cfg_.writer_ids()) {
-      writers_.push_back(proto.make_writer(w, *net_, cfg_));
-    }
-    for (NodeId r : cfg_.reader_ids()) {
-      readers_.push_back(proto.make_reader(r, *net_, cfg_));
-    }
-    if (opts.streaming_check) setup_streaming(opts.retire_history);
-    return;
   }
-
-  assert(proto.supports_table_clients() &&
-         "protocol has no table client programs");
-  const bool affine = proto.table_reader() == TableReaderProgram::kFrFull ||
-                      proto.table_reader() == TableReaderProgram::kFrDelta;
+  ClusterConfig global = cfg_;  // the client id ranges
   if (!keyspace_.multi()) {
-    // Single register, table driver: the classic layout verbatim — same
-    // server ids, same client ids, same single history — so fault plans and
-    // golden digests carry over unchanged.
+    // Single register: the classic layout verbatim — same server ids, same
+    // client ids, same single history — so fault plans and golden digests
+    // carry over unchanged.
     for (NodeId s : cfg_.server_ids()) {
       servers_.push_back(proto.make_server(s, *net_, cfg_));
     }
-    table_global_ = cfg_;
-    key_cfgs_.push_back(cfg_);
   } else {
     const int nk = keyspace_.num_keys;
     const int num_shards = keyspace_.shards;
     const int servers_per_group = cfg_.s();
-    assert(!affine || nk <= cfg_.r());
-    // Per-key quorum groups: same shape as cfg_, re-based onto the owning
-    // shard; all keys share the client id range after the server block.
-    key_cfgs_.reserve(static_cast<std::size_t>(nk));
-    for (int k = 0; k < nk; ++k) {
-      ClusterConfig kc = cfg_;
-      kc.server_base = static_cast<NodeId>((k % num_shards) * servers_per_group);
-      kc.client_base = static_cast<NodeId>(num_shards * servers_per_group);
-      if (affine) {
-        const int begin = reader_block_begin(k, nk, cfg_.r());
-        const int end = reader_block_begin(k + 1, nk, cfg_.r());
-        kc.reader_base = kc.client_base + cfg_.w() + begin;
-        kc.num_readers = end - begin;
-      }
-      key_cfgs_.push_back(kc);
-    }
     key_histories_.resize(static_cast<std::size_t>(nk));
     // One KeyRouter per physical server id; shard j's router at slot i owns
     // the replicas of keys j, j+shards, j+2*shards, ...
@@ -102,8 +83,7 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
         servers_.push_back(std::move(router));
       }
     }
-    table_global_ = cfg_;
-    table_global_.client_base =
+    global.client_base =
         static_cast<NodeId>(num_shards * servers_per_group);
   }
 
@@ -114,7 +94,7 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
     histories.reserve(key_histories_.size());
     for (History& h : key_histories_) histories.push_back(&h);
   }
-  table_ = std::make_unique<ClientTable>(*net_, table_global_, key_cfgs_,
+  table_ = std::make_unique<ClientTable>(*net_, global, key_cfgs_,
                                          proto.table_writer(),
                                          proto.table_reader(),
                                          std::move(histories));
@@ -154,40 +134,22 @@ void SimHarness::setup_streaming(bool retire) {
 
 OpId SimHarness::async_write(int wi, std::int64_t payload,
                              std::function<void()> done) {
-  if (table_) return async_write_key(wi, 0, payload, std::move(done));
-  const NodeId client = cfg_.writer_id(wi);
-  const OpId op = history_.begin_op(client, OpKind::kWrite, sim_.now());
-  writers_.at(static_cast<std::size_t>(wi))
-      ->write(payload, [this, op, payload, done = std::move(done)](Tag tag) {
-        history_.end_op(op, sim_.now(), TaggedValue{tag, payload});
-        if (done) done();
-      });
-  return op;
+  return async_write_key(wi, 0, payload, std::move(done));
 }
 
 OpId SimHarness::async_read(int ri, std::function<void(TaggedValue)> done) {
-  if (table_) return async_read_key(ri, 0, std::move(done));
-  const NodeId client = cfg_.reader_id(ri);
-  const OpId op = history_.begin_op(client, OpKind::kRead, sim_.now());
-  readers_.at(static_cast<std::size_t>(ri))
-      ->read([this, op, done = std::move(done)](TaggedValue v) {
-        history_.end_op(op, sim_.now(), v);
-        if (done) done(v);
-      });
-  return op;
+  return async_read_key(ri, 0, std::move(done));
 }
 
 OpId SimHarness::async_write_key(int wi, std::uint32_t key,
                                  std::int64_t payload,
                                  std::function<void()> done) {
-  assert(table_ && "keyed operations require table clients");
   write_done_.at(static_cast<std::size_t>(wi)) = std::move(done);
   return table_->start_write(wi, key, payload);
 }
 
 OpId SimHarness::async_read_key(int ri, std::uint32_t key,
                                 std::function<void(TaggedValue)> done) {
-  assert(table_ && "keyed operations require table clients");
   read_done_.at(static_cast<std::size_t>(ri)) = std::move(done);
   return table_->start_read(ri, key);
 }

@@ -2,14 +2,9 @@
 // instruments operations into a History, and exposes fault injection —
 // one-shot (crash_random_servers) or declarative (install_fault_plan).
 //
-// Two client drivers share this front end:
-//  - object clients (default): one WriterApi/ReaderApi heap object per
-//    client, the original per-object drivers;
-//  - the ClientTable (opt-in via Options::table_clients, mandatory for
-//    multi-key keyspaces): every client is a struct-of-arrays slot in one
-//    Process, scaling to ~10^6 concurrent clients per harness.
-// Both present the same async_write/async_read surface and produce
-// bit-identical histories on the single-register layout.
+// Clients run on one ClientTable (core/client_table.h): every writer and
+// reader is a struct-of-arrays slot in one Process, scaling to ~10^6
+// concurrent clients per harness. async_write/async_read address key 0.
 //
 // A KeyspaceConfig with num_keys > 1 turns the harness into a sharded
 // multi-register deployment: each key is its own quorum group (KeyRouter
@@ -43,12 +38,10 @@ class SimHarness {
     /// Defaults to UniformDelay(1ms, 10ms) when null.
     std::unique_ptr<DelayModel> delay;
     bool fifo = false;
-    /// num_keys > 1 shards the harness into a multi-register keyspace
-    /// (implies table clients). num_keys <= 1 keeps the classic layout.
+    /// num_keys > 1 shards the harness into a multi-register keyspace.
+    /// num_keys <= 1 keeps the classic layout.
     KeyspaceConfig keyspace;
-    /// Drive clients through the ClientTable instead of per-object
-    /// WriterApi/ReaderApi instances. Wire-identical on a single register;
-    /// required (and implied) for multi-key keyspaces.
+    /// Ignored; kept only because benchmark/driver/sweeps.cpp assigns it.
     bool table_clients = false;
     /// Batch same-(destination, tick) deliveries into one simulator event
     /// (Network::Options::coalesce). Observably identical to the
@@ -74,6 +67,8 @@ class SimHarness {
     bool retire_history = false;
   };
 
+  /// Throws std::invalid_argument when a fast-read key's client ids do not
+  /// fit the 64-bit witness masks (fr_witness_masks_fit).
   SimHarness(const Protocol& proto, Options opts);
 
   Simulator& sim() { return sim_; }
@@ -90,7 +85,7 @@ class SimHarness {
   /// Issue a read by reader index `ri` (key 0), recording it in the history.
   OpId async_read(int ri, std::function<void(TaggedValue)> done = nullptr);
 
-  /// Keyed variants (table mode). The OpId indexes key `key`'s history.
+  /// Keyed variants. The OpId indexes key `key`'s history.
   OpId async_write_key(int wi, std::uint32_t key, std::int64_t payload,
                        std::function<void()> done = nullptr);
   OpId async_read_key(int ri, std::uint32_t key,
@@ -117,16 +112,15 @@ class SimHarness {
 
   // ---- keyspace / table-client surface ----
 
-  [[nodiscard]] bool table_mode() const { return table_ != nullptr; }
   [[nodiscard]] const KeyspaceConfig& keyspace() const { return keyspace_; }
   /// Number of registers hosted (1 for the classic layout).
   [[nodiscard]] int num_keys() const {
-    return key_cfgs_.empty() ? 1 : static_cast<int>(key_cfgs_.size());
+    return static_cast<int>(key_cfgs_.size());
   }
   /// Key `k`'s quorum group (the full cluster config for the classic
   /// layout).
   [[nodiscard]] const ClusterConfig& key_cfg(int k) const {
-    return key_cfgs_.empty() ? cfg_ : key_cfgs_[static_cast<std::size_t>(k)];
+    return key_cfgs_[static_cast<std::size_t>(k)];
   }
   /// Key `k`'s history (the single history when not multi-key).
   History& key_history(int k) {
@@ -139,10 +133,10 @@ class SimHarness {
                ? nullptr
                : stream_checkers_[static_cast<std::size_t>(k)].get();
   }
-  /// The table driver; null when running object clients.
+  /// The client driver.
   [[nodiscard]] ClientTable* table() { return table_.get(); }
-  /// Observe every table-client completion (fires after any per-op done
-  /// callback). Table mode only; pass nullptr to clear.
+  /// Observe every client completion (fires after any per-op done
+  /// callback); pass nullptr to clear.
   void set_table_completion(ClientTable::CompleteFn fn) {
     user_hook_ = std::move(fn);
   }
@@ -158,13 +152,10 @@ class SimHarness {
   SpikeDelay* spike_ = nullptr;  ///< owned by net_'s delay chain
   std::shared_ptr<FaultPlanLog> fault_log_;
   std::vector<std::unique_ptr<Process>> servers_;
-  std::vector<std::unique_ptr<WriterApi>> writers_;
-  std::vector<std::unique_ptr<ReaderApi>> readers_;
   History history_;
 
-  // Table mode. key_cfgs_ / key_histories_ are sized once in the ctor and
-  // never resized (the table holds pointers into them).
-  ClusterConfig table_global_;
+  // key_cfgs_ / key_histories_ are sized once in the ctor and never resized
+  // (the table holds pointers into them).
   std::vector<ClusterConfig> key_cfgs_;
   std::vector<History> key_histories_;
   std::unique_ptr<ClientTable> table_;

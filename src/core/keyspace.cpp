@@ -42,4 +42,25 @@ int reader_key_of(int ri, int num_keys, int num_readers) {
   return k;
 }
 
+std::vector<ClusterConfig> key_clusters(const ClusterConfig& cfg,
+                                        const KeyspaceConfig& ks,
+                                        bool reader_affine) {
+  if (!ks.multi()) return {cfg};
+  std::vector<ClusterConfig> out;
+  out.reserve(static_cast<std::size_t>(ks.num_keys));
+  for (int k = 0; k < ks.num_keys; ++k) {
+    ClusterConfig kc = cfg;
+    kc.server_base = static_cast<NodeId>((k % ks.shards) * cfg.s());
+    kc.client_base = static_cast<NodeId>(ks.shards * cfg.s());
+    if (reader_affine) {
+      const int begin = reader_block_begin(k, ks.num_keys, cfg.r());
+      const int end = reader_block_begin(k + 1, ks.num_keys, cfg.r());
+      kc.reader_base = kc.client_base + cfg.w() + begin;
+      kc.num_readers = end - begin;
+    }
+    out.push_back(kc);
+  }
+  return out;
+}
+
 }  // namespace mwreg

@@ -80,6 +80,14 @@ class ZipfSampler {
 /// Inverse of the block map: the key reader `ri` is affine to.
 [[nodiscard]] int reader_key_of(int ri, int num_keys, int num_readers);
 
+/// The quorum group of every key: `cfg` itself on the classic single-register
+/// layout; otherwise, per key, `cfg`'s shape re-based onto shard
+/// key % shards, with all keys sharing the client range after the server
+/// block. `reader_affine` narrows each key's readers to its reader block.
+[[nodiscard]] std::vector<ClusterConfig> key_clusters(const ClusterConfig& cfg,
+                                                      const KeyspaceConfig& ks,
+                                                      bool reader_affine);
+
 /// One physical server slot of a shard: owns the per-key replicas of every
 /// key on its shard and dispatches incoming requests on Message::key.
 /// Replicas are constructed with this router's node id (their replies carry

@@ -1,21 +1,20 @@
-// A Protocol bundles the factories and metadata of one register emulation
-// (one cell of the paper's design space, Fig. 2).
+// A Protocol bundles the server factory, the client programs and the
+// metadata of one register emulation (one cell of the paper's design space,
+// Fig. 2). Clients are not objects: every protocol names the ClientTable
+// state machines its writers and readers run (core/client_table.h).
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "common/cluster.h"
-#include "core/register.h"
 #include "sim/network.h"
 
 namespace mwreg {
 
 /// Which table-driven writer state machine a protocol's writes run as
-/// (core/client_table.h). kNone means the protocol has no table program and
-/// can only be driven by its heap-allocated object clients.
+/// (core/client_table.h).
 enum class TableWriterProgram {
-  kNone,
   kAbdTwoRound,       ///< query max tag, then write (maxTS+1, wid)
   kAbdLocalTs,        ///< single-writer: one round with a local timestamp
   kFrQueryThenWrite,  ///< fast-read query (kFrQueryReq) then kFrWriteReq
@@ -24,12 +23,17 @@ enum class TableWriterProgram {
 
 /// Which table-driven reader state machine a protocol's reads run as.
 enum class TableReaderProgram {
-  kNone,
   kAbdTwoRound,     ///< query max value, then write-back
   kAbdOneRoundMax,  ///< max-of-quorum, no write-back (regular only)
   kFrFull,          ///< Algorithm 1 full-ack fast read
   kFrDelta,         ///< GC'd incremental (delta-ack) fast read
 };
+
+/// True for the fast-read reader programs, whose readers carry per-register
+/// state (valQueues, server caches, watermarks) and serve exactly one key.
+[[nodiscard]] inline bool reader_key_affine(TableReaderProgram p) {
+  return p == TableReaderProgram::kFrFull || p == TableReaderProgram::kFrDelta;
+}
 
 class Protocol {
  public:
@@ -47,27 +51,11 @@ class Protocol {
   [[nodiscard]] virtual bool guarantees_atomicity(
       const ClusterConfig& cfg) const = 0;
 
-  /// Table-driven client programs (core/client_table.h). Protocols whose
-  /// clients are ported to the dense ClientTable override these; the table
-  /// reproduces the object clients' wire behavior bit-for-bit, so either
-  /// driver yields identical histories.
-  [[nodiscard]] virtual TableWriterProgram table_writer() const {
-    return TableWriterProgram::kNone;
-  }
-  [[nodiscard]] virtual TableReaderProgram table_reader() const {
-    return TableReaderProgram::kNone;
-  }
-  [[nodiscard]] bool supports_table_clients() const {
-    return table_writer() != TableWriterProgram::kNone &&
-           table_reader() != TableReaderProgram::kNone;
-  }
+  /// The client programs the ClientTable runs for this protocol.
+  [[nodiscard]] virtual TableWriterProgram table_writer() const = 0;
+  [[nodiscard]] virtual TableReaderProgram table_reader() const = 0;
 
   [[nodiscard]] virtual std::unique_ptr<Process> make_server(
-      NodeId id, Network& net, const ClusterConfig& cfg) const = 0;
-  /// The returned objects are also Processes attached to `net`.
-  [[nodiscard]] virtual std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const = 0;
-  [[nodiscard]] virtual std::unique_ptr<ReaderApi> make_reader(
       NodeId id, Network& net, const ClusterConfig& cfg) const = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "core/workload.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -115,7 +114,6 @@ struct KeyspaceDriver {
 }  // namespace
 
 void run_keyspace_workload(SimHarness& h, const WorkloadOptions& opts) {
-  assert(h.table_mode() && "keyspace workloads require table clients");
   ClientTable& table = *h.table();
   const int w = table.writer_count();
   const int r = table.reader_count();

@@ -21,11 +21,10 @@ struct WorkloadOptions {
 };
 
 /// Drive every writer and reader through its closed loop until all ops
-/// complete; runs the simulator to quiescence. Works with both client
-/// drivers (object clients and the ClientTable), always on key 0.
+/// complete; runs the simulator to quiescence. Always on key 0.
 void run_random_workload(SimHarness& h, const WorkloadOptions& opts);
 
-/// Keyed closed loop over a table-driven harness: writers pick a Zipfian
+/// Keyed closed loop: writers pick a Zipfian
 /// key per op; readers read their affine key (reader-affine protocols) or
 /// a Zipfian key. Ignores the crash options — fault plans and crashes are
 /// single-register features. Callable repeatedly on one harness, so

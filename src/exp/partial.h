@@ -32,10 +32,11 @@
 
 namespace mwreg::exp {
 
-/// Bumped whenever the encoding below changes shape. Readers refuse any
+/// Bumped whenever the encoding below or the expansion digest's recipe
+/// changes (v2: the table-clients flag left the digest). Readers refuse any
 /// other version outright: a partial is an intermediate artifact consumed
 /// by the merge step of the same build, not a compatibility surface.
-inline constexpr std::uint32_t kPartialVersion = 1;
+inline constexpr std::uint32_t kPartialVersion = 2;
 
 /// Artifact identity: which report, which slice, and which expansion.
 struct PartialMeta {

@@ -11,6 +11,7 @@
 
 #include "consistency/checkers.h"
 #include "core/harness.h"
+#include "protocols/fastread_clients.h"
 #include "protocols/protocols.h"
 
 namespace mwreg::exp {
@@ -62,24 +63,24 @@ std::string ExperimentSpec::validate() const {
   if (any_multi && !fault_plans.empty()) {
     return "fault plans cannot cross multi-key keyspaces";
   }
-  if (table_clients || any_multi) {
-    for (const std::string& p : protocols) {
-      if (!protocol_by_name(p)->supports_table_clients()) {
-        return "protocol has no table client programs: " + p;
-      }
-    }
-  }
-  for (const KeyspaceConfig& ks : keyspaces) {
-    if (!ks.multi()) continue;
-    for (const std::string& p : protocols) {
-      const TableReaderProgram rp = protocol_by_name(p)->table_reader();
-      const bool affine = rp == TableReaderProgram::kFrFull ||
-                          rp == TableReaderProgram::kFrDelta;
-      if (!affine) continue;
-      for (const ClusterConfig& c : clusters) {
-        if (ks.num_keys > c.r()) {
+  for (const std::string& p : protocols) {
+    if (!reader_key_affine(protocol_by_name(p)->table_reader())) continue;
+    for (const ClusterConfig& c : clusters) {
+      for (int ki = 0; ki < keyspace_points(); ++ki) {
+        const KeyspaceConfig ks =
+            keyspaces.empty() ? KeyspaceConfig{}
+                              : keyspaces[static_cast<std::size_t>(ki)];
+        if (ks.multi() && ks.num_keys > c.r()) {
           return "reader-affine protocol " + p + " needs num_keys <= R (" +
                  ks.to_string() + " vs " + c.to_string() + ")";
+        }
+        for (const ClusterConfig& kc : key_clusters(c, ks, true)) {
+          if (!fr_witness_masks_fit(kc)) {
+            return "fast-read protocol " + p + " on " + c.to_string() +
+                   " with keyspace " + ks.to_string() +
+                   ": a key's client ids span more than the " +
+                   std::to_string(kFrWitnessMaskBits) + "-bit witness masks";
+          }
         }
       }
     }
@@ -117,8 +118,8 @@ std::uint64_t cell_digest(const std::string& protocol,
                           const KeyspaceConfig& keyspace) {
   std::uint64_t h = plan != nullptr ? cell_digest(protocol, cfg, *plan)
                                     : cell_digest(protocol, cfg);
-  // Single-register keyspaces (and the table-clients flag, which is not
-  // mixed at all) keep the historical digest: same seeds, comparable runs.
+  // Single-register keyspaces keep the historical digest: same seeds,
+  // comparable runs.
   if (!keyspace.multi()) return h;
   auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
   mix(static_cast<std::uint64_t>(keyspace.num_keys));
@@ -156,7 +157,6 @@ TrialResult run_trial(const ExperimentSpec& spec, int spec_index,
   o.seed = tr.harness_seed;
   o.fifo = spec.fifo;
   o.keyspace = tr.keyspace;
-  o.table_clients = spec.table_clients || tr.keyspace.multi();
   o.coalesce = spec.coalesce;
   o.tick = spec.tick;
   o.dest_major = spec.dest_major;
@@ -308,7 +308,6 @@ ExpansionInfo expansion_info(const std::vector<ExperimentSpec>& specs) {
     mix(static_cast<std::uint64_t>(spec.workload.think_hi));
     mix(static_cast<std::uint64_t>(spec.workload.crash_servers));
     mix(static_cast<std::uint64_t>(spec.workload.crash_after_ops));
-    mix(static_cast<std::uint64_t>(spec.table_clients));
     mix(static_cast<std::uint64_t>(spec.fifo));
     mix(static_cast<std::uint64_t>(spec.coalesce));
     mix(static_cast<std::uint64_t>(spec.tick));

@@ -151,8 +151,8 @@ std::uint64_t cell_digest(const std::string& protocol,
 std::uint64_t cell_digest(const std::string& protocol,
                           const ClusterConfig& cfg, const FaultPlan& plan);
 /// All-axes form. Single-register keyspaces (num_keys <= 1) do not change
-/// the digest — a 1-key table-driven cell reuses its classic seeds, which
-/// is what makes object-vs-table parity checkable bit for bit.
+/// the digest — a 1-key cell reuses its classic seeds, so its results match
+/// the classic layout's bit for bit.
 std::uint64_t cell_digest(const std::string& protocol,
                           const ClusterConfig& cfg, const FaultPlan* plan,
                           const KeyspaceConfig& keyspace);

@@ -69,27 +69,22 @@ struct ExperimentSpec {
 
   /// Keyspace axis: every entry is crossed with every
   /// (protocol, cluster, plan) triple. Empty means one classic
-  /// single-register run per triple. Multi-key entries (num_keys > 1)
-  /// require table-client protocols and are incompatible with fault_plans;
-  /// they run the keyed Zipfian workload (run_keyspace_workload) and check
-  /// every per-key history.
+  /// single-register run per triple. Multi-key entries (num_keys > 1) are
+  /// incompatible with fault_plans; they run the keyed Zipfian workload
+  /// (run_keyspace_workload) and check every per-key history.
   std::vector<KeyspaceConfig> keyspaces;
 
-  /// Drive trials through the ClientTable instead of per-object clients.
-  /// Wire-identical on single-register cells — deliberately NOT part of
-  /// cell_digest, so flipping it reproduces the same harness seeds (and,
-  /// for supporting protocols, bit-identical results).
+  /// Ignored; kept only because benchmark/driver/sweeps.cpp assigns it.
   bool table_clients = false;
 
   /// FIFO per-link delivery (SimHarness::Options::fifo).
   bool fifo = false;
 
   /// Batched delivery (SimHarness::Options::coalesce / tick). Observably
-  /// identical to the per-message engine — like table_clients, these are
-  /// deliberately NOT part of cell_digest, so flipping them reproduces the
-  /// same harness seeds and bit-identical results. Batched is the default
-  /// since the destination-major PR; per-message is the registered
-  /// ablation.
+  /// identical to the per-message engine — these are deliberately NOT part
+  /// of cell_digest, so flipping them reproduces the same harness seeds and
+  /// bit-identical results. Batched is the default since the
+  /// destination-major PR; per-message is the registered ablation.
   bool coalesce = true;
   Duration tick = 1;
   /// Destination-major drain + reply staging (also NOT part of

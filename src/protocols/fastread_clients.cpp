@@ -1,5 +1,6 @@
 #include "protocols/fastread_clients.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mwreg {
@@ -68,7 +69,7 @@ bool admissible(const TaggedValue& v, const std::vector<FrView>& msgs, int a,
       if (e.value == v) {
         std::uint64_t mask = 0;
         for (NodeId c : e.updated) {
-          assert(c >= bit_base && c - bit_base < 64);
+          assert(c >= bit_base && c - bit_base < kFrWitnessMaskBits);
           mask |= 1ULL << (c - bit_base);
         }
         sets.push_back(mask);
@@ -103,83 +104,6 @@ TaggedValue fr_pick_admissible(const std::vector<TaggedValue>& cands,
   }
   // Unreachable in a correct configuration; return bottom defensively.
   return TaggedValue{};
-}
-
-void FastReader::read(std::function<void(TaggedValue)> done) {
-  if (gc_enabled_) {
-    read_delta(std::move(done));
-  } else {
-    read_full(std::move(done));
-  }
-}
-
-void FastReader::read_full(std::function<void(TaggedValue)> done) {
-  std::vector<TaggedValue> queue(val_queue_.begin(), val_queue_.end());
-  round_trip(
-      kFrReadReq, encode_value_list(pool(), queue),
-      [this, done = std::move(done)](const std::vector<ServerReply>& replies) {
-        if (reply_arenas_.size() < replies.size()) {
-          reply_arenas_.resize(replies.size());
-        }
-        views_.clear();
-        cand_.clear();
-        for (std::size_t i = 0; i < replies.size(); ++i) {
-          ByteReader br(replies[i].payload);
-          const bool ok = decode_entries_into(br, reply_arenas_[i]);
-          assert(ok && "malformed kFrReadAck");
-          (void)ok;
-          views_.push_back(reply_arenas_[i].view());
-        }
-        // valQueue <- all values in rcvMsg, union previous queue.
-        for (const FrView& m : views_) {
-          for (const FrEntry& e : m) {
-            val_queue_.insert(e.value);
-            cand_.push_back(e.value);
-          }
-        }
-        std::sort(cand_.begin(), cand_.end());
-        cand_.erase(std::unique(cand_.begin(), cand_.end()), cand_.end());
-        done(fr_pick_admissible(cand_, views_, cfg().r(), cfg().s(),
-                                cfg().t()));
-      });
-}
-
-void FastReader::read_delta(std::function<void(TaggedValue)> done) {
-  // The pruned valQueue: only the confirmed watermark value. Every server
-  // re-admits and confirms it before replying, which is all Lemma 3 needs;
-  // the tail of the queue below the watermark only re-confirms values this
-  // reader can never return again (DESIGN.md section 6.3).
-  queue_scratch_.clear();
-  queue_scratch_.push_back(watermark_);
-  acked_scratch_.clear();
-  for (const FrServerCache& c : caches_) acked_scratch_.push_back(c.rev);
-  ByteWriter w(pool().acquire());
-  encode_delta_read_req_into(w, queue_scratch_, acked_scratch_.data(),
-                             acked_scratch_.size());
-  round_trip(
-      kFrReadDeltaReq, w.take(),
-      [this, done = std::move(done)](const std::vector<ServerReply>& replies) {
-        views_.clear();
-        cand_.clear();
-        for (const ServerReply& r : replies) {
-          FrServerCache& cache = caches_[static_cast<std::size_t>(r.server)];
-          const bool ok = fr_apply_delta(cache, r.payload, entry_scratch_);
-          assert(ok && "malformed kFrReadAckDelta");
-          (void)ok;
-          views_.push_back(FrView{cache.entries.data(), cache.entries.size()});
-        }
-        for (const FrView& m : views_) {
-          for (const FrEntry& e : m) cand_.push_back(e.value);
-        }
-        std::sort(cand_.begin(), cand_.end());
-        cand_.erase(std::unique(cand_.begin(), cand_.end()), cand_.end());
-        const TaggedValue v =
-            fr_pick_admissible(cand_, views_, cfg().r(), cfg().s(), cfg().t());
-        // valQueue semantics, compressed: the watermark is the max of
-        // everything ever received (>= the value returned below).
-        if (!cand_.empty()) watermark_ = std::max(watermark_, cand_.back());
-        done(v);
-      });
 }
 
 bool fr_apply_delta(FrServerCache& cache, ByteSpan payload,

@@ -1,30 +1,21 @@
-// Clients of the paper's Algorithm 1 (Appendix A).
+// The read decision of the paper's Algorithm 1 (Appendix A), shared by the
+// ClientTable's fast-read programs (core/client_table.h).
 //
-//  - FastReader: ONE round-trip read. Sends its valQueue, collects READACKs
-//    from S - t servers, and returns the largest value that is
-//    admissible(v, rcvMsg, a) for some a in [1, R+1]. With gc_enabled it
-//    speaks the incremental protocol instead (kFrReadDeltaReq /
-//    kFrReadAckDelta): it carries its confirmed watermark and per-server
-//    acked revisions, reconstructs each server's valuevector in a
-//    per-server cache, and runs the same admissibility decision over the
-//    reconstructed views — observationally identical to the full-ack
-//    protocol while keeping bytes-on-wire O(active values) (DESIGN.md
-//    section 6).
-//  - QueryThenWriter: the paper's two-round-trip multi-writer write (query
-//    maxTS, then update (maxTS+1, wid)).
-//  - LocalTsFrWriter: single-writer one-round-trip write (Dutta et al. [12]);
-//    together with FastReader this is the W1R1 single-writer protocol.
+// A fast read is ONE round-trip: the reader sends its valQueue, collects
+// READACKs from S - t servers, and returns the largest value that is
+// admissible(v, rcvMsg, a) for some a in [1, R+1]. The GC'd program speaks
+// the incremental protocol instead (kFrReadDeltaReq / kFrReadAckDelta): it
+// carries its confirmed watermark and per-server acked revisions,
+// reconstructs each server's valuevector in an FrServerCache, and runs the
+// same admissibility decision over the reconstructed views — observationally
+// identical to the full-ack protocol while keeping bytes-on-wire O(active
+// values) (DESIGN.md section 6).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
 #include <vector>
 
-#include "core/register.h"
-#include "core/rpc_client.h"
+#include "common/cluster.h"
 #include "protocols/messages.h"
 
 namespace mwreg {
@@ -46,10 +37,20 @@ bool admissible(const TaggedValue& v,
                 const std::vector<std::vector<FrEntry>>& msgs, int a,
                 int num_servers, int max_faulty, NodeId bit_base = 0);
 
+/// Client ids one witness mask can hold.
+inline constexpr int kFrWitnessMaskBits = 64;
+
+/// Whether every client of quorum group `kc` fits the witness masks at
+/// bit_base = kc.first_client(), i.e. id_end() - first_client() <= 64. A
+/// wider fast-read group would shift past the mask (undefined behaviour),
+/// so ExperimentSpec::validate and SimHarness refuse it.
+[[nodiscard]] inline bool fr_witness_masks_fit(const ClusterConfig& kc) {
+  return kc.id_end() - kc.first_client() <= kFrWitnessMaskBits;
+}
+
 /// Reconstructed view of one server's valuevector (delta/gc mode): the
 /// entries the server held at its last reply, sorted by tag, plus the reply
-/// revision the reader acknowledges on its next request. Shared between the
-/// object FastReader and the table-driven clients (core/client_table.h).
+/// revision the reader acknowledges on its next request.
 struct FrServerCache {
   std::uint64_t rev = 0;
   std::vector<FrEntry> entries;
@@ -69,101 +70,5 @@ bool fr_apply_delta(FrServerCache& cache, ByteSpan payload, FrEntry& scratch);
 TaggedValue fr_pick_admissible(const std::vector<TaggedValue>& cands,
                                const std::vector<FrView>& views, int r, int s,
                                int t, NodeId bit_base = 0);
-
-class FastReader final : public RpcClient, public ReaderApi {
- public:
-  FastReader(NodeId id, Network& net, const ClusterConfig& cfg,
-             bool gc_enabled = false)
-      : RpcClient(id, net, cfg), gc_enabled_(gc_enabled) {
-    val_queue_.insert(TaggedValue{});  // (0, bottom)
-    if (gc_enabled_) caches_.resize(static_cast<std::size_t>(cfg.s()));
-  }
-
-  void read(std::function<void(TaggedValue)> done) override;
-
-  /// Exposed for tests: the reader's accumulated knowledge (legacy mode).
-  [[nodiscard]] const std::set<TaggedValue>& val_queue() const {
-    return val_queue_;
-  }
-
-  /// The reader's confirmed watermark: the largest value it has carried on
-  /// a request. Every read completing after that point returns a tag >= it
-  /// (Lemma 3) — the invariant the server-side GC relies on.
-  [[nodiscard]] const TaggedValue& watermark() const { return watermark_; }
-
-  /// Reconstructed valuevector size cached for one server (gc mode).
-  [[nodiscard]] std::size_t cache_size(int server_index) const {
-    return caches_.empty()
-               ? 0
-               : caches_[static_cast<std::size_t>(server_index)].entries.size();
-  }
-
-  /// Arena growth of the legacy decode path; must stop moving after warmup
-  /// (tests/alloc_regression_test.cpp).
-  [[nodiscard]] std::uint64_t decode_arena_grows() const {
-    std::uint64_t total = 0;
-    for (const FrEntryArena& a : reply_arenas_) total += a.grows();
-    return total;
-  }
-
- private:
-  void read_full(std::function<void(TaggedValue)> done);
-  void read_delta(std::function<void(TaggedValue)> done);
-
-  bool gc_enabled_ = false;
-  std::set<TaggedValue> val_queue_;
-
-  // gc-mode state
-  std::vector<FrServerCache> caches_;
-  TaggedValue watermark_{};
-
-  // reusable per-read scratch (both modes)
-  std::vector<FrEntryArena> reply_arenas_;
-  std::vector<FrView> views_;
-  std::vector<TaggedValue> cand_;
-  std::vector<std::uint64_t> acked_scratch_;
-  std::vector<TaggedValue> queue_scratch_;
-  FrEntry entry_scratch_;
-};
-
-class QueryThenWriter final : public RpcClient, public WriterApi {
- public:
-  QueryThenWriter(NodeId id, Network& net, const ClusterConfig& cfg)
-      : RpcClient(id, net, cfg) {}
-
-  void write(std::int64_t payload, std::function<void(Tag)> done) override {
-    round_trip(kFrQueryReq, {},
-               [this, payload, done = std::move(done)](
-                   const std::vector<ServerReply>& replies) mutable {
-                 std::int64_t max_ts = 0;
-                 for (const ServerReply& r : replies) {
-                   max_ts = std::max(max_ts, decode_tag(r.payload).ts);
-                 }
-                 const Tag tag{max_ts + 1, id()};
-                 round_trip(kFrWriteReq,
-                            encode_value(pool(), TaggedValue{tag, payload}),
-                            [tag, done = std::move(done)](
-                                const std::vector<ServerReply>&) {
-                              done(tag);
-                            });
-               });
-  }
-};
-
-class LocalTsFrWriter final : public RpcClient, public WriterApi {
- public:
-  LocalTsFrWriter(NodeId id, Network& net, const ClusterConfig& cfg)
-      : RpcClient(id, net, cfg) {}
-
-  void write(std::int64_t payload, std::function<void(Tag)> done) override {
-    const Tag tag{++ts_, id()};
-    round_trip(kFrWriteReq, encode_value(pool(), TaggedValue{tag, payload}),
-               [tag, done = std::move(done)](
-                   const std::vector<ServerReply>&) { done(tag); });
-  }
-
- private:
-  std::int64_t ts_ = 0;
-};
 
 }  // namespace mwreg

@@ -1,7 +1,5 @@
 #include "protocols/protocols.h"
 
-#include "protocols/abd_clients.h"
-#include "protocols/fastread_clients.h"
 #include "protocols/fastread_server.h"
 #include "protocols/quorum_server.h"
 
@@ -13,14 +11,6 @@ std::unique_ptr<Process> MwAbdProtocol::make_server(
     NodeId id, Network& net, const ClusterConfig& cfg) const {
   return std::make_unique<QuorumServer>(id, net, cfg);
 }
-std::unique_ptr<WriterApi> MwAbdProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<TwoRoundWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> MwAbdProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<TwoRoundReader>(id, net, cfg);
-}
 
 // ---- AbdSwmr (W1R2) ----
 
@@ -28,28 +18,12 @@ std::unique_ptr<Process> AbdSwmrProtocol::make_server(
     NodeId id, Network& net, const ClusterConfig& cfg) const {
   return std::make_unique<QuorumServer>(id, net, cfg);
 }
-std::unique_ptr<WriterApi> AbdSwmrProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<LocalTsWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> AbdSwmrProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<TwoRoundReader>(id, net, cfg);
-}
 
 // ---- NaiveFastWrite (W1R2 strawman) ----
 
 std::unique_ptr<Process> NaiveFastWriteProtocol::make_server(
     NodeId id, Network& net, const ClusterConfig& cfg) const {
   return std::make_unique<QuorumServer>(id, net, cfg);
-}
-std::unique_ptr<WriterApi> NaiveFastWriteProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<LocalTsWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> NaiveFastWriteProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<TwoRoundReader>(id, net, cfg);
 }
 
 // ---- FastReadMw (W2R1, the paper's Algorithm 1 & 2; GC'd by default) ----
@@ -60,28 +34,12 @@ std::unique_ptr<Process> FastReadMwProtocol::make_server(
   o.gc_enabled = true;
   return std::make_unique<FastReadServer>(id, net, cfg, o);
 }
-std::unique_ptr<WriterApi> FastReadMwProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<QueryThenWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> FastReadMwProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<FastReader>(id, net, cfg, /*gc_enabled=*/true);
-}
 
 // ---- NoGcFastReadMw (W2R1 full-ack ablation, the O(ops^2) baseline) ----
 
 std::unique_ptr<Process> NoGcFastReadMwProtocol::make_server(
     NodeId id, Network& net, const ClusterConfig& cfg) const {
   return std::make_unique<FastReadServer>(id, net, cfg);
-}
-std::unique_ptr<WriterApi> NoGcFastReadMwProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<QueryThenWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> NoGcFastReadMwProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<FastReader>(id, net, cfg);
 }
 
 // ---- LiteralFastReadMw (pseudocode-as-printed ablation) ----
@@ -92,28 +50,12 @@ std::unique_ptr<Process> LiteralFastReadMwProtocol::make_server(
   o.confirm_reported = false;
   return std::make_unique<FastReadServer>(id, net, cfg, o);
 }
-std::unique_ptr<WriterApi> LiteralFastReadMwProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<QueryThenWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> LiteralFastReadMwProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<FastReader>(id, net, cfg);
-}
 
 // ---- RegularFastRead (W2R1, regular-only baseline) ----
 
 std::unique_ptr<Process> RegularFastReadProtocol::make_server(
     NodeId id, Network& net, const ClusterConfig& cfg) const {
   return std::make_unique<QuorumServer>(id, net, cfg);
-}
-std::unique_ptr<WriterApi> RegularFastReadProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<TwoRoundWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> RegularFastReadProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<OneRoundMaxReader>(id, net, cfg);
 }
 
 // ---- FastSwmr (W1R1) ----
@@ -125,14 +67,6 @@ std::unique_ptr<Process> FastSwmrProtocol::make_server(
   FastReadServer::Options o;
   o.gc_enabled = true;
   return std::make_unique<FastReadServer>(id, net, cfg, o);
-}
-std::unique_ptr<WriterApi> FastSwmrProtocol::make_writer(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<LocalTsFrWriter>(id, net, cfg);
-}
-std::unique_ptr<ReaderApi> FastSwmrProtocol::make_reader(
-    NodeId id, Network& net, const ClusterConfig& cfg) const {
-  return std::make_unique<FastReader>(id, net, cfg, /*gc_enabled=*/true);
 }
 
 // ---- Registry ----

@@ -35,10 +35,6 @@ class MwAbdProtocol final : public Protocol {
   }
   std::unique_ptr<Process> make_server(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
 class AbdSwmrProtocol final : public Protocol {
@@ -56,10 +52,6 @@ class AbdSwmrProtocol final : public Protocol {
     return TableReaderProgram::kAbdTwoRound;
   }
   std::unique_ptr<Process> make_server(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
@@ -79,10 +71,6 @@ class NaiveFastWriteProtocol final : public Protocol {
     return TableReaderProgram::kAbdTwoRound;
   }
   std::unique_ptr<Process> make_server(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
@@ -111,10 +99,6 @@ class FastReadMwProtocol final : public Protocol {
   }
   std::unique_ptr<Process> make_server(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
 /// Algorithm 1 & 2 WITHOUT garbage collection: valuevectors grow with
@@ -140,10 +124,6 @@ class NoGcFastReadMwProtocol final : public Protocol {
   }
   std::unique_ptr<Process> make_server(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
 /// Algorithm 1 & 2 with the server EXACTLY as printed in the paper (no
@@ -160,7 +140,7 @@ class LiteralFastReadMwProtocol final : public Protocol {
     return false;  // the ablation shows why
   }
   // The ablation only changes the server; the clients are the stock
-  // Algorithm 1 programs, so the table can drive this variant too.
+  // Algorithm 1 programs.
   TableWriterProgram table_writer() const override {
     return TableWriterProgram::kFrQueryThenWrite;
   }
@@ -168,10 +148,6 @@ class LiteralFastReadMwProtocol final : public Protocol {
     return TableReaderProgram::kFrFull;
   }
   std::unique_ptr<Process> make_server(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
@@ -194,10 +170,6 @@ class RegularFastReadProtocol final : public Protocol {
     return TableReaderProgram::kAbdOneRoundMax;
   }
   std::unique_ptr<Process> make_server(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 
@@ -222,10 +194,6 @@ class FastSwmrProtocol final : public Protocol {
     return TableReaderProgram::kFrDelta;
   }
   std::unique_ptr<Process> make_server(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<WriterApi> make_writer(
-      NodeId id, Network& net, const ClusterConfig& cfg) const override;
-  std::unique_ptr<ReaderApi> make_reader(
       NodeId id, Network& net, const ClusterConfig& cfg) const override;
 };
 

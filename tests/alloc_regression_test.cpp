@@ -13,9 +13,9 @@
 #include <functional>
 #include <memory>
 
+#include "core/client_table.h"
 #include "core/harness.h"
 #include "core/workload.h"
-#include "protocols/fastread_clients.h"
 #include "protocols/fastread_server.h"
 #include "protocols/protocols.h"
 #include "sim/buffer_pool.h"
@@ -109,8 +109,11 @@ TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
   // the full-ack reader drives snapshot() and decode_entries_into over a
   // GC-bounded valuevector, the delta reader keeps its side of the
   // machinery warm, and both carry watermarks that advance the floor. A
-  // hand-wired cluster exposes the concrete types.
+  // hand-wired cluster exposes the concrete servers; a ClientTable runs one
+  // reader program, so each reader gets its own table (one writer each, at
+  // the cluster's writer ids) in front of the shared servers.
   const ClusterConfig cfg{5, 2, 2, 1};
+  const std::vector<ClusterConfig> key_cfgs{cfg};
   Simulator sim;
   Network net(sim, std::make_unique<ConstantDelay>(kMillisecond), Rng(3));
   FastReadServer::Options so;
@@ -119,16 +122,26 @@ TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
   for (NodeId s : cfg.server_ids()) {
     servers.push_back(std::make_unique<FastReadServer>(s, net, cfg, so));
   }
-  QueryThenWriter writer(cfg.writer_id(0), net, cfg);
-  FastReader full_reader(cfg.reader_id(0), net, cfg, /*gc_enabled=*/false);
-  FastReader delta_reader(cfg.reader_id(1), net, cfg, /*gc_enabled=*/true);
+  auto half = [&cfg](int i) {
+    ClusterConfig g{cfg.s(), 1, 1, cfg.t()};
+    g.client_base = cfg.writer_id(i);
+    g.reader_base = cfg.reader_id(i);
+    return g;
+  };
+  History history;
+  ClientTable full(net, half(0), key_cfgs,
+                   TableWriterProgram::kFrQueryThenWrite,
+                   TableReaderProgram::kFrFull, {&history});
+  ClientTable delta(net, half(1), key_cfgs,
+                    TableWriterProgram::kFrQueryThenWrite,
+                    TableReaderProgram::kFrDelta, {&history});
   auto cycle = [&](int ops) {
     for (int i = 0; i < ops; ++i) {
-      writer.write(1000 + i, [](Tag) {});
+      full.start_write(0, 0, 1000 + i);
       sim.run();
-      full_reader.read([](TaggedValue) {});
+      full.start_read(0, 0);
       sim.run();
-      delta_reader.read([](TaggedValue) {});
+      delta.start_read(0, 0);
       sim.run();
     }
   };
@@ -139,11 +152,11 @@ TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
     ASSERT_GT(s->entries_pruned(), 0u);
     ASSERT_LE(s->valuevector_size(), 8u);
   }
-  ASSERT_GT(full_reader.decode_arena_grows(), 0u);
+  ASSERT_GT(full.decode_arena_grows(), 0u);
 
   std::uint64_t server_grows = 0;
   for (const auto& s : servers) server_grows += s->snapshot_arena_grows();
-  const std::uint64_t reader_grows = full_reader.decode_arena_grows();
+  const std::uint64_t reader_grows = full.decode_arena_grows();
 
   cycle(60);  // steady state
 
@@ -151,7 +164,7 @@ TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
   for (const auto& s : servers) server_grows2 += s->snapshot_arena_grows();
   EXPECT_EQ(server_grows2 - server_grows, 0u)
       << "a server rebuilt snapshot slots after warmup";
-  EXPECT_EQ(full_reader.decode_arena_grows() - reader_grows, 0u)
+  EXPECT_EQ(full.decode_arena_grows() - reader_grows, 0u)
       << "a reader rebuilt decode slots after warmup";
 }
 
@@ -166,24 +179,26 @@ TEST(AllocRegression, LegacySnapshotArenaReusesSlotsAcrossReads) {
   for (NodeId s : cfg.server_ids()) {
     servers.push_back(std::make_unique<FastReadServer>(s, net, cfg));
   }
-  QueryThenWriter writer(cfg.writer_id(0), net, cfg);
-  FastReader reader(cfg.reader_id(0), net, cfg);
+  const std::vector<ClusterConfig> key_cfgs{cfg};
+  History history;
+  ClientTable clients(net, cfg, key_cfgs, TableWriterProgram::kFrQueryThenWrite,
+                      TableReaderProgram::kFrFull, {&history});
   for (int i = 0; i < 10; ++i) {
-    writer.write(i, [](Tag) {});
+    clients.start_write(0, 0, i);
     sim.run();
   }
-  reader.read([](TaggedValue) {});
+  clients.start_read(0, 0);
   sim.run();
   std::uint64_t grows = 0;
   for (const auto& s : servers) grows += s->snapshot_arena_grows();
-  grows += reader.decode_arena_grows();
+  grows += clients.decode_arena_grows();
   for (int i = 0; i < 20; ++i) {  // reads only: the valuevector is static
-    reader.read([](TaggedValue) {});
+    clients.start_read(0, 0);
     sim.run();
   }
   std::uint64_t grows2 = 0;
   for (const auto& s : servers) grows2 += s->snapshot_arena_grows();
-  grows2 += reader.decode_arena_grows();
+  grows2 += clients.decode_arena_grows();
   EXPECT_EQ(grows2 - grows, 0u);
 }
 
@@ -200,7 +215,6 @@ TEST(AllocRegression, HundredThousandTableClientsSteadyStateAllocatesNothing) {
   o.seed = 42;
   o.coalesce = false;  // per-message engine: the registered ablation lane
   SimHarness h(*proto, std::move(o));
-  ASSERT_TRUE(h.table_mode());
 
   WorkloadOptions w;
   w.ops_per_writer = 2;
@@ -239,7 +253,6 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
   o.coalesce = true;
   o.tick = 10 * kMicrosecond;  // coarse tick so batches actually form
   SimHarness h(*proto, std::move(o));
-  ASSERT_TRUE(h.table_mode());
 
   WorkloadOptions w;
   w.ops_per_writer = 2;

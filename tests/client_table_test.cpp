@@ -1,11 +1,12 @@
 // ClientTable and keyspace coverage.
 //
-// The heart of this suite is wire parity: the table-driven client engine
-// must reproduce the object clients' simulations bit for bit on the
-// single-register layout — same golden batch digest, fault plans included —
-// because it issues the identical message sequence through the identical
-// RNG draws. The keyspace tests then check the multi-register layout:
-// per-key linearizability, thread-count invariance, and digest stability.
+// The heart of this suite is wire parity: the ClientTable must reproduce the
+// simulations of the per-object clients it replaced bit for bit on the
+// single-register layout — fault plans included — because it issues the
+// identical message sequence through the identical RNG draws. The object
+// clients are gone; the digests recorded from them are the oracle. The
+// keyspace tests then check the multi-register layout: per-key
+// linearizability, thread-count invariance, and digest stability.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,15 +73,16 @@ ExperimentSpec golden_spec() {
 // the table driver must land on it too.
 constexpr std::uint64_t kGoldenBatchDigest = 16581352218070049687ULL;
 
+// ObjectAndTableClientsAgreeOnWiderCells' spec, recorded on the per-object
+// clients before they were deleted.
+constexpr std::uint64_t kObjectWiderCellsDigest = 7633075559261332101ULL;
+
 TEST(ClientTableParity, GoldenBatchDigestWithTableClients) {
   // The full golden spec — three protocols (two-round, query-then-write,
   // and local-timestamp writers; fast and two-round readers), two clusters,
-  // two fault plans, three seeds — driven through the ClientTable instead
-  // of the object clients. Bit-identical histories mean bit-identical
-  // digests; table_clients is deliberately absent from cell_digest so the
-  // harness seeds match as well.
-  ExperimentSpec spec = golden_spec();
-  spec.table_clients = true;
+  // two fault plans, three seeds. Bit-identical histories mean
+  // bit-identical digests.
+  const ExperimentSpec spec = golden_spec();
   Runner serial(Runner::Options{1});
   EXPECT_EQ(digest_results(serial.run(spec)), kGoldenBatchDigest);
 }
@@ -96,14 +98,10 @@ TEST(ClientTableParity, ObjectAndTableClientsAgreeOnWiderCells) {
   spec.workload.ops_per_writer = 6;
   spec.workload.ops_per_reader = 6;
   spec.check_graph = true;
-  ExperimentSpec table = spec;
-  table.table_clients = true;
   Runner serial(Runner::Options{1});
-  const std::vector<TrialResult> a = serial.run(spec);
-  const std::vector<TrialResult> b = serial.run(table);
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(digest_results(a), digest_results(b));
-  for (const TrialResult& tr : a) {
+  const std::vector<TrialResult> results = serial.run(spec);
+  EXPECT_EQ(digest_results(results), kObjectWiderCellsDigest);
+  for (const TrialResult& tr : results) {
     EXPECT_TRUE(tr.atomic()) << tr.protocol << " " << tr.violation;
   }
 }
@@ -151,7 +149,6 @@ TEST(Keyspace, PerKeyHistoriesAreLinearizable) {
   o.keyspace = KeyspaceConfig{4, 2, 0.8};
   o.seed = 42;
   SimHarness h(*proto, std::move(o));
-  ASSERT_TRUE(h.table_mode());
   ASSERT_TRUE(h.table()->reader_key_affine());
   WorkloadOptions w;
   w.ops_per_writer = 12;

@@ -5,9 +5,11 @@
 #include <set>
 
 #include "common/rng.h"
+#include "core/harness.h"
 #include "exp/aggregator.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
+#include "protocols/protocols.h"
 
 namespace mwreg::exp {
 namespace {
@@ -50,6 +52,45 @@ TEST(ExperimentSpec, RejectsEmptySeedRange) {
   ExperimentSpec spec = small_spec();
   spec.seeds = 0;
   EXPECT_NE(spec.validate(), "");
+}
+
+TEST(ExperimentSpec, RejectsFastReadKeysWiderThanTheWitnessMasks) {
+  // Fast-read witness masks hold 64 client ids per key; a wider key would
+  // shift past them. Single register: W + R = 65 client ids.
+  ExperimentSpec single;
+  single.name = "wide";
+  single.protocols = {"mw-abd(W2R2)", "fast-read-mw(W2R1)"};
+  single.clusters = {ClusterConfig{5, 62, 3, 1}};
+  const std::string err = single.validate();
+  EXPECT_NE(err.find("fast-read-mw(W2R1)"), std::string::npos) << err;
+  EXPECT_NE(err.find(single.clusters[0].to_string()), std::string::npos);
+  EXPECT_THROW((void)Runner().run(single), std::invalid_argument);
+  // The same span is fine for a protocol without witness masks.
+  single.protocols = {"mw-abd(W2R2)"};
+  EXPECT_EQ(single.validate(), "");
+
+  // Multi-key: every key shares the 60 writers, and the last key's reader
+  // block ends 8 readers further on — 68 ids.
+  ExperimentSpec multi;
+  multi.name = "wide-keys";
+  multi.protocols = {"fast-read-mw(W2R1)"};
+  multi.clusters = {ClusterConfig{5, 60, 8, 1}};
+  multi.keyspaces = {KeyspaceConfig{4, 2, 0.0}};
+  const std::string kerr = multi.validate();
+  EXPECT_NE(kerr.find(multi.keyspaces[0].to_string()), std::string::npos)
+      << kerr;
+  // Exactly 64 ids per key still fits (the benchmark's fastread_keyspace
+  // shape: 24 writers, 10 readers per key on 4 keys).
+  multi.clusters = {ClusterConfig{13, 24, 40, 1}};
+  multi.keyspaces = {KeyspaceConfig{4, 2, 0.99}};
+  EXPECT_EQ(multi.validate(), "");
+  // The harness refuses the wide key too, whoever builds it.
+  SimHarness::Options o;
+  o.cfg = ClusterConfig{5, 60, 8, 1};
+  o.keyspace = KeyspaceConfig{4, 2, 0.0};
+  EXPECT_THROW(SimHarness(*protocol_by_name("fast-read-mw(W2R1)"),
+                          std::move(o)),
+               std::invalid_argument);
 }
 
 // ---------- seeding ----------

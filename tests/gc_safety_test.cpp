@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "consistency/checkers.h"
+#include "core/client_table.h"
 #include "core/harness.h"
 #include "core/workload.h"
 #include "exp/runner.h"
 #include "fuzz/schedule_fuzzer.h"
-#include "protocols/fastread_clients.h"
 #include "protocols/fastread_server.h"
 #include "protocols/protocols.h"
 #include "sim/fault_plan.h"
@@ -116,17 +116,20 @@ TEST(GcParity, RunnerVerdictsMatchAcrossScenarioSweep) {
   }
 }
 
-// ---------- a hand-wired cluster exposing the concrete server/reader ----
+// ---------- a hand-wired cluster exposing the concrete servers ----------
 
-/// Mini W2R2 fast-read cluster with direct access to FastReadServer /
-/// FastReader internals (SimHarness only exposes the Process interface).
+/// Mini W2R2 fast-read cluster: a ClientTable in front of FastReadServers,
+/// with direct access to the servers' GC state (SimHarness only exposes the
+/// Process interface).
 struct ManualCluster {
   ClusterConfig cfg{5, 2, 2, 1};
+  std::vector<ClusterConfig> key_cfgs{cfg};
   Simulator sim;
   Network net;
+  History history;
   std::vector<std::unique_ptr<FastReadServer>> servers;
-  std::vector<std::unique_ptr<QueryThenWriter>> writers;
-  std::vector<std::unique_ptr<FastReader>> readers;
+  std::unique_ptr<ClientTable> clients;
+  TaggedValue last{};  ///< value of the most recent completion
 
   explicit ManualCluster(bool gc)
       : net(sim, std::make_unique<ConstantDelay>(kMillisecond), Rng(7)) {
@@ -135,28 +138,26 @@ struct ManualCluster {
     for (NodeId s : cfg.server_ids()) {
       servers.push_back(std::make_unique<FastReadServer>(s, net, cfg, so));
     }
-    for (NodeId w : cfg.writer_ids()) {
-      writers.push_back(std::make_unique<QueryThenWriter>(w, net, cfg));
-    }
-    for (NodeId r : cfg.reader_ids()) {
-      readers.push_back(std::make_unique<FastReader>(r, net, cfg, gc));
-    }
+    clients = std::make_unique<ClientTable>(
+        net, cfg, key_cfgs, TableWriterProgram::kFrQueryThenWrite,
+        gc ? TableReaderProgram::kFrDelta : TableReaderProgram::kFrFull,
+        std::vector<History*>{&history});
+    clients->set_on_complete(
+        [this](int, OpKind, const TaggedValue& v) { last = v; });
   }
 
   Tag write(int wi, std::int64_t payload) {
-    Tag tag{};
-    writers[static_cast<std::size_t>(wi)]->write(payload,
-                                                 [&tag](Tag t) { tag = t; });
+    last = TaggedValue{};
+    clients->start_write(wi, 0, payload);
     sim.run();
-    return tag;
+    return last.tag;
   }
 
   TaggedValue read(int ri) {
-    TaggedValue got{Tag{-1, -1}, 0};
-    readers[static_cast<std::size_t>(ri)]->read(
-        [&got](TaggedValue v) { got = v; });
+    last = TaggedValue{Tag{-1, -1}, 0};
+    clients->start_read(ri, 0);
     sim.run();
-    return got;
+    return last;
   }
 };
 
@@ -183,7 +184,7 @@ TEST(GcCollection, ValuevectorStaysBoundedWhileAblationGrows) {
   // Reader-side caches mirror the bounded server state.
   for (int r = 0; r < gc.cfg.r(); ++r) {
     for (int s = 0; s < gc.cfg.s(); ++s) {
-      EXPECT_LE(gc.readers[static_cast<std::size_t>(r)]->cache_size(s), 8u);
+      EXPECT_LE(gc.clients->reader_cache_size(r, s), 8u);
     }
   }
   EXPECT_LT(gc.net.stats().bytes_sent, off.net.stats().bytes_sent / 4)
@@ -198,8 +199,8 @@ TEST(GcCollection, FloorNeverPassesTheMinimumReaderWatermark) {
     // Reader 1 lags, then stops reading entirely: its watermark is older.
     if (i % 4 == 0 && i <= 30) gc.read(1);
   }
-  const Tag w0 = gc.readers[0]->watermark().tag;
-  const Tag w1 = gc.readers[1]->watermark().tag;
+  const Tag w0 = gc.clients->reader_watermark(0).tag;
+  const Tag w1 = gc.clients->reader_watermark(1).tag;
   const Tag min_wm = std::min(w0, w1);
   EXPECT_LT(w1, w0) << "reader 1 should genuinely lag in this schedule";
   for (const auto& s : gc.servers) {
@@ -217,7 +218,7 @@ TEST(GcCollection, CrashedThenRecoveredReaderKeepsItsReturnableValues) {
     gc.read(1);
   }
   const TaggedValue pre_crash = gc.read(0);
-  const Tag frozen_wm = gc.readers[0]->watermark().tag;
+  const Tag frozen_wm = gc.clients->reader_watermark(0).tag;
 
   // Reader 0 drops off the network. Its confirmed watermark is frozen; the
   // GC floor must freeze with it even though reader 1 keeps advancing.
