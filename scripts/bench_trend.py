@@ -44,12 +44,178 @@ Refreshing the baseline after a deliberate perf change:
 then commit bench/baselines/BENCH_simcore.baseline.json with the PR that
 changed the numbers (see README "Performance").
 
-Exit codes: 0 pass, 1 regression/coverage failure, 2 usage or I/O error.
+Both inputs are validated before any row is compared: a row missing a key
+field, a non-numeric metric, or a section of the wrong JSON type is
+refused with one line naming the file, section and field.
+
+Exit codes: 0 pass, 1 regression/coverage failure, 2 usage, I/O or
+malformed-artifact error.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
+
+# ---- artifact shape ----------------------------------------------------------
+
+# Row-list sections: (key fields, required numeric fields). The key fields
+# must match scripts/rebaseline.py's SECTIONS.
+ROW_SECTIONS = {
+    "workloads": (("protocol", "cluster"), ("events_per_sec",)),
+    "valuevector": (("protocol", "cluster", "workload"), ("events_per_sec",)),
+    "million_client": (
+        ("protocol", "clients", "ops_per_client"),
+        ("events_per_sec",),
+    ),
+}
+# Single-object sections: required numeric fields.
+OBJECT_SECTIONS = {
+    "engine_comparison": (),
+    "coalescing": ("per_message_events_per_sec", "coalesced_events_per_sec"),
+    "fanout_replay": ("frame_order_events_per_sec", "dest_major_events_per_sec"),
+    "checked_soak": ("events_per_sec",),
+}
+# Fields the gates and rebaseline.py read as numbers, wherever they appear.
+NUMERIC_FIELDS = frozenset(
+    (
+        "events_per_sec", "wall_ms", "steady_engine_allocs",
+        "steady_pool_misses", "legacy_events_per_sec", "pooled_events_per_sec",
+        "batched_events_per_sec", "per_message_events_per_sec",
+        "coalesced_events_per_sec", "coalesce_speedup", "frames_per_batch",
+        "batches", "frame_order_events_per_sec", "dest_major_events_per_sec",
+        "dest_major_speedup", "mean_run_len", "frame_order_mean_run_len",
+        "staged_replies", "ops_checked", "peak_window", "peak_pending",
+        "retired_tags", "checker_ns_per_op", "ge", "count",
+    )
+)
+
+
+class ArtifactError(Exception):
+    """An artifact that cannot be read or has the wrong shape: a usage error
+    (exit 2), never a regression (exit 1)."""
+
+
+_JSON_TYPES = {
+    bool: "boolean", dict: "object", list: "list", str: "string",
+    type(None): "null",
+}
+
+
+def _json_type(v):
+    """JSON type name of a json.load()ed value (int and float: number)."""
+    return _JSON_TYPES.get(type(v), "number")
+
+
+def _check_fields(where, obj, keys, required):
+    if not isinstance(obj, dict):
+        raise ArtifactError(
+            "{}: expected an object, got {}".format(where, _json_type(obj))
+        )
+    for field in keys + required:
+        if field not in obj:
+            raise ArtifactError("{}: missing field '{}'".format(where, field))
+    for field in keys:
+        if _json_type(obj[field]) not in ("string", "number"):
+            raise ArtifactError(
+                "{}: key field '{}' is a {}".format(
+                    where, field, _json_type(obj[field])
+                )
+            )
+    for field, value in obj.items():
+        if field in NUMERIC_FIELDS and _json_type(value) != "number":
+            raise ArtifactError(
+                "{}: field '{}' is not a number: {}".format(
+                    where, field, json.dumps(value)
+                )
+            )
+
+
+def _check_rows(section, rows, keys, required):
+    if not isinstance(rows, list):
+        raise ArtifactError(
+            "{}: expected a list of rows, got {}".format(
+                section, _json_type(rows)
+            )
+        )
+    for i, row in enumerate(rows):
+        _check_fields("{}[{}]".format(section, i), row, keys, required)
+
+
+def validate_artifact(doc):
+    """Raise ArtifactError naming the section and field of the first shape
+    error; the gates below may then index every field they read."""
+    if not isinstance(doc, dict):
+        raise ArtifactError("top level: expected an object")
+    for section, (keys, required) in ROW_SECTIONS.items():
+        _check_rows(section, doc.get(section, []), keys, required)
+    for section, required in OBJECT_SECTIONS.items():
+        if section in doc:
+            _check_fields(section, doc[section], (), required)
+    _check_rows(
+        "coalescing.batch_size_hist",
+        doc.get("coalescing", {}).get("batch_size_hist", []),
+        (),
+        ("ge", "count"),
+    )
+
+
+def load_artifact(path):
+    """Read and validate one artifact; ArtifactError messages name the file."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        validate_artifact(doc)
+    except (OSError, ValueError) as e:
+        raise ArtifactError("{}: cannot load: {}".format(path, e))
+    except ArtifactError as e:
+        raise ArtifactError("{}: {}".format(path, e))
+    return doc
+
+
+def malformed_cases(make_doc):
+    """Three structurally malformed variants of make_doc() (which must have
+    a workloads row), each with the words its refusal must contain. Shared
+    by both scripts' self-tests."""
+    no_key = make_doc()
+    del no_key["workloads"][0]["protocol"]
+    not_a_number = make_doc()
+    not_a_number["workloads"][0]["events_per_sec"] = "n/a"
+    wrong_shape = make_doc()
+    wrong_shape["workloads"] = {}
+    return [
+        ("malformed-missing-key", no_key, ("workloads[0]", "'protocol'")),
+        (
+            "malformed-not-a-number",
+            not_a_number,
+            ("workloads[0]", "'events_per_sec'"),
+        ),
+        ("malformed-section-shape", wrong_shape, ("workloads:", "object")),
+    ]
+
+
+def run_on_files(main, docs, make_argv):
+    """Write `docs` to temp files, run main(make_argv(paths)) and return
+    (exit code, captured stderr) — how the self-tests pin exit codes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, "run{}.json".format(i)))
+            with open(paths[-1], "w") as f:
+                json.dump(doc, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = main(make_argv(paths))
+    return code, err.getvalue()
+
+
+def malformed_case_ok(code, err, needles):
+    """Exit 2 with exactly one stderr line containing every needle."""
+    return code == 2 and err.count("\n") == 1 and all(n in err for n in needles)
 
 
 def collect_rows(doc):
@@ -798,6 +964,15 @@ def self_test():
         failures, _ = compare(doc, bbase, 0.25)
         checks.append((name, bool(failures) == want_fail, failures))
 
+    # A structurally malformed artifact is a usage error (exit 2), never a
+    # regression (exit 1): one line naming the file, section and field.
+    for name, doc, needles in malformed_cases(lambda: _doc({("fr", "S=5"): 4e5})):
+        code, err = run_on_files(
+            main, [base, doc], lambda p: ["--baseline", p[0], "--artifact", p[1]]
+        )
+        ok = malformed_case_ok(code, err, needles + ("run1.json",))
+        checks.append((name, ok, ["exit {}: {}".format(code, err.strip())]))
+
     bad = [name for name, ok, _ in checks if not ok]
     for name, ok, failures in checks:
         print(
@@ -811,7 +986,7 @@ def self_test():
     return 0
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--artifact", help="fresh BENCH_simcore.json")
     ap.add_argument("--baseline", help="checked-in baseline artifact")
@@ -828,7 +1003,7 @@ def main():
         help="rows faster than this are reported but not gated (default 5)",
     )
     ap.add_argument("--self-test", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.self_test:
         return self_test()
@@ -836,12 +1011,10 @@ def main():
         ap.error("--artifact and --baseline are required (or use --self-test)")
 
     try:
-        with open(args.artifact) as f:
-            artifact = json.load(f)
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-    except (OSError, ValueError) as e:
-        print("bench_trend: cannot load inputs:", e, file=sys.stderr)
+        artifact = load_artifact(args.artifact)
+        baseline = load_artifact(args.baseline)
+    except ArtifactError as e:
+        print("bench_trend:", e, file=sys.stderr)
         return 2
 
     failures, lines = compare(

@@ -16,14 +16,26 @@ engine-comparison speedup are re-derived from medians too.
 
 All runs must contain the same row set — a mismatch means a stale binary
 or a half-finished run and is an error, not something to paper over.
+Every run is first validated with bench_trend.py's artifact shape check:
+a structurally malformed run is refused with one line naming the file,
+section and field.
 
-Exit codes: 0 ok, 1 row-set mismatch, 2 usage or I/O error.
+Exit codes: 0 ok, 1 row-set mismatch, 2 usage, I/O or malformed-artifact
+error.
 """
 
 import argparse
 import json
 import statistics
 import sys
+
+from bench_trend import (
+    ArtifactError,
+    load_artifact,
+    malformed_case_ok,
+    malformed_cases,
+    run_on_files,
+)
 
 # (section, key fields...) — keys must match scripts/bench_trend.py.
 # "coalesce" (schema v4) distinguishes batched-delivery million_client rows
@@ -106,7 +118,7 @@ def merge(docs):
     ):
         if all(field in c for c in cmp_rows):
             cmp_out[field] = statistics.median(float(c[field]) for c in cmp_rows)
-    if cmp_out.get("legacy_events_per_sec"):
+    if cmp_out.get("legacy_events_per_sec") and "pooled_events_per_sec" in cmp_out:
         cmp_out["speedup"] = (
             cmp_out["pooled_events_per_sec"] / cmp_out["legacy_events_per_sec"]
         )
@@ -338,16 +350,25 @@ def self_test():
         check("partial-version-skew", False)
     except ValueError:
         check("partial-version-skew", True)
+    # A structurally malformed run is a usage error (exit 2), never a
+    # row-set mismatch (exit 1): one line naming the file, section and field.
+    for name, doc, needles in malformed_cases(lambda: _run(100.0, 10.0)):
+        code, err = run_on_files(
+            main,
+            [_run(100.0, 10.0), doc],
+            lambda p: [p[0], p[1], "--output", p[0] + ".out"],
+        )
+        check(name, malformed_case_ok(code, err, needles + ("run1.json",)))
     print("self-test " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("runs", nargs="*", help="BENCH_simcore.json files to merge")
     ap.add_argument("--output", help="baseline path to write")
     ap.add_argument("--self-test", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.self_test:
         return self_test()
@@ -355,12 +376,9 @@ def main():
         ap.error("at least one run and --output are required (or --self-test)")
 
     try:
-        docs = []
-        for path in args.runs:
-            with open(path) as f:
-                docs.append(json.load(f))
-    except (OSError, ValueError) as e:
-        print("rebaseline: cannot load inputs:", e, file=sys.stderr)
+        docs = [load_artifact(path) for path in args.runs]
+    except ArtifactError as e:
+        print("rebaseline:", e, file=sys.stderr)
         return 2
 
     try:

@@ -14,12 +14,16 @@ struct DriverState {
   bool crashed = false;
 };
 
+/// Runs inside a completion callback, i.e. inside a message handler, where
+/// the network refuses fault mutations: the crash becomes an event at now().
 void maybe_crash(SimHarness& h, const WorkloadOptions& opts, DriverState& st) {
   ++st.completed;
   if (st.crashed || opts.crash_servers <= 0) return;
   if (st.completed >= opts.crash_after_ops) {
     st.crashed = true;
-    h.crash_random_servers(opts.crash_servers);
+    h.sim().schedule_at(h.sim().now(), [&h, count = opts.crash_servers] {
+      h.crash_random_servers(count);
+    });
   }
 }
 

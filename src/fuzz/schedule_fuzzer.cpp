@@ -194,19 +194,10 @@ ParityReport run_engine_parity_fuzzer(const ParityOptions& opts) {
     } else {
       note("live streaming verdict diverged from the batch tag witness");
     }
-    if (!crash) {
-      if (frame_order.digest == dest_major.digest) {
-        ++report.dest_major_exact;
-      } else {
-        note("frame-order vs dest-major digest mismatch");
-      }
+    if (frame_order.digest == dest_major.digest) {
+      ++report.dest_major_exact;
     } else {
-      if (per_message.atomic == frame_order.atomic &&
-          frame_order.atomic == dest_major.atomic) {
-        ++report.verdict_only;
-      } else {
-        note("checker verdicts diverged across engines on a crash trial");
-      }
+      note("frame-order vs dest-major digest mismatch");
     }
   }
   return report;

@@ -42,17 +42,15 @@ struct FuzzReport {
 FuzzReport run_schedule_fuzzer(const FuzzOptions& opts);
 
 /// Engine-parity soak: replays every fuzzed schedule — same harness seed,
-/// same link-flap plan, same workload, optionally an inline mid-run crash —
-/// under three delivery engines and cross-checks them:
-///   A. per-message (coalesce off): the registered ablation;
+/// same link-flap plan, same workload, optionally a mid-run crash — under
+/// three delivery engines and cross-checks them:
+///   A. per-message (coalesce off): the live reference;
 ///   B. batched, frame-order drain (coalesce on, dest_major off);
 ///   C. batched, destination-major drain (coalesce on, dest_major on).
-/// A vs B must be digest-identical on EVERY trial, crashes included (the
-/// frame-order drain re-checks fault state per frame). B vs C must be
-/// digest-identical on crash-free trials; trials whose workload crashes
-/// servers from a completion callback mutate fault state mid-drain (outside
-/// the batch contract), so C may legitimately split runs differently there
-/// and only the checker verdicts are compared.
+/// A vs B and B vs C must be digest-identical on EVERY trial, crashes
+/// included: the workload schedules its crash as a simulator event, and the
+/// network refuses fault mutations from inside a drain, so fault state never
+/// changes under a dispatched run.
 ///
 /// Every lane additionally runs the streaming tag-witness checker LIVE
 /// (subscribed to the lane's history) — the fourth verdict lane: its
@@ -77,11 +75,9 @@ struct ParityReport {
   /// Trials where the per-message and frame-order digests matched
   /// (must equal trials).
   int frame_order_exact = 0;
-  /// Crash-free trials where the frame-order and dest-major digests
-  /// matched (must equal trials - crash_trials).
+  /// Trials where the frame-order and dest-major digests matched (must
+  /// equal trials).
   int dest_major_exact = 0;
-  /// Crash trials where all three lanes agreed on the checker verdict.
-  int verdict_only = 0;
   /// Trials where every lane's LIVE streaming verdict equaled that lane's
   /// batch tag-witness verdict (must equal trials).
   int stream_verdict_parity = 0;

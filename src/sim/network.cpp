@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mwreg {
 
@@ -208,8 +210,10 @@ void Network::deliver_now(Message m, Time sent) {
   f.key = m.key;
   f.rpc_id = m.rpc_id;
   f.payload = ByteSpan(m.payload);
+  dispatching_ = true;
   if (hook_) hook_(f, sent, sim_.now());
   p->on_message(f);
+  dispatching_ = false;
   discard(std::move(m));  // recycle the payload storage for the next hop
 }
 
@@ -350,7 +354,9 @@ void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
         stats_.delivered += len;
         coalesce_stats_.frames += len;
         ++coalesce_stats_.hist[span_bucket(len)];
+        dispatching_ = true;
         p->on_deliver_batch(FrameSpan{b.frames.data() + i, len});
+        dispatching_ = false;
       } else {
         stats_.dropped_unattached += len;
       }
@@ -369,8 +375,10 @@ void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
         ++stats_.delivered;
         ++coalesce_stats_.frames;
         ++coalesce_stats_.hist[0];
+        dispatching_ = true;
         if (hook_) hook_(f, b.meta[i].sent, sim_.now());
         p->on_deliver_batch(FrameSpan{&f, 1});
+        dispatching_ = false;
       }
       ++i;
     }
@@ -417,43 +425,22 @@ void Network::fire_batch_dest_major(Batch& b) {
     off += g.count;
   }
   note_growth(dm_frames_, n);
-  note_growth(dm_sent_, n);
   dm_frames_.resize(n);
-  dm_sent_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     DmGroup& g =
         dm_groups_[dm_group_of_[static_cast<std::size_t>(b.frames[i].dst)]];
-    dm_frames_[g.fill] = b.frames[i];
-    dm_sent_[g.fill] = b.meta[i].sent;
-    ++g.fill;
+    dm_frames_[g.fill++] = b.frames[i];
   }
   // Dispatch one maximal run per process with reply staging active:
   // handler sends carrying a cause frame are deferred and flushed below in
   // canonical frame order, so their sequence/delay assignment is identical
-  // to the frame-order drain's.
+  // to the frame-order drain's. No fault is active (eligibility) and none
+  // can start mid-drain (the contract), so no group needs a fault check.
   stage_active_ = true;
+  dispatching_ = true;
   for (const DmGroup& g : dm_groups_) {
     if (g.proc == nullptr) {
       stats_.dropped_unattached += g.count;
-      continue;
-    }
-    if (num_crashed_ != 0 || num_blocked_ != 0) {
-      // A handler mutated fault state mid-drain (outside the documented
-      // contract). Degrade to per-frame checks for the remaining groups so
-      // no frame reaches a crashed or blocked destination.
-      for (std::uint32_t k = g.offset; k < g.offset + g.count; ++k) {
-        const Frame& f = dm_frames_[k];
-        if (crashed(f.dst)) {
-          ++stats_.to_crashed;
-        } else if (link_blocked(f.src, f.dst)) {
-          hold_copy(f, dm_sent_[k]);
-        } else {
-          ++stats_.delivered;
-          ++coalesce_stats_.frames;
-          ++coalesce_stats_.hist[0];
-          g.proc->on_deliver_batch(FrameSpan{&f, 1});
-        }
-      }
       continue;
     }
     stats_.delivered += g.count;
@@ -461,6 +448,7 @@ void Network::fire_batch_dest_major(Batch& b) {
     ++coalesce_stats_.hist[span_bucket(g.count)];
     g.proc->on_deliver_batch(FrameSpan{dm_frames_.data() + g.offset, g.count});
   }
+  dispatching_ = false;
   stage_active_ = false;
   flush_staged(n);
 }
@@ -507,39 +495,32 @@ void Network::flush_staged(std::uint32_t frame_count) {
   for (std::uint32_t i = 0; i < stage_entries_.size(); ++i) {
     stage_order_[stage_counts_[stage_entries_[i].bix]++] = i;
   }
+  // `sent` and bytes were counted at stage time. With no fault active the
+  // immediate send's crash and block checks all pass, so the rest of its
+  // pipeline is the delay draw and the enqueue.
+  assert(num_crashed_ == 0 && num_blocked_ == 0);
   for (const std::uint32_t idx : stage_order_) {
     const StagedSend& e = stage_entries_[idx];
-    // `sent` and bytes were counted at stage time; run the rest of the
-    // send pipeline now, in the same check order (src crash, dst crash,
-    // block, then the delay draw) as an immediate send.
-    if (crashed(e.src)) {
-      ++stats_.from_crashed;
-      continue;
-    }
-    if (crashed(e.dst)) {
-      ++stats_.to_crashed;
-      continue;
-    }
-    const ByteSpan bytes{stage_slab_.data() + e.off, e.len};
-    if (link_blocked(e.src, e.dst)) {
-      Frame f;
-      f.src = e.src;
-      f.dst = e.dst;
-      f.type = e.type;
-      f.key = e.key;
-      f.rpc_id = e.rpc_id;
-      f.payload = bytes;
-      hold_copy(f, sim_.now());
-      continue;
-    }
-    enqueue_frame(e.src, e.dst, e.type, e.key, e.rpc_id, bytes, sim_.now(),
+    enqueue_frame(e.src, e.dst, e.type, e.key, e.rpc_id,
+                  ByteSpan{stage_slab_.data() + e.off, e.len}, sim_.now(),
                   arrival_time(e.src, e.dst));
   }
   stage_entries_.clear();
   stage_slab_.clear();
 }
 
+void Network::refuse_while_dispatching(const char* call, NodeId a,
+                                       NodeId b) const {
+  if (!dispatching_) return;
+  std::string ids = std::to_string(a);
+  if (b != kNoNode) ids += ", " + std::to_string(b);
+  throw std::logic_error(std::string("Network::") + call + "(" + ids +
+                         ") called from a message handler or delivery hook; "
+                         "schedule fault mutations as simulator events");
+}
+
 void Network::crash(NodeId id) {
+  refuse_while_dispatching("crash", id, kNoNode);
   assert(id >= 0);
   if (id < 0) return;  // sentinel ids (kNoNode) never index the table
   const auto i = static_cast<std::size_t>(id);
@@ -551,6 +532,7 @@ void Network::crash(NodeId id) {
 }
 
 void Network::recover(NodeId id) {
+  refuse_while_dispatching("recover", id, kNoNode);
   if (id < 0 || static_cast<std::size_t>(id) >= crashed_.size()) return;
   const auto i = static_cast<std::size_t>(id);
   if (crashed_[i] != 0) {
@@ -560,6 +542,7 @@ void Network::recover(NodeId id) {
 }
 
 void Network::block_link(NodeId src, NodeId dst) {
+  refuse_while_dispatching("block_link", src, dst);
   assert(src >= 0 && dst >= 0);
   if (src < 0 || dst < 0) return;  // sentinel ids never index the table
   const auto s = static_cast<std::size_t>(src);
@@ -578,6 +561,7 @@ void Network::block_pair(NodeId a, NodeId b) {
 }
 
 void Network::unblock_link(NodeId src, NodeId dst) {
+  refuse_while_dispatching("unblock_link", src, dst);
   if (!link_blocked(src, dst)) return;
   blocked_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)] = 0;
   --num_blocked_;

@@ -47,14 +47,17 @@
 // section 9). Whenever the window check fails the batch takes the exact
 // frame-order drain above, unchanged.
 //
-// Contract: crash/block/unblock transitions originate from simulator events
-// (fault plans, scheduled test steps) or between runs — not from inside a
-// message handler. The drain re-checks fault state at every yield boundary
-// and, whenever any fault is active, before every frame; a handler that
-// mutates fault state mid-span would be observed one span late only under
-// coalescing. Options::tick quantizes delivery times (round-up) so that
-// same-destination traffic actually ties; tick == 1 keeps exact-ns timing
-// and is the default, leaving every recorded golden digest valid.
+// Contract: crash/recover/block/unblock transitions originate from simulator
+// events (fault plans, scheduled test steps) or between runs — never from
+// inside a message handler or delivery hook. The network enforces this:
+// while it is dispatching to a handler or hook, those calls throw
+// std::logic_error (the throw aborts the run). A handler that needs a fault
+// schedules it as an event at now(). Fault state is therefore constant
+// across every dispatched span, which is what lets all three delivery lanes
+// produce identical histories under faults (DESIGN.md section 9.3).
+// Options::tick quantizes delivery times (round-up) so that same-destination
+// traffic actually ties; tick == 1 keeps exact-ns timing and is the default,
+// leaving every recorded golden digest valid.
 #pragma once
 
 #include <cstdint>
@@ -197,7 +200,9 @@ class Network {
                   const Frame* cause = nullptr);
 
   /// Crash a node: all future and in-flight messages to it are dropped, and
-  /// nothing it sends afterwards is accepted.
+  /// nothing it sends afterwards is accepted. This and the other fault
+  /// mutations below throw std::logic_error when called from a handler or
+  /// delivery hook (see the contract at the top of this file).
   void crash(NodeId id);
   [[nodiscard]] bool crashed(NodeId id) const {
     return num_crashed_ > 0 && id >= 0 &&
@@ -244,9 +249,6 @@ class Network {
   /// slab/entries/order). Ratchets during warmup, then must stay flat —
   /// pinned by the allocation regression tests.
   [[nodiscard]] std::uint64_t dest_major_grows() const { return dm_grows_; }
-  /// True while a destination-major drain is dispatching runs (sends with a
-  /// cause frame are being staged).
-  [[nodiscard]] bool staging_active() const { return stage_active_; }
 
  private:
   /// One coalesced delivery-tick batch: every frame arriving at time `at`,
@@ -283,6 +285,9 @@ class Network {
   void deliver_now(Message m, Time sent);
   /// Drop `m`, recycling its payload storage.
   void discard(Message&& m);
+  /// Throw std::logic_error naming `call` and its node ids if a handler or
+  /// delivery hook is running.
+  void refuse_while_dispatching(const char* call, NodeId a, NodeId b) const;
 
   /// Delay sample + tick quantization + FIFO clamp, shared verbatim by the
   /// per-message and batched paths (identical RNG draws, identical times).
@@ -312,9 +317,10 @@ class Network {
   void stage_send(std::uint32_t bix, NodeId src, NodeId dst, MsgType type,
                   std::uint32_t key, std::uint64_t rpc_id, ByteSpan bytes);
   /// Flush the staging buffer: counting-sort entries by originating frame
-  /// index (stable), then run each through the normal post-send pipeline —
-  /// crash check, block check, delay draw, enqueue — in exactly the order
-  /// the frame-order drain would have emitted them.
+  /// index (stable), then draw each delay and enqueue it in exactly the
+  /// order the frame-order drain would have emitted them. No crash or block
+  /// check is needed: the drain only runs with no fault active, and the
+  /// contract keeps it that way.
   void flush_staged(std::uint32_t frame_count);
   /// Bump dm_grows_ if appending/assigning `needed` elements would grow `v`.
   template <typename V>
@@ -342,6 +348,8 @@ class Network {
   /// scheme the batch engine keys on, instead of a dense S x S matrix.
   std::vector<std::vector<Time>> fifo_last_;
   DeliveryHook hook_;
+  /// True while a handler or delivery hook may run; fault mutations refuse.
+  bool dispatching_ = false;
   NetworkStats stats_;
   CoalesceStats coalesce_stats_;
 
@@ -364,9 +372,8 @@ class Network {
   std::vector<std::uint32_t> dm_group_of_;
   std::uint64_t dm_epoch_ = 0;
   /// Frames gathered group-contiguous (copies; the batch slab still owns the
-  /// payload bytes) plus their original send times for the degradation path.
+  /// payload bytes).
   std::vector<Frame> dm_frames_;
-  std::vector<Time> dm_sent_;
   std::uint64_t dm_grows_ = 0;
 
   // ---- reply staging (active only inside a destination-major drain) ----

@@ -168,6 +168,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConcurrentWorkload,
 
 // ---------- Crash tolerance ----------
 
+/// Servers down after a run: pins that the workload's mid-run crash fired.
+int crashed_servers(SimHarness& h) {
+  int n = 0;
+  for (const NodeId id : h.cfg().server_ids()) n += h.net().crashed(id);
+  return n;
+}
+
 TEST(CrashTolerance, MwAbdSurvivesTCrashes) {
   const ClusterConfig cfg{5, 2, 2, 2};
   SimHarness h(*protocol_by_name("mw-abd(W2R2)"), opts(cfg, 7));
@@ -177,6 +184,7 @@ TEST(CrashTolerance, MwAbdSurvivesTCrashes) {
   w.crash_servers = 2;  // == t, mid-run
   w.crash_after_ops = 8;
   run_random_workload(h, w);
+  EXPECT_EQ(crashed_servers(h), w.crash_servers);
   EXPECT_EQ(h.history().completed_count(), 40u);
   const CheckResult tw = check_tag_witness(h.history());
   EXPECT_TRUE(tw.atomic) << tw.violation;
@@ -192,6 +200,7 @@ TEST(CrashTolerance, FastReadMwSurvivesTCrashes) {
   w.crash_servers = 1;
   w.crash_after_ops = 10;
   run_random_workload(h, w);
+  EXPECT_EQ(crashed_servers(h), w.crash_servers);
   EXPECT_EQ(h.history().completed_count(), 50u);
   const CheckResult tw = check_tag_witness(h.history());
   EXPECT_TRUE(tw.atomic) << tw.violation;

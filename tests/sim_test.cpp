@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/delay_model.h"
@@ -676,6 +677,92 @@ TEST(NetworkCoalesce, DestMajorDropsUnattachedGroupsAndConserves) {
   EXPECT_EQ(rig.net.stats().delivered, 1u);
   EXPECT_EQ(rig.net.stats().dropped_unattached, 2u);
   expect_stats_invariant(rig.net.stats());
+}
+
+// ---------- Fault-mutation contract ----------
+
+struct Lane {
+  const char* name;
+  Network::Options opts;
+};
+const Lane kLanes[] = {
+    {"per-message", Network::Options{false, false, 1, false}},
+    {"frame-order", Network::Options{false, true, 1, false}},
+    {"dest-major", Network::Options{false, true, 1, true}},
+};
+
+struct Mutation {
+  const char* refusal;  ///< the call as the refusal names it
+  void (*apply)(Network&);
+};
+const Mutation kMutations[] = {
+    {"Network::crash(2)", [](Network& n) { n.crash(2); }},
+    {"Network::recover(2)", [](Network& n) { n.recover(2); }},
+    {"Network::block_link(0, 2)", [](Network& n) { n.block_link(0, 2); }},
+    {"Network::unblock_link(0, 2)", [](Network& n) { n.unblock_link(0, 2); }},
+    {"Network::block_link(0, 2)", [](Network& n) { n.block_pair(0, 2); }},
+    {"Network::unblock_link(0, 2)", [](Network& n) { n.unblock_pair(0, 2); }},
+};
+
+void expect_refused(Simulator& sim, const std::string& refusal) {
+  try {
+    sim.run();
+    ADD_FAILURE() << refusal << " from inside a delivery was not refused";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(refusal + " called from"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Applies one fault mutation from inside its message handler.
+class Mutator final : public Process {
+ public:
+  Mutator(NodeId id, Network& net, void (*apply)(Network&))
+      : Process(id, net), apply_(apply) {}
+  void on_message(const Frame&) override { apply_(net()); }
+
+ private:
+  void (*apply_)(Network&);
+};
+
+TEST(NetworkContract, HandlerFaultMutationsAreRefusedInEveryLane) {
+  for (const Lane& lane : kLanes) {
+    for (const Mutation& m : kMutations) {
+      SCOPED_TRACE(std::string(lane.name) + ": " + m.refusal);
+      Simulator sim;
+      Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1), lane.opts);
+      Recorder src(0, net);
+      Mutator dst(2, net, m.apply);
+      // Two same-tick frames and no foreign event: under dest_major the
+      // batch takes the destination-major drain.
+      src.post(2, 1);
+      src.post(2, 2);
+      expect_refused(sim, m.refusal);
+      EXPECT_EQ(net.coalesce_stats().dest_major,
+                lane.opts.coalesce && lane.opts.dest_major ? 1u : 0u);
+    }
+  }
+}
+
+TEST(NetworkContract, HookFaultMutationsAreRefusedInEveryLane) {
+  // An active hook keeps batches off the destination-major drain, so that
+  // lane refuses from the frame-order drain it falls back to.
+  for (const Lane& lane : kLanes) {
+    for (const Mutation& m : kMutations) {
+      SCOPED_TRACE(std::string(lane.name) + ": " + m.refusal);
+      Simulator sim;
+      Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1), lane.opts);
+      Recorder src(0, net);
+      Recorder dst(2, net);
+      net.set_delivery_hook(
+          [&net, apply = m.apply](const Frame&, Time, Time) { apply(net); });
+      src.post(2, 1);
+      src.post(2, 2);
+      expect_refused(sim, m.refusal);
+      EXPECT_TRUE(dst.received.empty());
+    }
+  }
 }
 
 // ---------- Delay models ----------
