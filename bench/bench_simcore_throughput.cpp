@@ -126,7 +126,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -612,18 +611,10 @@ WorkloadRow run_workload(const std::string& protocol, const ClusterConfig& cfg,
   // closed loop never needs a larger working set than the run that warmed
   // them (the regression test pins the same property; here it is recorded
   // in the artifact every run).
-  int remaining = 40;
-  std::function<void()> step;
-  step = [&h, &remaining, &step]() {
-    if (--remaining < 0) return;
-    if (remaining % 2 == 0) {
-      h.async_write(0, 1'000'000 + remaining, [&step]() { step(); });
-    } else {
-      h.async_read(0, [&step](TaggedValue) { step(); });
-    }
-  };
-  step();
-  h.run();
+  WorkloadOptions probe;
+  probe.ops_per_writer = 1;
+  probe.ops_per_reader = 1;
+  run_random_workload(h, probe);
   row.steady_engine_allocs = h.sim().allocations() - row.engine_allocs;
   row.steady_pool_misses = h.net().pool().stats().misses - row.pool_misses;
   return row;
@@ -684,7 +675,7 @@ MillionRow run_million_client(int clients, int ops_per_client,
   w.ops_per_writer = ops_per_client;
   w.ops_per_reader = ops_per_client;
   const auto t0 = std::chrono::steady_clock::now();
-  run_keyspace_workload(h, w);
+  run_random_workload(h, w);
   row.wall_ms = seconds_since(t0) * 1e3;
   // Logical event count (one per enqueued frame, as in exp::Runner): the
   // coalesced engine executes fewer heap events for the same traffic, so
@@ -713,7 +704,7 @@ MillionRow run_million_client(int clients, int ops_per_client,
   WorkloadOptions probe;
   probe.ops_per_writer = 1;
   probe.ops_per_reader = 1;
-  run_keyspace_workload(h, probe);
+  run_random_workload(h, probe);
   row.steady_engine_allocs = h.sim().allocations() - engine_allocs;
   row.steady_pool_misses = h.net().pool().stats().misses - pool_misses;
   return row;
@@ -783,7 +774,7 @@ CheckedSoakRow run_checked_soak(int clients, int ops_per_client,
   w.ops_per_writer = ops_per_client;
   w.ops_per_reader = ops_per_client;
   const auto t0 = std::chrono::steady_clock::now();
-  run_keyspace_workload(h, w);
+  run_random_workload(h, w);
   row.wall_ms = seconds_since(t0) * 1e3;
   const CoalesceStats& cs = h.net().coalesce_stats();
   row.events = h.sim().executed() - cs.batches - cs.continuations + cs.enqueued;
@@ -796,7 +787,7 @@ CheckedSoakRow run_checked_soak(int clients, int ops_per_client,
   WorkloadOptions probe;
   probe.ops_per_writer = 1;
   probe.ops_per_reader = 1;
-  run_keyspace_workload(h, probe);
+  run_random_workload(h, probe);
   row.steady_engine_allocs = h.sim().allocations() - engine_allocs;
   row.steady_pool_misses = h.net().pool().stats().misses - pool_misses;
 

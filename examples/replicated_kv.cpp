@@ -131,11 +131,11 @@ int main() {
               gets, keys.size());
 
   // Pile on a Zipfian closed-loop batch through the same harness — the
-  // keyspace API's bulk driver, reusing the warm table.
+  // closed-loop driver, reusing the warm table.
   WorkloadOptions w;
   w.ops_per_writer = 30;
   w.ops_per_reader = 30;
-  run_keyspace_workload(h, w);
+  run_random_workload(h, w);
   std::printf("completed operations: %zu\n", store.total_ops());
 
   std::string why;

@@ -57,11 +57,11 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
       }
     }
   }
+  key_histories_.resize(key_cfgs_.size());
   ClusterConfig global = cfg_;  // the client id ranges
   if (!keyspace_.multi()) {
     // Single register: the classic layout verbatim — same server ids, same
-    // client ids, same single history — so fault plans and golden digests
-    // carry over unchanged.
+    // client ids — so fault plans and golden digests carry over unchanged.
     for (NodeId s : cfg_.server_ids()) {
       servers_.push_back(proto.make_server(s, *net_, cfg_));
     }
@@ -69,7 +69,6 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
     const int nk = keyspace_.num_keys;
     const int num_shards = keyspace_.shards;
     const int servers_per_group = cfg_.s();
-    key_histories_.resize(static_cast<std::size_t>(nk));
     // One KeyRouter per physical server id; shard j's router at slot i owns
     // the replicas of keys j, j+shards, j+2*shards, ...
     for (int j = 0; j < num_shards; ++j) {
@@ -88,12 +87,8 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
   }
 
   std::vector<History*> histories;
-  if (key_histories_.empty()) {
-    histories.push_back(&history_);
-  } else {
-    histories.reserve(key_histories_.size());
-    for (History& h : key_histories_) histories.push_back(&h);
-  }
+  histories.reserve(key_histories_.size());
+  for (History& h : key_histories_) histories.push_back(&h);
   table_ = std::make_unique<ClientTable>(*net_, global, key_cfgs_,
                                          proto.table_writer(),
                                          proto.table_reader(),
@@ -113,7 +108,6 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
           read_done_[ri] = nullptr;
           if (done) done(value);
         }
-        if (user_hook_) user_hook_(slot, kind, value);
       });
   if (opts.streaming_check) setup_streaming(opts.retire_history);
 }

@@ -4,11 +4,14 @@
 //
 // Clients run on one ClientTable (core/client_table.h): every writer and
 // reader is a struct-of-arrays slot in one Process, scaling to ~10^6
-// concurrent clients per harness. async_write/async_read address key 0.
+// concurrent clients per harness. Each op may carry a done callback;
+// run_random_workload (core/workload.h) drives its closed loop through
+// them. async_write/async_read address key 0.
 //
+// Every key has its own History; the classic layout is the one-key case.
 // A KeyspaceConfig with num_keys > 1 turns the harness into a sharded
 // multi-register deployment: each key is its own quorum group (KeyRouter
-// per physical server id, per-key History), hosted by this ONE harness.
+// per physical server id), hosted by this ONE harness.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +77,8 @@ class SimHarness {
   Simulator& sim() { return sim_; }
   Network& net() { return *net_; }
   const ClusterConfig& cfg() const { return cfg_; }
-  History& history() { return history_; }
+  /// Key 0's history: the only one on the classic layout.
+  History& history() { return key_histories_.front(); }
   Rng& rng() { return rng_; }
 
   /// Issue a write by writer index `wi` (key 0), recording it in the
@@ -122,10 +126,9 @@ class SimHarness {
   [[nodiscard]] const ClusterConfig& key_cfg(int k) const {
     return key_cfgs_[static_cast<std::size_t>(k)];
   }
-  /// Key `k`'s history (the single history when not multi-key).
+  /// Key `k`'s history.
   History& key_history(int k) {
-    return key_histories_.empty() ? history_
-                                  : key_histories_[static_cast<std::size_t>(k)];
+    return key_histories_[static_cast<std::size_t>(k)];
   }
   /// Key `k`'s live streaming checker; null unless Options::streaming_check.
   [[nodiscard]] StreamingTagWitness* stream_checker(int k) {
@@ -135,11 +138,6 @@ class SimHarness {
   }
   /// The client driver.
   [[nodiscard]] ClientTable* table() { return table_.get(); }
-  /// Observe every client completion (fires after any per-op done
-  /// callback); pass nullptr to clear.
-  void set_table_completion(ClientTable::CompleteFn fn) {
-    user_hook_ = std::move(fn);
-  }
 
  private:
   void setup_streaming(bool retire);
@@ -152,7 +150,6 @@ class SimHarness {
   SpikeDelay* spike_ = nullptr;  ///< owned by net_'s delay chain
   std::shared_ptr<FaultPlanLog> fault_log_;
   std::vector<std::unique_ptr<Process>> servers_;
-  History history_;
 
   // key_cfgs_ / key_histories_ are sized once in the ctor and never resized
   // (the table holds pointers into them).
@@ -161,7 +158,6 @@ class SimHarness {
   std::unique_ptr<ClientTable> table_;
   std::vector<std::function<void()>> write_done_;
   std::vector<std::function<void(TaggedValue)>> read_done_;
-  ClientTable::CompleteFn user_hook_;
 
   /// One live checker per key history (empty unless streaming_check).
   std::vector<std::unique_ptr<StreamingTagWitness>> stream_checkers_;

@@ -29,16 +29,14 @@
 namespace mwreg {
 
 struct KeyspaceConfig {
-  /// Number of registers. 0 disables the keyspace (classic single-register
-  /// harness); 1 is a single-key keyspace (table-driven clients, same
-  /// wire behavior as the classic layout).
+  /// Number of registers. 0 and 1 both give the classic single-register
+  /// layout; > 1 shards the harness into a multi-register keyspace.
   int num_keys = 0;
   /// Physical server groups; keys map to shard `key % shards`.
   int shards = 1;
   /// Zipf skew of key popularity (0 = uniform).
   double zipf_s = 0.0;
 
-  [[nodiscard]] bool enabled() const { return num_keys >= 1; }
   /// Multi-key deployments change the id layout; single-key ones do not.
   [[nodiscard]] bool multi() const { return num_keys > 1; }
 

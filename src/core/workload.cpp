@@ -1,157 +1,109 @@
 #include "core/workload.h"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <vector>
 
 namespace mwreg {
 namespace {
 
-/// Shared driver state: counts completed ops to trigger the optional crash.
-struct DriverState {
-  int completed = 0;
-  bool crashed = false;
-};
-
-/// Runs inside a completion callback, i.e. inside a message handler, where
-/// the network refuses fault mutations: the crash becomes an event at now().
-void maybe_crash(SimHarness& h, const WorkloadOptions& opts, DriverState& st) {
-  ++st.completed;
-  if (st.crashed || opts.crash_servers <= 0) return;
-  if (st.completed >= opts.crash_after_ops) {
-    st.crashed = true;
-    h.sim().schedule_at(h.sim().now(), [&h, count = opts.crash_servers] {
-      h.crash_random_servers(count);
-    });
-  }
-}
-
-void writer_loop(SimHarness& h, const WorkloadOptions& opts,
-                 std::shared_ptr<DriverState> st, int wi, int remaining,
-                 std::shared_ptr<Rng> rng) {
-  if (remaining <= 0) return;
-  const Duration think = rng->next_in(opts.think_lo, opts.think_hi);
-  h.sim().schedule_after(think, [&h, &opts, st, wi, remaining, rng]() {
-    // Payload encodes (writer, sequence) so violations are easy to read.
-    const std::int64_t payload = static_cast<std::int64_t>(wi) * 1'000'000 +
-                                 (opts.ops_per_writer - remaining + 1);
-    h.async_write(wi, payload, [&h, &opts, st, wi, remaining, rng]() {
-      maybe_crash(h, opts, *st);
-      writer_loop(h, opts, st, wi, remaining - 1, rng);
-    });
-  });
-}
-
-void reader_loop(SimHarness& h, const WorkloadOptions& opts,
-                 std::shared_ptr<DriverState> st, int ri, int remaining,
-                 std::shared_ptr<Rng> rng) {
-  if (remaining <= 0) return;
-  const Duration think = rng->next_in(opts.think_lo, opts.think_hi);
-  h.sim().schedule_after(think, [&h, &opts, st, ri, remaining, rng]() {
-    h.async_read(ri, [&h, &opts, st, ri, remaining, rng](TaggedValue) {
-      maybe_crash(h, opts, *st);
-      reader_loop(h, opts, st, ri, remaining - 1, rng);
-    });
-  });
-}
-
-}  // namespace
-
-void run_random_workload(SimHarness& h, const WorkloadOptions& opts) {
-  auto st = std::make_shared<DriverState>();
-  for (int wi = 0; wi < h.cfg().w(); ++wi) {
-    writer_loop(h, opts, st, wi, opts.ops_per_writer,
-                std::make_shared<Rng>(h.rng().fork()));
-  }
-  for (int ri = 0; ri < h.cfg().r(); ++ri) {
-    reader_loop(h, opts, st, ri, opts.ops_per_reader,
-                std::make_shared<Rng>(h.rng().fork()));
-  }
-  h.run();
-}
-
-namespace {
-
-/// Per-slot closed-loop driver over the ClientTable. Lives on the caller's
-/// stack for the duration of one run(); the think-timer closures capture
-/// only {driver pointer, slot} and stay inside the simulator's inline
-/// closure budget.
-struct KeyspaceDriver {
+/// The closed-loop driver. Lives on run_random_workload's stack for one
+/// run(); every closure it hands out (think timers, per-op done callbacks,
+/// the crash event) captures at most a pointer and a slot, so it fits
+/// std::function's local buffer and the inline closure budget of the
+/// simulator: the loop allocates nothing per op.
+struct Driver {
   SimHarness* h = nullptr;
   const WorkloadOptions* opts = nullptr;
-  ZipfSampler zipf;
+  ZipfSampler zipf;                       ///< multi-key harnesses only
   std::vector<Rng> rngs;                  ///< per slot, writers then readers
   std::vector<int> remaining;             ///< ops left to complete, per slot
   std::vector<std::uint32_t> reader_key;  ///< affine key per reader, or empty
   int w = 0;
+  int completed = 0;  ///< cluster-wide, for the optional crash
+  bool crashed = false;
+
+  /// A one-key harness draws no key: its Rng streams then carry think times
+  /// only, the draws the single-register golden digests were recorded with.
+  std::uint32_t pick_key(std::size_t s) {
+    return zipf.num_keys() > 1
+               ? static_cast<std::uint32_t>(zipf.sample(rngs[s]))
+               : 0;
+  }
 
   void schedule_next(int slot) {
     const Duration think =
         rngs[static_cast<std::size_t>(slot)].next_in(opts->think_lo,
                                                      opts->think_hi);
-    KeyspaceDriver* self = this;
-    h->sim().schedule_after(think, [self, slot]() { self->start_op(slot); });
+    h->sim().schedule_after(think, [this, slot]() { start_op(slot); });
   }
 
   void start_op(int slot) {
     const auto s = static_cast<std::size_t>(slot);
     if (slot < w) {
-      const std::uint32_t key =
-          static_cast<std::uint32_t>(zipf.sample(rngs[s]));
-      // Payload encodes (writer, sequence), as in run_random_workload.
+      // Payload encodes (writer, sequence) so violations are easy to read.
       const std::int64_t payload =
           static_cast<std::int64_t>(slot) * 1'000'000 +
           (opts->ops_per_writer - remaining[s] + 1);
-      h->async_write_key(slot, key, payload);
+      h->async_write_key(slot, pick_key(s), payload,
+                         [this, slot]() { complete(slot); });
     } else {
       const int ri = slot - w;
-      const std::uint32_t key =
-          reader_key.empty()
-              ? static_cast<std::uint32_t>(zipf.sample(rngs[s]))
-              : reader_key[static_cast<std::size_t>(ri)];
-      h->async_read_key(ri, key);
+      const std::uint32_t key = reader_key.empty()
+                                    ? pick_key(s)
+                                    : reader_key[static_cast<std::size_t>(ri)];
+      h->async_read_key(ri, key,
+                        [this, slot](TaggedValue) { complete(slot); });
     }
+  }
+
+  void complete(int slot) {
+    ++completed;
+    if (!crashed && opts->crash_servers > 0 &&
+        completed >= opts->crash_after_ops) {
+      // Runs inside a message handler, where the network refuses fault
+      // mutations: the crash becomes an event at now().
+      crashed = true;
+      h->sim().schedule_at(h->sim().now(),
+                           [hp = h, count = opts->crash_servers]() {
+                             hp->crash_random_servers(count);
+                           });
+    }
+    if (--remaining[static_cast<std::size_t>(slot)] > 0) schedule_next(slot);
   }
 };
 
 }  // namespace
 
-void run_keyspace_workload(SimHarness& h, const WorkloadOptions& opts) {
-  ClientTable& table = *h.table();
-  const int w = table.writer_count();
-  const int r = table.reader_count();
-  KeyspaceDriver d;
+void run_random_workload(SimHarness& h, const WorkloadOptions& opts) {
+  const int w = h.cfg().w();
+  const int r = h.cfg().r();
+  Driver d;
   d.h = &h;
   d.opts = &opts;
-  d.zipf = ZipfSampler(h.num_keys(), h.keyspace().zipf_s);
   d.w = w;
+  if (h.num_keys() > 1) {
+    d.zipf = ZipfSampler(h.num_keys(), h.keyspace().zipf_s);
+    if (h.table()->reader_key_affine()) {
+      d.reader_key.resize(static_cast<std::size_t>(r));
+      for (int ri = 0; ri < r; ++ri) {
+        d.reader_key[static_cast<std::size_t>(ri)] =
+            static_cast<std::uint32_t>(reader_key_of(ri, h.num_keys(), r));
+      }
+    }
+  }
   d.rngs.reserve(static_cast<std::size_t>(w + r));
   for (int i = 0; i < w + r; ++i) d.rngs.push_back(h.rng().fork());
-  d.remaining.resize(static_cast<std::size_t>(w + r));
-  for (int wi = 0; wi < w; ++wi) {
-    d.remaining[static_cast<std::size_t>(wi)] = opts.ops_per_writer;
-  }
-  for (int ri = 0; ri < r; ++ri) {
-    d.remaining[static_cast<std::size_t>(w + ri)] = opts.ops_per_reader;
-  }
-  if (table.reader_key_affine()) {
-    d.reader_key.resize(static_cast<std::size_t>(r));
-    for (int ri = 0; ri < r; ++ri) {
-      d.reader_key[static_cast<std::size_t>(ri)] = static_cast<std::uint32_t>(
-          reader_key_of(ri, h.num_keys(), r));
-    }
-  }
-  h.set_table_completion([&d](int slot, OpKind, const TaggedValue&) {
-    if (--d.remaining[static_cast<std::size_t>(slot)] > 0) {
-      d.schedule_next(slot);
-    }
-  });
+  d.remaining.assign(static_cast<std::size_t>(w), opts.ops_per_writer);
+  d.remaining.resize(static_cast<std::size_t>(w + r), opts.ops_per_reader);
   for (int slot = 0; slot < w + r; ++slot) {
     if (d.remaining[static_cast<std::size_t>(slot)] > 0) d.schedule_next(slot);
   }
   h.run();
-  h.set_table_completion(nullptr);
+}
+
+void run_keyspace_workload(SimHarness& h, const WorkloadOptions& opts) {
+  run_random_workload(h, opts);
 }
 
 std::vector<double> latency_samples_ms(const History& h, OpKind kind) {

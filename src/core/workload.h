@@ -14,21 +14,22 @@ struct WorkloadOptions {
   /// Uniform think time between a client's operations.
   Duration think_lo = 0;
   Duration think_hi = 5 * kMillisecond;
-  /// Crash this many random servers once `crash_after` operations completed
-  /// cluster-wide (0 = never crash).
+  /// Crash this many random servers once `crash_after_ops` operations
+  /// completed cluster-wide (0 = never crash).
   int crash_servers = 0;
   int crash_after_ops = 0;
 };
 
-/// Drive every writer and reader through its closed loop until all ops
-/// complete; runs the simulator to quiescence. Always on key 0.
+/// THE closed-loop driver: every writer and reader runs ops back to back
+/// with a uniform think time until its count is done; runs the simulator to
+/// quiescence. On a multi-key harness writers pick a Zipfian key per op and
+/// readers read their affine key (reader-affine protocols) or a Zipfian
+/// key; a one-key harness draws no key. The crash options apply to every
+/// harness (a multi-key one loses shard 0's servers). Callable repeatedly
+/// on one harness, so steady-state probes can reuse a warm table.
 void run_random_workload(SimHarness& h, const WorkloadOptions& opts);
 
-/// Keyed closed loop: writers pick a Zipfian
-/// key per op; readers read their affine key (reader-affine protocols) or
-/// a Zipfian key. Ignores the crash options — fault plans and crashes are
-/// single-register features. Callable repeatedly on one harness, so
-/// steady-state probes can reuse a warm table.
+/// Forwards to run_random_workload; kept for benchmark/driver/soaks.cpp.
 void run_keyspace_workload(SimHarness& h, const WorkloadOptions& opts);
 
 /// Latency summary extracted from a history.

@@ -164,11 +164,7 @@ TrialResult run_trial(const ExperimentSpec& spec, int spec_index,
   if (spec.delay) o.delay = spec.delay(cfg);
   SimHarness h(*proto, std::move(o));
   if (plan != nullptr) h.install_fault_plan(*plan);
-  if (tr.keyspace.multi()) {
-    run_keyspace_workload(h, spec.workload);
-  } else {
-    run_random_workload(h, spec.workload);
-  }
+  run_random_workload(h, spec.workload);
 
   // The trial is atomic iff every per-key history is (one history on the
   // classic layout). Latencies pool across keys.

@@ -69,9 +69,10 @@ struct ExperimentSpec {
 
   /// Keyspace axis: every entry is crossed with every
   /// (protocol, cluster, plan) triple. Empty means one classic
-  /// single-register run per triple. Multi-key entries (num_keys > 1) are
-  /// incompatible with fault_plans; they run the keyed Zipfian workload
-  /// (run_keyspace_workload) and check every per-key history.
+  /// single-register run per triple. Every trial runs the one closed-loop
+  /// driver (run_random_workload), which picks Zipfian keys on multi-key
+  /// entries (num_keys > 1); those are incompatible with fault_plans, and
+  /// every per-key history is checked.
   std::vector<KeyspaceConfig> keyspaces;
 
   /// Ignored; kept only because benchmark/driver/sweeps.cpp assigns it.

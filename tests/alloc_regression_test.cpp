@@ -219,7 +219,7 @@ TEST(AllocRegression, HundredThousandTableClientsSteadyStateAllocatesNothing) {
   WorkloadOptions w;
   w.ops_per_writer = 2;
   w.ops_per_reader = 2;
-  run_keyspace_workload(h, w);  // warmup: 2 * 10^5 closed-loop ops
+  run_random_workload(h, w);  // warmup: 2 * 10^5 closed-loop ops
 
   const std::uint64_t engine_allocs = h.sim().allocations();
   const BufferPool::Stats pool_warm = h.net().pool().stats();
@@ -228,7 +228,7 @@ TEST(AllocRegression, HundredThousandTableClientsSteadyStateAllocatesNothing) {
   WorkloadOptions w2;
   w2.ops_per_writer = 1;
   w2.ops_per_reader = 1;
-  run_keyspace_workload(h, w2);  // steady state: 10^5 more ops, same table
+  run_random_workload(h, w2);  // steady state: 10^5 more ops, same table
 
   EXPECT_EQ(h.sim().allocations() - engine_allocs, 0u)
       << "slab chunks or closure heap-spills grew after warmup";
@@ -257,7 +257,7 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
   WorkloadOptions w;
   w.ops_per_writer = 2;
   w.ops_per_reader = 2;
-  run_keyspace_workload(h, w);  // warmup: 2 * 10^5 closed-loop ops
+  run_random_workload(h, w);  // warmup: 2 * 10^5 closed-loop ops
 
   const std::uint64_t engine_allocs = h.sim().allocations();
   const BufferPool::Stats pool_warm = h.net().pool().stats();
@@ -272,7 +272,7 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
   WorkloadOptions w2;
   w2.ops_per_writer = 1;
   w2.ops_per_reader = 1;
-  run_keyspace_workload(h, w2);  // steady state: 10^5 more ops, same table
+  run_random_workload(h, w2);  // steady state: 10^5 more ops, same table
 
   EXPECT_EQ(h.sim().allocations() - engine_allocs, 0u)
       << "slab chunks or closure heap-spills grew after warmup";

@@ -153,7 +153,7 @@ TEST(Keyspace, PerKeyHistoriesAreLinearizable) {
   WorkloadOptions w;
   w.ops_per_writer = 12;
   w.ops_per_reader = 12;
-  run_keyspace_workload(h, w);
+  run_random_workload(h, w);
   std::size_t completed = 0;
   for (int k = 0; k < h.num_keys(); ++k) {
     const CheckResult tag = check_tag_witness(h.key_history(k));

@@ -190,6 +190,33 @@ TEST(CrashTolerance, MwAbdSurvivesTCrashes) {
   EXPECT_TRUE(tw.atomic) << tw.violation;
 }
 
+TEST(CrashTolerance, MwAbdKeyspaceSurvivesTCrashes) {
+  // The crash options apply to multi-key harnesses too: t of shard 0's
+  // physical servers go down mid-run, so keys 0 and 2 each lose t replicas.
+  const ClusterConfig cfg{5, 2, 2, 2};
+  SimHarness::Options o = opts(cfg, 7);
+  o.keyspace = KeyspaceConfig{4, 2, 0.0};
+  SimHarness h(*protocol_by_name("mw-abd(W2R2)"), std::move(o));
+  WorkloadOptions w;
+  w.ops_per_writer = 10;
+  w.ops_per_reader = 10;
+  w.crash_servers = cfg.t();
+  w.crash_after_ops = 8;
+  run_random_workload(h, w);
+  int crashed = 0;
+  for (NodeId id = 0; id < 2 * cfg.s(); ++id) crashed += h.net().crashed(id);
+  EXPECT_EQ(crashed, cfg.t());
+  std::size_t completed = 0;
+  for (int k = 0; k < h.num_keys(); ++k) {
+    completed += h.key_history(k).completed_count();
+    EXPECT_GT(h.key_history(k).size(), 0u) << "key " << k << " never drawn";
+    EXPECT_EQ(h.key_history(k).completed_count(), h.key_history(k).size());
+    const CheckResult tw = check_tag_witness(h.key_history(k));
+    EXPECT_TRUE(tw.atomic) << "key " << k << ": " << tw.violation;
+  }
+  EXPECT_EQ(completed, 40u);
+}
+
 TEST(CrashTolerance, FastReadMwSurvivesTCrashes) {
   const ClusterConfig cfg{7, 2, 3, 1};
   ASSERT_TRUE(cfg.supports_fast_read());

@@ -338,7 +338,7 @@ TEST(StreamingChecker, LiveVerdictMatchesBatchPerKeyOnAKeyspace) {
   WorkloadOptions w;
   w.ops_per_writer = 20;
   w.ops_per_reader = 20;
-  run_keyspace_workload(h, w);
+  run_random_workload(h, w);
 
   ASSERT_EQ(h.num_keys(), 4);
   std::size_t total_ops = 0;
