@@ -2,17 +2,12 @@
 
 namespace mwreg {
 
-void ByteWriter::put_varint(std::uint64_t v) {
+void ByteWriter::put_varint_wide(std::uint64_t v) {
   while (v >= 0x80) {
     buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
     v >>= 7;
   }
   buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::put_signed(std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
 
 void ByteWriter::put_string(const std::string& s) {
@@ -38,7 +33,7 @@ std::uint8_t ByteReader::get_u8() {
   return data_[pos_++];
 }
 
-std::uint64_t ByteReader::get_varint() {
+std::uint64_t ByteReader::get_varint_wide() {
   std::uint64_t v = 0;
   int shift = 0;
   for (;;) {
@@ -51,11 +46,6 @@ std::uint64_t ByteReader::get_varint() {
     if ((b & 0x80) == 0) return v;
     shift += 7;
   }
-}
-
-std::int64_t ByteReader::get_signed() {
-  const std::uint64_t u = get_varint();
-  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
 std::string ByteReader::get_string() {

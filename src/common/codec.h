@@ -32,8 +32,22 @@ class ByteWriter {
   }
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_varint(std::uint64_t v);
-  void put_signed(std::int64_t v);  // zigzag + varint
+  /// LEB128. The 1- and 2-byte cases (every count and most ids here) are
+  /// inline; wider values take the out-of-line loop. Same bytes either way.
+  void put_varint(std::uint64_t v) {
+    if (v < 0x80) {
+      buf_.push_back(static_cast<std::uint8_t>(v));
+    } else if (v < 0x4000) {
+      buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      buf_.push_back(static_cast<std::uint8_t>(v >> 7));
+    } else {
+      put_varint_wide(v);
+    }
+  }
+  void put_signed(std::int64_t v) {  // zigzag + varint
+    const auto u = static_cast<std::uint64_t>(v);
+    put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
+  }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   void put_string(const std::string& s);
   void put_tag(const Tag& t);
@@ -64,6 +78,8 @@ class ByteWriter {
   }
 
  private:
+  void put_varint_wide(std::uint64_t v);
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -79,8 +95,28 @@ class ByteReader {
   explicit ByteReader(ByteSpan bytes) : ByteReader(bytes.data(), bytes.size()) {}
 
   std::uint8_t get_u8();
-  std::uint64_t get_varint();
-  std::int64_t get_signed();
+  /// LEB128 with the 1- and 2-byte cases inline. Anything else (wider,
+  /// truncated, over-long) goes through the out-of-line loop from the
+  /// first byte, so malformed input fails exactly as it always has.
+  std::uint64_t get_varint() {
+    if (pos_ < size_) {
+      const std::uint8_t b0 = data_[pos_];
+      if (b0 < 0x80) {
+        ++pos_;
+        return b0;
+      }
+      if (pos_ + 1 < size_ && data_[pos_ + 1] < 0x80) {
+        const std::uint8_t b1 = data_[pos_ + 1];
+        pos_ += 2;
+        return (b0 & 0x7Fu) | static_cast<std::uint64_t>(b1) << 7;
+      }
+    }
+    return get_varint_wide();
+  }
+  std::int64_t get_signed() {
+    const std::uint64_t u = get_varint();
+    return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
+  }
   bool get_bool() { return get_u8() != 0; }
   std::string get_string();
   Tag get_tag();
@@ -115,6 +151,7 @@ class ByteReader {
 
  private:
   void fail() { ok_ = false; }
+  std::uint64_t get_varint_wide();
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <utility>
 
 namespace mwreg {
@@ -43,6 +42,7 @@ ClientTable::ClientTable(Network& net, const ClusterConfig& global,
       }
       fr_[static_cast<std::size_t>(ri)] = std::move(st);
     }
+    for (const ClusterConfig& kc : key_cfgs_) picker_.reserve(kc);
   }
 }
 
@@ -271,48 +271,48 @@ void ClientTable::on_reader_reply(int slot, const Frame& m) {
 void ClientTable::reader_decide_full(int slot) {
   const auto s = static_cast<std::size_t>(slot);
   FrReaderState& st = *fr_[static_cast<std::size_t>(slot - w_)];
-  const ClusterConfig& kc = key_cfgs_[key_[s]];
   st.views.clear();
-  st.cand.clear();
   for (std::int32_t i = 0; i < acks_[s]; ++i) {
     st.views.push_back(st.arenas[static_cast<std::size_t>(i)].view());
   }
-  for (const FrView& v : st.views) {
-    for (const FrEntry& e : v) st.cand.push_back(e.value);
-  }
-  std::sort(st.cand.begin(), st.cand.end());
-  st.cand.erase(std::unique(st.cand.begin(), st.cand.end()), st.cand.end());
   // valQueue <- valQueue union everything received (kept sorted unique —
-  // the contents of the paper's valQueue set).
-  st.queue_merge.clear();
-  std::set_union(st.val_queue.begin(), st.val_queue.end(), st.cand.begin(),
-                 st.cand.end(), std::back_inserter(st.queue_merge));
-  st.val_queue.swap(st.queue_merge);
-  const TaggedValue v = fr_pick_admissible(st.cand, st.views, kc.r(), kc.s(),
-                                           kc.t(), kc.first_client());
-  complete_read(slot, v);
+  // the contents of the paper's valQueue set). Each reply is sorted and
+  // duplicate-free, so merge them in one at a time.
+  for (const FrView& v : st.views) {
+    st.queue_merge.clear();
+    auto q = st.val_queue.cbegin();
+    const FrEntry* e = v.begin();
+    while (q != st.val_queue.cend() && e != v.end()) {
+      if (e->value < *q) {
+        st.queue_merge.push_back((e++)->value);
+      } else {
+        if (e->value == *q) ++e;
+        st.queue_merge.push_back(*q++);
+      }
+    }
+    st.queue_merge.insert(st.queue_merge.end(), q, st.val_queue.cend());
+    for (; e != v.end(); ++e) st.queue_merge.push_back(e->value);
+    st.val_queue.swap(st.queue_merge);
+  }
+  complete_read(slot, picker_.pick(st.views, key_cfgs_[key_[s]]));
 }
 
 void ClientTable::reader_decide_delta(int slot) {
   const auto s = static_cast<std::size_t>(slot);
   FrReaderState& st = *fr_[static_cast<std::size_t>(slot - w_)];
-  const ClusterConfig& kc = key_cfgs_[key_[s]];
   st.views.clear();
-  st.cand.clear();
   for (const int si : st.round_servers) {
     const FrServerCache& c = st.caches[static_cast<std::size_t>(si)];
     st.views.push_back(FrView{c.entries.data(), c.entries.size()});
   }
-  for (const FrView& v : st.views) {
-    for (const FrEntry& e : v) st.cand.push_back(e.value);
-  }
-  std::sort(st.cand.begin(), st.cand.end());
-  st.cand.erase(std::unique(st.cand.begin(), st.cand.end()), st.cand.end());
-  const TaggedValue v = fr_pick_admissible(st.cand, st.views, kc.r(), kc.s(),
-                                           kc.t(), kc.first_client());
+  const TaggedValue v = picker_.pick(st.views, key_cfgs_[key_[s]]);
   // valQueue semantics, compressed: the watermark is the max of everything
   // ever received (>= the value returned).
-  if (!st.cand.empty()) st.watermark = std::max(st.watermark, st.cand.back());
+  for (const FrView& view : st.views) {
+    if (view.size > 0) {
+      st.watermark = std::max(st.watermark, view.data[view.size - 1].value);
+    }
+  }
   complete_read(slot, v);
 }
 

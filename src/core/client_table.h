@@ -121,7 +121,6 @@ class ClientTable final : public Process {
     TaggedValue watermark{};
     // reusable per-read scratch
     std::vector<FrView> views;
-    std::vector<TaggedValue> cand;
     std::vector<TaggedValue> queue_merge;
     std::vector<std::uint64_t> acked_scratch;
     std::vector<TaggedValue> queue_scratch;
@@ -178,6 +177,8 @@ class ClientTable final : public Process {
   std::vector<TaggedValue> acc_val_;  ///< abd readers: best value so far
   std::vector<std::int64_t> local_ts_;  ///< local-timestamp writers
   std::vector<std::unique_ptr<FrReaderState>> fr_;  ///< fr readers only
+  /// The fr readers' read decision, sized for every key's group.
+  FrPicker picker_;
 };
 
 }  // namespace mwreg

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-#include <string>
 #include <utility>
-
-#include "protocols/fastread_clients.h"
 
 namespace mwreg {
 
@@ -47,16 +43,6 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
   const bool affine = reader_key_affine(proto.table_reader());
   assert(!affine || !keyspace_.multi() || keyspace_.num_keys <= cfg_.r());
   key_cfgs_ = key_clusters(cfg_, keyspace_, affine);
-  if (affine) {
-    for (const ClusterConfig& kc : key_cfgs_) {
-      if (!fr_witness_masks_fit(kc)) {
-        throw std::invalid_argument(
-            proto.name() + ": a key's client ids span more than the " +
-            std::to_string(kFrWitnessMaskBits) + "-bit witness masks (" +
-            cfg_.to_string() + ", " + keyspace_.to_string() + ")");
-      }
-    }
-  }
   key_histories_.resize(key_cfgs_.size());
   ClusterConfig global = cfg_;  // the client id ranges
   if (!keyspace_.multi()) {

@@ -70,8 +70,6 @@ class SimHarness {
     bool retire_history = false;
   };
 
-  /// Throws std::invalid_argument when a fast-read key's client ids do not
-  /// fit the 64-bit witness masks (fr_witness_masks_fit).
   SimHarness(const Protocol& proto, Options opts);
 
   Simulator& sim() { return sim_; }

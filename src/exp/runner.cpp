@@ -11,7 +11,6 @@
 
 #include "consistency/checkers.h"
 #include "core/harness.h"
-#include "protocols/fastread_clients.h"
 #include "protocols/protocols.h"
 
 namespace mwreg::exp {
@@ -73,14 +72,6 @@ std::string ExperimentSpec::validate() const {
         if (ks.multi() && ks.num_keys > c.r()) {
           return "reader-affine protocol " + p + " needs num_keys <= R (" +
                  ks.to_string() + " vs " + c.to_string() + ")";
-        }
-        for (const ClusterConfig& kc : key_clusters(c, ks, true)) {
-          if (!fr_witness_masks_fit(kc)) {
-            return "fast-read protocol " + p + " on " + c.to_string() +
-                   " with keyspace " + ks.to_string() +
-                   ": a key's client ids span more than the " +
-                   std::to_string(kFrWitnessMaskBits) + "-bit witness masks";
-          }
         }
       }
     }

@@ -4,106 +4,201 @@
 #include <cassert>
 
 namespace mwreg {
-namespace {
 
-/// DFS over client subsets T (|T| = a) checking that T is contained in at
-/// least `need` of the updated sets. Client universes are tiny (W + R + 1),
-/// and candidates are pruned to clients individually present in >= need sets.
-bool exists_common_subset(const std::vector<std::uint64_t>& sets, int a,
-                          int need) {
-  if (static_cast<int>(sets.size()) < need) return false;
-  if (a == 0) return true;
-
-  // Candidate clients: those appearing in at least `need` sets.
-  std::vector<int> cands;
-  for (int c = 0; c < 64; ++c) {
-    const std::uint64_t bit = 1ULL << c;
-    int cnt = 0;
-    for (std::uint64_t s : sets) {
-      if (s & bit) ++cnt;
-    }
-    if (cnt >= need) cands.push_back(c);
-  }
-  if (static_cast<int>(cands.size()) < a) return false;
-
-  // Choose `a` candidates; maintain the list of sets containing all chosen.
-  struct Frame {
-    std::vector<std::uint64_t> live;
-    std::size_t next_cand;
-    int chosen;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{sets, 0, 0});
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (f.chosen == a) return true;
-    for (std::size_t i = f.next_cand; i < cands.size(); ++i) {
-      const std::uint64_t bit = 1ULL << cands[i];
-      std::vector<std::uint64_t> live;
-      live.reserve(f.live.size());
-      for (std::uint64_t s : f.live) {
-        if (s & bit) live.push_back(s);
-      }
-      if (static_cast<int>(live.size()) < need) continue;
-      // Enough candidates left to complete the subset?
-      if (f.chosen + 1 + static_cast<int>(cands.size() - i - 1) < a) break;
-      stack.push_back(Frame{std::move(live), i + 1, f.chosen + 1});
-    }
-  }
-  return false;
+void FrPicker::reserve(const ClusterConfig& kc) {
+  fit(kc.id_end() - kc.first_client(), static_cast<std::size_t>(kc.quorum()),
+      kc.r() + 1);
 }
 
-}  // namespace
+void FrPicker::fit(int span, std::size_t max_sets, int max_degree) {
+  if (span <= span_cap_ && max_sets <= sets_cap_ && max_degree <= depth_cap_) {
+    return;
+  }
+  // Only called between candidates, when every column is zero anyway.
+  span_cap_ = std::max(span_cap_, span);
+  sets_cap_ = std::max(sets_cap_, max_sets);
+  depth_cap_ = std::max(depth_cap_, max_degree);
+  words_ = std::max<std::size_t>(1, (sets_cap_ + 63) / 64);
+  const auto span_cap = static_cast<std::size_t>(span_cap_);
+  cols_.assign(span_cap * words_, 0);
+  count_.assign(span_cap, 0);
+  touched_.reserve(span_cap);
+  hist_.assign(sets_cap_ + 1, 0);
+  cands_.reserve(span_cap);
+  live_.assign(static_cast<std::size_t>(depth_cap_ + 1) * words_, 0);
+  next_.assign(static_cast<std::size_t>(depth_cap_ + 1), 0);
+  cursor_.reserve(sets_cap_);
+}
 
-bool admissible(const TaggedValue& v, const std::vector<FrView>& msgs, int a,
-                int num_servers, int max_faulty, NodeId bit_base) {
-  // mu must be nonempty (an empty witness set would make everything
-  // admissible); in valid configurations S - a*t > t >= 1 anyway.
-  const int need = std::max(1, num_servers - a * max_faulty);
-  // Collect, per message that "has v", the updated set for v as a bitmask.
-  std::vector<std::uint64_t> sets;
-  sets.reserve(msgs.size());
-  for (const FrView& m : msgs) {
-    for (const FrEntry& e : m) {
-      if (e.value == v) {
-        std::uint64_t mask = 0;
-        for (NodeId c : e.updated) {
-          assert(c >= bit_base && c - bit_base < kFrWitnessMaskBits);
-          mask |= 1ULL << (c - bit_base);
-        }
-        sets.push_back(mask);
-        break;
-      }
+void FrPicker::add_set(const std::vector<NodeId>& updated) {
+  const std::size_t word = static_cast<std::size_t>(m_) / 64;
+  const std::uint64_t bit = 1ULL << (m_ % 64);
+  ++m_;
+  for (const NodeId id : updated) {
+    const NodeId c = id - base_;
+    assert(c >= 0 && c < span_ && "witness outside the group's client ids");
+    if (c < 0 || c >= span_) continue;  // not a client of this group
+    const auto col = static_cast<std::size_t>(c);
+    std::uint64_t& w = cols_[col * words_ + word];
+    if (w & bit) continue;  // a repeated id adds nothing to a set
+    w |= bit;
+    if (count_[col]++ == 0) touched_.push_back(col);
+  }
+}
+
+int FrPicker::count_verdict(int a, int need) const {
+  if (m_ < need) return 0;
+  // The `a` clients in the most sets. If fewer than `a` clients reach
+  // `need` sets, no T does; otherwise these miss at most `missing` sets
+  // between them, so they share at least m_ - missing.
+  int taken = 0;
+  long long missing = 0;
+  for (int k = m_; k >= need && taken < a; --k) {
+    const int take = std::min(hist_[static_cast<std::size_t>(k)], a - taken);
+    taken += take;
+    missing += static_cast<long long>(take) * (m_ - k);
+  }
+  if (taken < a) return 0;
+  return m_ - missing >= need ? 1 : -1;
+}
+
+bool FrPicker::subset_search(int a, int need) {
+  // Only clients individually in >= need sets can be in T.
+  cands_.clear();
+  for (const std::size_t c : touched_) {
+    if (count_[c] >= need) cands_.push_back(c);
+  }
+  const int nc = static_cast<int>(cands_.size());
+  std::uint64_t* live = live_.data();
+  std::fill_n(live, words_, 0);  // depth 0: every set
+  for (int j = 0; j < m_; ++j) live[j / 64] |= 1ULL << (j % 64);
+  // Choose T's members in increasing candidate order; depth d holds the
+  // sets common to the d chosen so far.
+  int d = 0;
+  next_[0] = 0;
+  for (;;) {
+    if (d == a) return true;
+    const int i = next_[static_cast<std::size_t>(d)];
+    if (i + (a - d) > nc) {  // too few candidates left to complete T
+      if (d == 0) return false;
+      --d;
+      ++next_[static_cast<std::size_t>(d)];
+      continue;
+    }
+    const std::uint64_t* col =
+        cols_.data() + cands_[static_cast<std::size_t>(i)] * words_;
+    const std::uint64_t* cur = live + static_cast<std::size_t>(d) * words_;
+    std::uint64_t* nxt = live + static_cast<std::size_t>(d + 1) * words_;
+    int common = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      nxt[w] = cur[w] & col[w];
+      common += __builtin_popcountll(nxt[w]);
+    }
+    if (common >= need) {
+      ++d;
+      next_[static_cast<std::size_t>(d)] = i + 1;
+    } else {
+      ++next_[static_cast<std::size_t>(d)];
     }
   }
-  return exists_common_subset(sets, a, need);
+}
+
+bool FrPicker::decide(int a_lo, int a_hi, int s, int t) {
+  std::fill_n(hist_.begin(), m_ + 1, 0);
+  for (const std::size_t c : touched_) {
+    ++hist_[static_cast<std::size_t>(count_[c])];
+  }
+  bool ok = false;
+  for (int a = a_lo; a <= a_hi && !ok; ++a) {
+    // mu must be nonempty (an empty witness set would make everything
+    // admissible); in valid configurations S - a*t > t >= 1 anyway.
+    const int need = std::max(1, s - a * t);
+    const int verdict = count_verdict(a, need);
+    ok = verdict > 0 || (verdict < 0 && subset_search(a, need));
+  }
+  for (const std::size_t c : touched_) {
+    count_[c] = 0;
+    std::fill_n(cols_.begin() + static_cast<std::ptrdiff_t>(c * words_),
+                words_, 0);
+  }
+  touched_.clear();
+  m_ = 0;
+  return ok;
+}
+
+TaggedValue FrPicker::pick(const std::vector<FrView>& views,
+                           const ClusterConfig& kc) {
+  base_ = kc.first_client();
+  span_ = kc.id_end() - base_;
+  fit(span_, views.size(), kc.r() + 1);
+  cursor_.clear();
+  for (const FrView& v : views) cursor_.push_back(v.size);
+  // Walk every received value from the largest down and return the first
+  // admissible one. Lemma 3 guarantees a hit: the max of the valQueue the
+  // reader sent is admissible with degree 1, since every server confirmed
+  // it before replying.
+  for (;;) {
+    const TaggedValue* top = nullptr;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (cursor_[i] == 0) continue;
+      const TaggedValue& v = views[i].data[cursor_[i] - 1].value;
+      if (top == nullptr || *top < v) top = &v;
+    }
+    // Unreachable in a correct configuration; return bottom defensively.
+    if (top == nullptr) return TaggedValue{};
+    const TaggedValue v = *top;
+    // A view holding v holds it next (views are sorted): load those sets
+    // and step past v.
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (cursor_[i] == 0) continue;
+      const FrEntry& e = views[i].data[cursor_[i] - 1];
+      if (e.value != v) continue;
+      add_set(e.updated);
+      --cursor_[i];
+    }
+    if (decide(1, kc.r() + 1, kc.s(), kc.t())) return v;
+  }
+}
+
+bool FrPicker::admissible(const TaggedValue& v,
+                          const std::vector<FrView>& views, int a,
+                          int num_servers, int max_faulty) {
+  auto entry_of = [&v](const FrView& view) -> const FrEntry* {
+    for (const FrEntry& e : view) {
+      if (e.value == v) return &e;
+    }
+    return nullptr;
+  };
+  NodeId lo = 0;
+  NodeId hi = -1;
+  bool any = false;
+  for (const FrView& view : views) {
+    const FrEntry* e = entry_of(view);
+    if (e == nullptr) continue;
+    for (const NodeId c : e->updated) {
+      lo = any ? std::min(lo, c) : c;
+      hi = any ? std::max(hi, c) : c;
+      any = true;
+    }
+  }
+  base_ = lo;
+  span_ = hi - lo + 1;
+  fit(span_, views.size(), a);
+  for (const FrView& view : views) {
+    if (const FrEntry* e = entry_of(view)) add_set(e->updated);
+  }
+  return decide(a, a, num_servers, max_faulty);
 }
 
 bool admissible(const TaggedValue& v,
                 const std::vector<std::vector<FrEntry>>& msgs, int a,
-                int num_servers, int max_faulty, NodeId bit_base) {
+                int num_servers, int max_faulty) {
   std::vector<FrView> views;
   views.reserve(msgs.size());
   for (const std::vector<FrEntry>& m : msgs) {
     views.push_back(FrView{m.data(), m.size()});
   }
-  return admissible(v, views, a, num_servers, max_faulty, bit_base);
-}
-
-TaggedValue fr_pick_admissible(const std::vector<TaggedValue>& cands,
-                               const std::vector<FrView>& views, int r, int s,
-                               int t, NodeId bit_base) {
-  // Return the largest admissible candidate. Lemma 3 guarantees the loop
-  // terminates: the max of the valQueue the reader sent is admissible with
-  // degree 1, since every server confirmed it before replying.
-  for (auto it = cands.rbegin(); it != cands.rend(); ++it) {
-    for (int a = 1; a <= r + 1; ++a) {
-      if (admissible(*it, views, a, s, t, bit_base)) return *it;
-    }
-  }
-  // Unreachable in a correct configuration; return bottom defensively.
-  return TaggedValue{};
+  return FrPicker().admissible(v, views, a, num_servers, max_faulty);
 }
 
 bool fr_apply_delta(FrServerCache& cache, ByteSpan payload,
@@ -117,6 +212,10 @@ bool fr_apply_delta(FrServerCache& cache, ByteSpan payload,
   const auto floor_it = std::lower_bound(
       cache.entries.begin(), cache.entries.end(), h.gc_floor,
       [](const FrEntry& e, const Tag& t) { return e.value.tag < t; });
+  for (auto it = cache.entries.begin(); it != floor_it; ++it) {
+    it->updated.clear();
+    cache.spare.push_back(std::move(it->updated));
+  }
   cache.entries.erase(cache.entries.begin(), floor_it);
   // Upsert the changed entries (streamed in ascending tag order).
   for (std::uint64_t i = 0; i < h.count && r.ok(); ++i) {
@@ -125,11 +224,20 @@ bool fr_apply_delta(FrServerCache& cache, ByteSpan payload,
     const auto it = std::lower_bound(
         cache.entries.begin(), cache.entries.end(), scratch.value.tag,
         [](const FrEntry& e, const Tag& t) { return e.value.tag < t; });
+    // Swap the decoded set in rather than copy it; the scratch keeps the
+    // displaced capacity (or a spare) for the next decode.
     if (it != cache.entries.end() && it->value.tag == scratch.value.tag) {
       it->value = scratch.value;
-      it->updated = scratch.updated;  // copy-assign reuses capacity
+      it->updated.swap(scratch.updated);
     } else {
-      cache.entries.insert(it, scratch);
+      FrEntry e;
+      e.value = scratch.value;
+      e.updated.swap(scratch.updated);
+      if (!cache.spare.empty()) {
+        scratch.updated.swap(cache.spare.back());
+        cache.spare.pop_back();
+      }
+      cache.entries.insert(it, std::move(e));
     }
   }
   // Only ack a fully applied delta: on a truncated payload the loop above

@@ -12,6 +12,7 @@
 // values) (DESIGN.md section 6).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,33 +21,79 @@
 
 namespace mwreg {
 
-/// Decide admissibility: exists mu subset of the READACKs such that every
-/// message in mu contains v, |mu| >= S - a*t, and at least `a` clients are in
-/// every chosen message's updated set for v. Equivalently: exists a set T of
-/// `a` clients with T contained in at least S - a*t of v's updated sets.
-/// Messages are non-owning views so hot paths can back them with reusable
-/// arenas or caches. `bit_base` rebases client NodeIds into the 64-bit
-/// witness masks (updated sets hold ids in [bit_base, bit_base + 64)); the
-/// verdict is shift-invariant, so any base covering the group's clients
-/// gives identical answers.
-bool admissible(const TaggedValue& v, const std::vector<FrView>& msgs, int a,
-                int num_servers, int max_faulty, NodeId bit_base = 0);
+/// Algorithm 1's read decision with reusable scratch. admissible(v, msgs, a)
+/// holds iff some mu subset of the READACKs has every message in mu contain
+/// v, |mu| >= S - a*t, and at least `a` clients in every chosen message's
+/// updated set for v. Equivalently: some set T of `a` clients is contained
+/// in at least max(1, S - a*t) of v's updated sets.
+///
+/// v's updated sets are loaded once per candidate as word-array bitsets,
+/// one column of bits over the sets per client id. One per-client count
+/// pass then settles most degrees: too few clients in enough sets rules a
+/// degree out, and a top-`a` pigeonhole bound proves it (always, for
+/// a = 1). Only what the counts leave open goes to an exact subset search on
+/// a preallocated stack. Widths follow the groups passed to reserve(): no
+/// cap on client-id span or quorum size.
+class FrPicker {
+ public:
+  /// Size the scratch for reads on quorum group `kc`: its client ids, its
+  /// quorum of replies, degrees up to R+1. Once every group a caller serves
+  /// is reserved, pick() on them allocates nothing.
+  void reserve(const ClusterConfig& kc);
 
-/// Convenience overload over owning nested vectors (tests, offline tools).
+  /// The largest value admissible at some degree a in [1, R+1] over one
+  /// round's replies (`kc`'s R, S and t). Each view is one server's
+  /// valuevector: sorted ascending with no value twice, updated sets within
+  /// `kc`'s client ids. Candidates come largest-first from a k-way merge of
+  /// the views from the top. Returns bottom if nothing is admissible
+  /// (unreachable in a correct configuration).
+  TaggedValue pick(const std::vector<FrView>& views, const ClusterConfig& kc);
+
+  /// admissible(v, views, a) at one degree, on views in any order (the
+  /// first entry equal to v in each counts). Sizes itself from v's sets.
+  bool admissible(const TaggedValue& v, const std::vector<FrView>& views,
+                  int a, int num_servers, int max_faulty);
+
+ private:
+  void fit(int span, std::size_t max_sets, int max_degree);
+  void add_set(const std::vector<NodeId>& updated);
+  /// Whether v is admissible at some degree in [a_lo, a_hi]; clears v's
+  /// sets either way.
+  bool decide(int a_lo, int a_hi, int s, int t);
+  /// 1 admissible at degree a, 0 not, -1 the counts cannot tell.
+  [[nodiscard]] int count_verdict(int a, int need) const;
+  bool subset_search(int a, int need);
+
+  // Capacities (fit() only grows them).
+  int span_cap_ = 0;
+  std::size_t sets_cap_ = 0;
+  int depth_cap_ = 0;
+  std::size_t words_ = 1;  ///< words per column: covers sets_cap_ sets
+
+  // The candidate being decided.
+  NodeId base_ = 0;  ///< client id of column 0
+  int span_ = 0;     ///< client ids in use: [base_, base_ + span_)
+  int m_ = 0;        ///< its updated sets loaded so far
+  /// Column c (words [c*words_, (c+1)*words_)): bit j set iff client
+  /// base_ + c is in set j. All zero between candidates.
+  std::vector<std::uint64_t> cols_;
+  std::vector<int> count_;            ///< per column: sets holding it
+  std::vector<std::size_t> touched_;  ///< columns with count_ > 0
+  std::vector<int> hist_;             ///< hist_[k]: touched columns in k sets
+
+  // Subset search stack: candidate columns, and per depth the sets common
+  // to the columns chosen so far plus the next candidate to try.
+  std::vector<std::size_t> cands_;
+  std::vector<std::uint64_t> live_;
+  std::vector<int> next_;
+
+  std::vector<std::size_t> cursor_;  ///< pick: entries left per view
+};
+
+/// Convenience form over owning nested vectors (tests, offline tools).
 bool admissible(const TaggedValue& v,
                 const std::vector<std::vector<FrEntry>>& msgs, int a,
-                int num_servers, int max_faulty, NodeId bit_base = 0);
-
-/// Client ids one witness mask can hold.
-inline constexpr int kFrWitnessMaskBits = 64;
-
-/// Whether every client of quorum group `kc` fits the witness masks at
-/// bit_base = kc.first_client(), i.e. id_end() - first_client() <= 64. A
-/// wider fast-read group would shift past the mask (undefined behaviour),
-/// so ExperimentSpec::validate and SimHarness refuse it.
-[[nodiscard]] inline bool fr_witness_masks_fit(const ClusterConfig& kc) {
-  return kc.id_end() - kc.first_client() <= kFrWitnessMaskBits;
-}
+                int num_servers, int max_faulty);
 
 /// Reconstructed view of one server's valuevector (delta/gc mode): the
 /// entries the server held at its last reply, sorted by tag, plus the reply
@@ -54,6 +101,9 @@ inline constexpr int kFrWitnessMaskBits = 64;
 struct FrServerCache {
   std::uint64_t rev = 0;
   std::vector<FrEntry> entries;
+  /// Updated-set buffers of entries dropped below the GC floor, reused by
+  /// later inserts so a warmed cache stops allocating.
+  std::vector<std::vector<NodeId>> spare;
 };
 
 /// Apply one kFrReadAckDelta payload to `cache`: drop entries below the
@@ -62,13 +112,5 @@ struct FrServerCache {
 /// buffer (its vectors keep their capacity across calls). Returns false on
 /// malformed input.
 bool fr_apply_delta(FrServerCache& cache, ByteSpan payload, FrEntry& scratch);
-
-/// Largest candidate admissible at some degree a in [1, r+1] — the shared
-/// decision of the full and delta read paths. `cands` must be sorted
-/// ascending, unique. Returns bottom if nothing is admissible (unreachable
-/// in a correct configuration).
-TaggedValue fr_pick_admissible(const std::vector<TaggedValue>& cands,
-                               const std::vector<FrView>& views, int r, int s,
-                               int t, NodeId bit_base = 0);
 
 }  // namespace mwreg

@@ -1,7 +1,10 @@
 // Server replica of the paper's Algorithm 2 (Appendix A).
 //
 // State: the current max value `vali` and a `valuevector` mapping every value
-// ever received to the set of clients that updated/confirmed it.
+// ever received to the set of clients that updated/confirmed it. The
+// valuevector is a flat vector sorted by tag, each entry holding its updated
+// set as a sorted id vector: exactly the order and form both read-ack
+// encodings stream, so a reply is one pass over it.
 //
 // One deliberate clarification versus the printed pseudocode: on a READ the
 // server records the reader in the updated set of EVERY value it reports
@@ -29,8 +32,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/tag.h"
@@ -59,7 +60,7 @@ class FastReadServer final : public ServerBase {
       : ServerBase(id, net, cfg), opts_(opts) {
     // valuevector starts with the bottom value; under GC it carries
     // revision 1 so a reader that has acked nothing (rev 0) receives it.
-    entries_[kBottomTag].rev = ++rev_seq_;
+    entry_for(kBottomTag).rev = ++rev_seq_;
     // Indexed by NodeId, so size to the end of the id space: in a re-based
     // keyspace group the reader ids sit far above total_nodes().
     watermark_.resize(static_cast<std::size_t>(cfg.id_end()));
@@ -71,15 +72,10 @@ class FastReadServer final : public ServerBase {
   /// GC observables (zero / bottom while gc_enabled is false).
   [[nodiscard]] const Tag& gc_floor() const { return gc_floor_; }
   [[nodiscard]] std::uint64_t entries_pruned() const { return pruned_; }
-  /// Arena growth for the full-snapshot reply path; must stop moving after
-  /// warmup (tests/alloc_regression_test.cpp).
-  [[nodiscard]] std::uint64_t snapshot_arena_grows() const {
-    return snapshot_arena_.grows();
-  }
 
   /// Batched delivery: one virtual dispatch per span, then a non-virtual
   /// per-frame loop through the request switch. Every reply (tag acks,
-  /// full snapshots, delta acks) carries its request as the cause frame,
+  /// full read acks, delta acks) carries its request as the cause frame,
   /// so under a destination-major drain the run's fan-out is staged and
   /// lands contiguously at the receivers (network.h reply staging).
   void on_deliver_batch(FrameSpan frames) final {
@@ -99,14 +95,21 @@ class FastReadServer final : public ServerBase {
         break;
       }
       case kFrReadReq: {
-        req_queue_ = decode_value_list(req.payload);
+        ByteReader r(req.payload);
+        decode_value_list_into(r, req_queue_);
         for (const TaggedValue& v : req_queue_) update(v, req.src);
         confirm_all(req.src);
         // A full-ack read carries the same watermark information (the
         // valQueue maximum), so GC advances on it too — a cluster can mix
         // delta and full-ack readers.
         note_watermark(req.src);
-        reply(req, kFrReadAck, encode_entries(pool(), snapshot()));
+        // The whole valuevector, streamed straight out of it.
+        ByteWriter w(pool().acquire());
+        w.put_span(entries_.data(), entries_.size(),
+                   [](ByteWriter& bw, const Entry& e) {
+                     put_fr_entry(bw, e.fr);
+                   });
+        reply(req, kFrReadAck, w.take());
         break;
       }
       case kFrReadDeltaReq:
@@ -119,22 +122,53 @@ class FastReadServer final : public ServerBase {
 
  private:
   struct Entry {
-    std::int64_t payload = 0;
-    std::set<NodeId> updated;
+    /// The value and its updated set (sorted), in wire form.
+    FrEntry fr;
     /// Last server revision at which this entry changed (payload set,
     /// updated-set grew, or entry created). Only meaningful under GC.
     std::uint64_t rev = 0;
   };
 
+  static bool tag_less(const Entry& e, const Tag& t) {
+    return e.fr.value.tag < t;
+  }
+
+  /// The entry for `tag`, inserted in tag order (rev 0) when absent. A
+  /// write's fresh tag is usually the largest, so it appends at the back. A
+  /// new entry adopts an updated-set buffer GC retired, so a warmed
+  /// valuevector stops allocating.
+  Entry& entry_for(const Tag& tag) {
+    auto it = entries_.end();
+    if (!entries_.empty() && !(entries_.back().fr.value.tag < tag)) {
+      it = std::lower_bound(entries_.begin(), entries_.end(), tag, tag_less);
+      if (it->fr.value.tag == tag) return *it;
+    }
+    Entry e;
+    e.fr.value.tag = tag;
+    if (!spare_sets_.empty()) {
+      e.fr.updated = std::move(spare_sets_.back());
+      spare_sets_.pop_back();
+    }
+    return *entries_.insert(it, std::move(e));
+  }
+
+  /// Add `c` to a sorted updated set; false if it was already there.
+  static bool add_client(std::vector<NodeId>& updated, NodeId c) {
+    const auto it = std::lower_bound(updated.begin(), updated.end(), c);
+    if (it != updated.end() && *it == c) return false;
+    updated.insert(it, c);
+    return true;
+  }
+
   /// Algorithm 2's update(val, c).
   void update(const TaggedValue& val, NodeId c) {
-    Entry& e = entries_[val.tag];
+    Entry& e = entry_for(val.tag);
     bool changed = e.rev == 0;  // freshly created (GC keeps revs >= 1)
-    if (e.payload != val.payload) {
-      e.payload = val.payload;
+    if (e.fr.value.payload != val.payload) {
+      e.fr.value.payload = val.payload;
       changed = true;
     }
-    changed |= e.updated.insert(c).second;
+    changed |= add_client(e.fr.updated, c);
     if (changed) e.rev = ++rev_seq_;
     if (val.tag > vali_.tag) vali_ = val;
   }
@@ -143,8 +177,8 @@ class FastReadServer final : public ServerBase {
   /// header comment: required by Lemmas 5 and 8).
   void confirm_all(NodeId reader) {
     if (!opts_.confirm_reported) return;
-    for (auto& [tag, e] : entries_) {
-      if (e.updated.insert(reader).second) e.rev = ++rev_seq_;
+    for (Entry& e : entries_) {
+      if (add_client(e.fr.updated, reader)) e.rev = ++rev_seq_;
     }
   }
 
@@ -177,15 +211,11 @@ class FastReadServer final : public ServerBase {
     FrDeltaHeader h;
     h.revision = rev_seq_;
     h.gc_floor = gc_floor_;
-    for (const auto& [tag, e] : entries_) h.count += e.rev > acked;
+    for (const Entry& e : entries_) h.count += e.rev > acked;
     ByteWriter w(pool().acquire());
     put_delta_ack_header(w, h);
-    // Stream changed entries straight out of the map: no snapshot vector.
-    for (const auto& [tag, e] : entries_) {
-      if (e.rev <= acked) continue;
-      w.put_value(TaggedValue{tag, e.payload});
-      w.put_varint(e.updated.size());
-      for (NodeId c : e.updated) w.put_signed(c);
+    for (const Entry& e : entries_) {
+      if (e.rev > acked) put_fr_entry(w, e.fr);
     }
     reply(req, kFrReadAckDelta, w.take());
   }
@@ -218,37 +248,32 @@ class FastReadServer final : public ServerBase {
     // sub-floor entries must not survive into the reply built next. (In a
     // pure delta cluster requests only carry watermarks >= the floor, so
     // this erase finds nothing.) The watermark carrier's value was just
-    // re-admitted, so the map keeps at least the floor entry and vali_
+    // re-admitted, so the valuevector keeps at least the floor entry and vali_
     // survives.
     assert(gc_floor_ <= vali_.tag);
-    const auto end = entries_.lower_bound(gc_floor_);
-    for (auto it = entries_.begin(); it != end;) {
-      it = entries_.erase(it);
-      ++pruned_;
+    const auto end =
+        std::lower_bound(entries_.begin(), entries_.end(), gc_floor_, tag_less);
+    for (auto it = entries_.begin(); it != end; ++it) {
+      it->fr.updated.clear();
+      spare_sets_.push_back(std::move(it->fr.updated));
     }
-  }
-
-  [[nodiscard]] FrView snapshot() {
-    snapshot_arena_.reset();
-    for (const auto& [tag, e] : entries_) {
-      FrEntry& fe = snapshot_arena_.append();
-      fe.value = TaggedValue{tag, e.payload};
-      fe.updated.assign(e.updated.begin(), e.updated.end());
-    }
-    return snapshot_arena_.view();
+    pruned_ += static_cast<std::uint64_t>(end - entries_.begin());
+    entries_.erase(entries_.begin(), end);
   }
 
   Options opts_;
   TaggedValue vali_{};
-  std::map<Tag, Entry> entries_;
+  /// The valuevector, sorted by tag (unique).
+  std::vector<Entry> entries_;
+  /// Updated-set buffers of pruned entries, kept for reuse.
+  std::vector<std::vector<NodeId>> spare_sets_;
   std::uint64_t rev_seq_ = 0;
   /// Highest confirmed watermark carried on each reader's requests,
   /// indexed by NodeId (non-reader slots stay bottom).
   std::vector<Tag> watermark_;
   Tag gc_floor_{};
   std::uint64_t pruned_ = 0;
-  FrEntryArena snapshot_arena_;
-  /// Request decode scratch, reused across delta reads.
+  /// Request decode scratch, reused across reads.
   std::vector<TaggedValue> req_queue_;
   std::vector<std::uint64_t> req_acks_;
 };

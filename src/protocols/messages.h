@@ -90,9 +90,9 @@ struct FrView {
 
 /// Reusable arena of FrEntry slots. reset() rewinds without destroying the
 /// slots, so every slot's `updated` vector keeps its capacity; once a
-/// workload has warmed the arena, building a snapshot or decoding a read
-/// ack allocates nothing. grows() is the observable the allocation
-/// regression test pins (it must stop moving after warmup).
+/// workload has warmed the arena, decoding a read ack allocates nothing.
+/// grows() is the observable the allocation regression test pins (it must
+/// stop moving after warmup).
 class FrEntryArena {
  public:
   void reset() { used_ = 0; }
@@ -154,12 +154,26 @@ inline std::vector<std::uint8_t> encode_value_list(
   return w.take();
 }
 
-inline std::vector<TaggedValue> decode_value_list(ByteSpan bytes) {
-  ByteReader r(bytes);
-  return r.get_vector<TaggedValue>(
-      [](ByteReader& br) { return br.get_value(); });
+/// Decode a value list into a reusable buffer (cleared, capacity kept).
+/// On malformed input `out` holds the prefix that decoded.
+inline bool decode_value_list_into(ByteReader& r,
+                                   std::vector<TaggedValue>& out) {
+  out.clear();
+  const std::uint64_t n = r.get_count();
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) out.push_back(r.get_value());
+  return r.ok();
 }
 
+inline std::vector<TaggedValue> decode_value_list(ByteSpan bytes) {
+  ByteReader r(bytes);
+  std::vector<TaggedValue> out;
+  decode_value_list_into(r, out);
+  return out;
+}
+
+/// One valuevector entry on the wire; the full and delta read acks share
+/// it, and servers stream their entries through it directly.
 inline void put_fr_entry(ByteWriter& w, const FrEntry& e) {
   w.put_value(e.value);
   w.put_vector(e.updated,
@@ -248,13 +262,8 @@ inline void encode_delta_read_req_into(ByteWriter& w,
 inline bool decode_delta_read_req_into(ByteReader& r,
                                        std::vector<TaggedValue>& queue,
                                        std::vector<std::uint64_t>& acked_revs) {
-  queue.clear();
+  decode_value_list_into(r, queue);
   acked_revs.clear();
-  const std::uint64_t nq = r.get_count();
-  queue.reserve(nq);
-  for (std::uint64_t i = 0; i < nq && r.ok(); ++i) {
-    queue.push_back(r.get_value());
-  }
   const std::uint64_t na = r.get_count();
   acked_revs.reserve(na);
   for (std::uint64_t i = 0; i < na && r.ok(); ++i) {
@@ -267,7 +276,7 @@ inline bool decode_delta_read_req_into(ByteReader& r,
 /// acks next time), its GC floor (the reader drops cached entries strictly
 /// below it), and the count of changed entries that follow. Entries are
 /// streamed with put_fr_entry / decode_fr_entry_into — the server encodes
-/// straight out of its valuevector map, the reader applies straight into
+/// straight out of its valuevector, the reader applies straight into
 /// its per-server cache; neither side materializes an entry list.
 struct FrDeltaHeader {
   std::uint64_t revision = 0;

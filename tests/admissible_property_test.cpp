@@ -1,9 +1,12 @@
-// Property tests for Algorithm 1's admissible(.) predicate: the pruned
-// subset search must agree with a brute-force reference on random inputs,
-// and the predicate must be monotone in the ways the correctness proofs
-// rely on (Lemmas 8-10).
+// Property tests for Algorithm 1's read decision. FrPicker (count pass,
+// subset search, k-way candidate merge) must agree with two references on
+// random inputs: the per-degree DFS the read path used before it, and a
+// brute-force enumeration where inputs are small. The predicate must also
+// be monotone in the ways the correctness proofs rely on (Lemmas 8-10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,34 +15,128 @@
 namespace mwreg {
 namespace {
 
-/// Brute-force reference: enumerate ALL subsets of messages containing v,
-/// and for each check |mu| >= max(1, S - a*t) and |intersection| >= a.
-bool admissible_reference(const TaggedValue& v,
-                          const std::vector<std::vector<FrEntry>>& msgs, int a,
-                          int S, int t) {
-  std::vector<std::uint64_t> sets;
-  for (const auto& m : msgs) {
+using Sets = std::vector<std::vector<NodeId>>;  // each sorted
+
+/// v's updated set in every message holding it (first match per message).
+Sets sets_of(const TaggedValue& v, const std::vector<FrView>& msgs) {
+  Sets sets;
+  for (const FrView& m : msgs) {
     for (const FrEntry& e : m) {
       if (e.value == v) {
-        std::uint64_t mask = 0;
-        for (NodeId c : e.updated) mask |= 1ULL << c;
-        sets.push_back(mask);
+        std::vector<NodeId> s = e.updated;
+        std::sort(s.begin(), s.end());
+        s.erase(std::unique(s.begin(), s.end()), s.end());
+        sets.push_back(std::move(s));
         break;
       }
     }
   }
+  return sets;
+}
+
+std::vector<FrView> views_of(const std::vector<std::vector<FrEntry>>& msgs) {
+  std::vector<FrView> views;
+  for (const auto& m : msgs) views.push_back(FrView{m.data(), m.size()});
+  return views;
+}
+
+bool has(const std::vector<NodeId>& set, NodeId c) {
+  return std::binary_search(set.begin(), set.end(), c);
+}
+
+/// The subset search the read path ran once per (candidate, degree) before
+/// FrPicker: clients pruned to those in >= need sets, then a DFS choosing
+/// `a` of them while keeping the list of sets that contain all chosen.
+bool dfs_admissible(const TaggedValue& v, const std::vector<FrView>& msgs,
+                    int a, int S, int t) {
   const int need = std::max(1, S - a * t);
-  const std::size_t n = sets.size();
-  if (n > 20) return false;  // reference is exponential; keep inputs small
-  for (std::uint64_t sub = 1; sub < (1ULL << n); ++sub) {
-    if (__builtin_popcountll(sub) < need) continue;
-    std::uint64_t inter = ~0ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sub & (1ULL << i)) inter &= sets[i];
+  const Sets sets = sets_of(v, msgs);
+  if (static_cast<int>(sets.size()) < need) return false;
+  if (a == 0) return true;
+  std::vector<NodeId> all;
+  for (const auto& s : sets) all.insert(all.end(), s.begin(), s.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  std::vector<NodeId> cands;
+  for (NodeId c : all) {
+    int cnt = 0;
+    for (const auto& s : sets) cnt += has(s, c);
+    if (cnt >= need) cands.push_back(c);
+  }
+  if (static_cast<int>(cands.size()) < a) return false;
+  struct Frame {
+    std::vector<std::size_t> live;  // indexes into sets
+    std::size_t next_cand;
+    int chosen;
+  };
+  Frame root{{}, 0, 0};
+  for (std::size_t i = 0; i < sets.size(); ++i) root.live.push_back(i);
+  std::vector<Frame> stack{root};
+  while (!stack.empty()) {
+    Frame f = std::move(stack.back());
+    stack.pop_back();
+    if (f.chosen == a) return true;
+    for (std::size_t i = f.next_cand; i < cands.size(); ++i) {
+      std::vector<std::size_t> live;
+      for (std::size_t s : f.live) {
+        if (has(sets[s], cands[i])) live.push_back(s);
+      }
+      if (static_cast<int>(live.size()) < need) continue;
+      if (f.chosen + 1 + static_cast<int>(cands.size() - i - 1) < a) break;
+      stack.push_back(Frame{std::move(live), i + 1, f.chosen + 1});
     }
-    if (__builtin_popcountll(inter) >= a) return true;
   }
   return false;
+}
+
+/// Brute force: enumerate ALL subsets mu of the messages holding v, and for
+/// each check |mu| >= max(1, S - a*t) and |intersection| >= a.
+bool brute_admissible(const TaggedValue& v, const std::vector<FrView>& msgs,
+                      int a, int S, int t) {
+  const Sets sets = sets_of(v, msgs);
+  const int need = std::max(1, S - a * t);
+  const std::size_t n = sets.size();
+  EXPECT_LE(n, 16u) << "brute force is exponential; keep inputs small";
+  for (std::uint64_t sub = 1; sub < (1ULL << n); ++sub) {
+    if (__builtin_popcountll(sub) < need) continue;
+    std::vector<NodeId> inter;
+    bool first = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!(sub & (1ULL << i))) continue;
+      if (first) {
+        inter = sets[i];
+        first = false;
+        continue;
+      }
+      std::vector<NodeId> next;
+      std::set_intersection(inter.begin(), inter.end(), sets[i].begin(),
+                            sets[i].end(), std::back_inserter(next));
+      inter.swap(next);
+    }
+    if (static_cast<int>(inter.size()) >= a) return true;
+  }
+  return false;
+}
+
+using Admissible = bool (*)(const TaggedValue&, const std::vector<FrView>&,
+                            int, int, int);
+
+/// The read decision as a sorted, deduplicated candidate list tried
+/// largest-first, each at degrees 1..R+1.
+TaggedValue reference_pick(const std::vector<FrView>& views, int R, int S,
+                           int t, Admissible admissible_at) {
+  std::vector<TaggedValue> cands;
+  for (const FrView& v : views) {
+    for (const FrEntry& e : v) cands.push_back(e.value);
+  }
+  std::sort(cands.begin(), cands.end());
+  cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+  for (auto it = cands.rbegin(); it != cands.rend(); ++it) {
+    for (int a = 1; a <= R + 1; ++a) {
+      if (admissible_at(*it, views, a, S, t)) return *it;
+    }
+  }
+  return TaggedValue{};
 }
 
 std::vector<std::vector<FrEntry>> random_msgs(Rng& rng, const TaggedValue& v,
@@ -80,7 +177,7 @@ TEST_P(AdmissibleProperty, MatchesBruteForceReference) {
     const auto msgs = random_msgs(rng, v, n_msgs, 6);
     for (int a = 1; a <= 4; ++a) {
       EXPECT_EQ(admissible(v, msgs, a, S, t),
-                admissible_reference(v, msgs, a, S, t))
+                brute_admissible(v, views_of(msgs), a, S, t))
           << "S=" << S << " t=" << t << " a=" << a << " msgs=" << n_msgs;
     }
   }
@@ -88,6 +185,168 @@ TEST_P(AdmissibleProperty, MatchesBruteForceReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdmissibleProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------- FrPicker against the references ----------
+
+/// Clients in [200, 330): wider than one 64-bit word, from a nonzero base.
+constexpr NodeId kBase = 200;
+constexpr int kSpan = 130;
+
+/// One round's replies for a group of S servers and R readers whose
+/// clients span [kBase, kBase + kSpan). Values come from a small pool in
+/// which some tags carry two payloads, so replies can disagree on the
+/// payload of one tag; each reply holds a tag at most once, sorted. A
+/// per-value core of witnesses shows up in most replies holding the value,
+/// so counts and the subset search both have work to do.
+struct Round {
+  ClusterConfig kc;
+  std::vector<std::vector<FrEntry>> msgs;
+};
+
+Round random_round(Rng& rng) {
+  Round r;
+  const int t = 1 + static_cast<int>(rng.next_below(2));
+  const int R = 1 + static_cast<int>(rng.next_below(4));
+  const int S = (R + 2) * t + 1 + static_cast<int>(rng.next_below(4));
+  r.kc = ClusterConfig{S, kSpan - R, R, t};
+  r.kc.client_base = kBase;
+  const int q = 1 + static_cast<int>(rng.next_below(
+                        static_cast<std::uint64_t>(r.kc.quorum())));
+  struct PoolValue {
+    TaggedValue value;
+    std::vector<NodeId> core;
+  };
+  std::vector<PoolValue> pool;
+  const int tags = 1 + static_cast<int>(rng.next_below(5));
+  for (int i = 0; i < tags; ++i) {
+    const Tag tag{1 + static_cast<std::int64_t>(rng.next_below(4)),
+                  kBase + static_cast<NodeId>(rng.next_below(kSpan - R))};
+    const int payloads = rng.next_bool(0.3) ? 2 : 1;
+    for (int p = 0; p < payloads; ++p) {
+      PoolValue pv;
+      pv.value = TaggedValue{tag, 10 * i + p};
+      const int core = static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(R + 3)));
+      for (int k = 0; k < core; ++k) {
+        pv.core.push_back(kBase +
+                          static_cast<NodeId>(rng.next_below(kSpan)));
+      }
+      pool.push_back(std::move(pv));
+    }
+  }
+  const double density = 0.01 + 0.2 * rng.next_double();
+  for (int m = 0; m < q; ++m) {
+    std::vector<FrEntry> entries;
+    for (const PoolValue& pv : pool) {
+      if (!rng.next_bool(0.7)) continue;
+      const bool tag_taken = std::any_of(
+          entries.begin(), entries.end(),
+          [&pv](const FrEntry& e) { return e.value.tag == pv.value.tag; });
+      if (tag_taken) continue;
+      FrEntry e;
+      e.value = pv.value;
+      for (NodeId c : pv.core) {
+        if (rng.next_bool(0.85)) e.updated.push_back(c);
+      }
+      for (NodeId c = kBase; c < kBase + kSpan; ++c) {
+        if (rng.next_bool(density)) e.updated.push_back(c);
+      }
+      std::sort(e.updated.begin(), e.updated.end());
+      e.updated.erase(std::unique(e.updated.begin(), e.updated.end()),
+                      e.updated.end());
+      entries.push_back(std::move(e));
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const FrEntry& x, const FrEntry& y) {
+                return x.value < y.value;
+              });
+    r.msgs.push_back(std::move(entries));
+  }
+  return r;
+}
+
+class PickerOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PickerOracle, MatchesTheDfsAndBruteForceOnWideRandomRounds) {
+  Rng rng(GetParam());
+  FrPicker picker;  // reused across rounds of different shapes
+  int admissible_hits = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 150; ++iter) {
+    const Round r = random_round(rng);
+    const std::vector<FrView> views = views_of(r.msgs);
+    const int R = r.kc.r(), S = r.kc.s(), t = r.kc.t();
+    if (rng.next_bool(0.5)) picker.reserve(r.kc);
+    // Brute force only where it stays cheap: at most 2^6 subsets.
+    const bool small = views.size() <= 6;
+    const TaggedValue got = picker.pick(views, r.kc);
+    EXPECT_EQ(got, reference_pick(views, R, S, t, dfs_admissible))
+        << "iter " << iter;
+    if (small) {
+      EXPECT_EQ(got, reference_pick(views, R, S, t, brute_admissible))
+          << "iter " << iter;
+    }
+    std::vector<TaggedValue> values;
+    for (const FrView& view : views) {
+      for (const FrEntry& e : view) values.push_back(e.value);
+    }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    for (const TaggedValue& v : values) {
+      for (int a = 1; a <= R + 1; ++a) {
+        const bool ok = picker.admissible(v, views, a, S, t);
+        EXPECT_EQ(ok, dfs_admissible(v, views, a, S, t))
+            << "iter " << iter << " v=" << v.to_string() << " a=" << a;
+        if (small) {
+          EXPECT_EQ(ok, brute_admissible(v, views, a, S, t))
+              << "iter " << iter << " v=" << v.to_string() << " a=" << a;
+        }
+        (ok ? admissible_hits : rejected) += 1;
+      }
+    }
+  }
+  // The generator reaches both verdicts.
+  EXPECT_GT(admissible_hits, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PickerOracle,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(PickerCandidates, SameTagDifferentPayloadsStayDistinct) {
+  // S = 5, t = 1, R = 1; four replies. (7, 201) reached the servers with
+  // two payloads: two replies hold payload 2, two hold payload 1, all with
+  // witness 250. Neither value is admissible on its own (degree 1 needs 4
+  // sets, degree 2 needs 3 sets and 2 common witnesses), but merged by tag
+  // they would pass degree 1. The picker must fall through to bottom.
+  ClusterConfig kc{5, kSpan - 1, 1, 1};
+  kc.client_base = kBase;
+  const Tag tag{7, 201};
+  std::vector<std::vector<FrEntry>> msgs;
+  for (int m = 0; m < 4; ++m) {
+    FrEntry bottom;
+    bottom.updated = {250};
+    FrEntry e;
+    e.value = TaggedValue{tag, m < 2 ? 2 : 1};
+    e.updated = {250};
+    msgs.push_back({bottom, e});
+  }
+  const std::vector<FrView> views = views_of(msgs);
+  FrPicker picker;
+  picker.reserve(kc);
+  EXPECT_EQ(picker.pick(views, kc), TaggedValue{});
+  EXPECT_EQ(reference_pick(views, 1, 5, 1, dfs_admissible), TaggedValue{});
+  // Three replies agreeing on payload 2 with two common witnesses make it
+  // admissible at degree 2.
+  for (int m = 0; m < 2; ++m) msgs[m][1].updated = {250, 329};
+  msgs[2][1] = FrEntry{TaggedValue{tag, 2}, {250, 329}};
+  const std::vector<FrView> views2 = views_of(msgs);
+  EXPECT_EQ(picker.pick(views2, kc), (TaggedValue{tag, 2}));
+  EXPECT_EQ(reference_pick(views2, 1, 5, 1, dfs_admissible),
+            (TaggedValue{tag, 2}));
+}
+
+// ---------- monotonicity (Lemmas 8-10) ----------
 
 TEST(AdmissibleMonotone, AddingWitnessClientsPreservesAdmissibility) {
   // Lemma 8's engine: updated sets only grow, and growth never revokes

@@ -102,11 +102,11 @@ TEST(AllocRegression, NoGcAblationSteadyStateAllocatesNothingFromEngineOrPool) {
 
 TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
   // The reply paths must not rebuild nested vectors per read ack: the
-  // server snapshots into a reusable arena and the reader decodes into
-  // reusable arenas. Arena grows() counts slot allocations; they can only
-  // stop moving when the entry count is bounded, so the cluster mixes GC
-  // servers with one full-ack (legacy-path) reader and one delta reader:
-  // the full-ack reader drives snapshot() and decode_entries_into over a
+  // server streams its valuevector straight into the reply and the reader
+  // decodes into reusable arenas. Arena grows() counts slot allocations;
+  // they can only stop moving when the entry count is bounded, so the
+  // cluster mixes GC servers with one full-ack (legacy-path) reader and one
+  // delta reader: the full-ack reader drives decode_entries_into over a
   // GC-bounded valuevector, the delta reader keeps its side of the
   // machinery warm, and both carry watermarks that advance the floor. A
   // hand-wired cluster exposes the concrete servers; a ClientTable runs one
@@ -154,21 +154,15 @@ TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
   }
   ASSERT_GT(full.decode_arena_grows(), 0u);
 
-  std::uint64_t server_grows = 0;
-  for (const auto& s : servers) server_grows += s->snapshot_arena_grows();
   const std::uint64_t reader_grows = full.decode_arena_grows();
 
   cycle(60);  // steady state
 
-  std::uint64_t server_grows2 = 0;
-  for (const auto& s : servers) server_grows2 += s->snapshot_arena_grows();
-  EXPECT_EQ(server_grows2 - server_grows, 0u)
-      << "a server rebuilt snapshot slots after warmup";
   EXPECT_EQ(full.decode_arena_grows() - reader_grows, 0u)
       << "a reader rebuilt decode slots after warmup";
 }
 
-TEST(AllocRegression, LegacySnapshotArenaReusesSlotsAcrossReads) {
+TEST(AllocRegression, LegacyDecodeArenaReusesSlotsAcrossReads) {
   // The full-ack path shares the same arenas: its valuevector grows with
   // every write, but between writes repeated reads must reuse the slots
   // (grows() moves only when the entry count itself grows).
@@ -189,17 +183,12 @@ TEST(AllocRegression, LegacySnapshotArenaReusesSlotsAcrossReads) {
   }
   clients.start_read(0, 0);
   sim.run();
-  std::uint64_t grows = 0;
-  for (const auto& s : servers) grows += s->snapshot_arena_grows();
-  grows += clients.decode_arena_grows();
+  const std::uint64_t grows = clients.decode_arena_grows();
   for (int i = 0; i < 20; ++i) {  // reads only: the valuevector is static
     clients.start_read(0, 0);
     sim.run();
   }
-  std::uint64_t grows2 = 0;
-  for (const auto& s : servers) grows2 += s->snapshot_arena_grows();
-  grows2 += clients.decode_arena_grows();
-  EXPECT_EQ(grows2 - grows, 0u);
+  EXPECT_EQ(clients.decode_arena_grows() - grows, 0u);
 }
 
 TEST(AllocRegression, HundredThousandTableClientsSteadyStateAllocatesNothing) {

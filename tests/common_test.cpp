@@ -260,6 +260,76 @@ TEST(Codec, TruncatedInputSetsError) {
   EXPECT_FALSE(r.ok());
 }
 
+// bytes_sent is part of every digest, so the encoded width of each value is
+// pinned at every boundary the inline 1- and 2-byte paths switch on.
+std::size_t varint_len(std::uint64_t v) {
+  ByteWriter w;
+  w.put_varint(v);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.get_varint(), v);
+  EXPECT_TRUE(r.ok() && r.exhausted()) << v;
+  return w.bytes().size();
+}
+
+std::size_t signed_len(std::int64_t v) {
+  ByteWriter w;
+  w.put_signed(v);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.get_signed(), v);
+  EXPECT_TRUE(r.ok() && r.exhausted()) << v;
+  return w.bytes().size();
+}
+
+TEST(Codec, VarintWidthBoundaries) {
+  EXPECT_EQ(varint_len(0), 1u);
+  EXPECT_EQ(varint_len(0x7F), 1u);
+  EXPECT_EQ(varint_len(0x80), 2u);
+  EXPECT_EQ(varint_len(0x3FFF), 2u);
+  EXPECT_EQ(varint_len(0x4000), 3u);
+  EXPECT_EQ(varint_len((1ULL << 21) - 1), 3u);
+  EXPECT_EQ(varint_len(1ULL << 21), 4u);
+  EXPECT_EQ(varint_len(~0ULL), 10u);
+  ByteWriter w;
+  w.put_varint(0x80);
+  w.put_varint(0x3FFF);
+  w.put_varint(0x4000);
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{0x80, 0x01, 0xFF, 0x7F,
+                                                  0x80, 0x80, 0x01}));
+}
+
+TEST(Codec, ZigzagWidthBoundaries) {
+  // zigzag(63) = 126, zigzag(-64) = 127: one byte; one step further out
+  // needs two. Likewise +-8192 for two bytes versus three.
+  EXPECT_EQ(signed_len(63), 1u);
+  EXPECT_EQ(signed_len(64), 2u);
+  EXPECT_EQ(signed_len(-64), 1u);
+  EXPECT_EQ(signed_len(-65), 2u);
+  EXPECT_EQ(signed_len(8191), 2u);
+  EXPECT_EQ(signed_len(8192), 3u);
+  EXPECT_EQ(signed_len(-8192), 2u);
+  EXPECT_EQ(signed_len(-8193), 3u);
+}
+
+TEST(Codec, TruncatedTwoByteVarintFails) {
+  const std::vector<std::uint8_t> bytes{0x80};  // continuation, then nothing
+  ByteReader r(bytes);
+  EXPECT_EQ(r.get_varint(), 0u);
+  EXPECT_FALSE(r.ok());
+  ByteReader s(bytes);
+  (void)s.get_signed();
+  EXPECT_FALSE(s.ok());
+}
+
+TEST(Codec, OverlongVarintFails) {
+  // Ten continuation bytes and a terminator: an 11-byte varint, longer
+  // than any 64-bit value needs.
+  std::vector<std::uint8_t> bytes(10, 0x80);
+  bytes.push_back(0x01);
+  ByteReader r(bytes);
+  (void)r.get_varint();
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(Codec, MalformedLengthRejected) {
   // A string length far beyond the buffer must not allocate or crash.
   ByteWriter w;
