@@ -7,9 +7,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "exp/aggregator.h"
@@ -138,6 +142,103 @@ inline bool write_json_artifact(const std::string& path,
   }
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), json.size() + 1);
   return true;
+}
+
+// ---- artifact rows ----
+//
+// A bench builds each artifact row once as a Row; the same Row prints the
+// text table and emits the JSON object, so the two cannot drift apart.
+
+struct Field;
+using Row = std::vector<Field>;
+
+/// One field of an artifact row: its JSON key and value, and whether the
+/// text report shows it as a column.
+struct Field {
+  using Value =
+      std::variant<std::string, std::uint64_t, double, bool, std::vector<Row>>;
+  std::string key;
+  Value value;
+  bool text = false;
+};
+
+template <typename T>
+Field field(std::string key, T v, bool text = false) {
+  if constexpr (std::is_same_v<T, const char*>) {
+    return {std::move(key), std::string(v), text};
+  } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    return {std::move(key), static_cast<std::uint64_t>(v), text};
+  } else {
+    return {std::move(key), std::move(v), text};
+  }
+}
+
+/// A field the text report shows as a column.
+template <typename T>
+Field col(std::string key, T v) {
+  return field(std::move(key), std::move(v), true);
+}
+
+inline std::string cell(const Field::Value& v) {
+  if (const auto* s = std::get_if<std::string>(&v)) return *s;
+  if (const auto* u = std::get_if<std::uint64_t>(&v)) return std::to_string(*u);
+  if (const auto* d = std::get_if<double>(&v)) {
+    return fmt(*d, *d >= 1e3 ? 0 : 2);
+  }
+  if (const auto* b = std::get_if<bool>(&v)) return *b ? "true" : "false";
+  return "";
+}
+
+inline void print_rows(const std::string& title, const std::vector<Row>& rows) {
+  header(title);
+  std::vector<std::vector<std::string>> lines(rows.size() + 1);
+  for (const Field& f : rows.front()) {
+    if (f.text) lines[0].push_back(f.key);
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const Field& f : rows[r]) {
+      if (f.text) lines[r + 1].push_back(cell(f.value));
+    }
+  }
+  std::vector<int> widths(lines[0].size(), 0);
+  for (const auto& l : lines) {
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      widths[i] = std::max(widths[i], static_cast<int>(l[i].size()) + 2);
+    }
+  }
+  for (const auto& l : lines) row(l, widths);
+}
+
+inline void emit(JsonWriter& j, const Row& row) {
+  j.begin_object();
+  for (const Field& f : row) {
+    j.key(f.key);
+    std::visit(
+        [&j](const auto& v) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                       std::vector<Row>>) {
+            j.begin_array();
+            for (const Row& r : v) emit(j, r);
+            j.end_array();
+          } else {
+            j.value(v);
+          }
+        },
+        f.value);
+  }
+  j.end_object();
+}
+
+/// Print `rows` under `title` and emit them as the artifact's `key`
+/// section: one object, or a list of rows when `list`.
+inline void section(JsonWriter& j, const std::string& key,
+                    const std::string& title, const std::vector<Row>& rows,
+                    bool list) {
+  print_rows(title, rows);
+  j.key(key);
+  if (list) j.begin_array();
+  for (const Row& r : rows) emit(j, r);
+  if (list) j.end_array();
 }
 
 /// Standard main: print the report, then run the registered benchmarks.

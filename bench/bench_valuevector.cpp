@@ -59,13 +59,13 @@ void report() {
         {10, 18, 18});
   }
 
-  print_valuevector_rows(rows);
-
   JsonWriter j;
   j.begin_object();
   j.key("bench").value("valuevector");
   j.key("schema_version").value(2);
-  emit_valuevector_json(j, rows);
+  section(j, "valuevector",
+          "Valuevector GC: long-horizon bytes-on-wire (GC+delta vs. ablation)",
+          valuevector_section(rows), true);
   j.end_object();
   write_json_artifact("BENCH_valuevector.json", j.str());
 }

@@ -146,44 +146,25 @@ inline std::vector<VvRow> run_valuevector_rows() {
   return rows;
 }
 
-/// Emit the rows as the artifact's "valuevector" array (schema v2 rows).
-inline void emit_valuevector_json(JsonWriter& j,
-                                  const std::vector<VvRow>& rows) {
-  j.key("valuevector").begin_array();
+/// The artifact's "valuevector" section, one Row per run.
+inline std::vector<Row> valuevector_section(const std::vector<VvRow>& rows) {
+  std::vector<Row> out;
   for (const VvRow& r : rows) {
-    j.begin_object();
-    j.key("protocol").value(r.protocol);
-    j.key("cluster").value(r.cluster);
-    j.key("workload").value(r.workload);
-    j.key("gc_enabled").value(r.gc_enabled);
-    j.key("ops_per_client").value(r.ops_per_client);
-    j.key("events").value(r.events);
-    j.key("msgs").value(r.msgs);
-    j.key("bytes_on_wire").value(r.bytes_on_wire);
-    j.key("read_acks").value(r.read_acks);
-    j.key("read_ack_bytes").value(r.read_ack_bytes);
-    j.key("wall_ms").value(r.wall_ms);
-    j.key("events_per_sec").value(r.events_per_sec());
-    j.key("read_ack_bytes_warm").value(r.ack_bytes_warm);
-    j.key("read_ack_bytes_late").value(r.ack_bytes_late);
-    j.key("ack_growth").value(r.ack_growth());
-    j.end_object();
+    out.push_back({col("protocol", r.protocol), field("cluster", r.cluster),
+                   col("workload", r.workload),
+                   field("gc_enabled", r.gc_enabled),
+                   col("ops_per_client", r.ops_per_client),
+                   field("events", r.events), field("msgs", r.msgs),
+                   col("bytes_on_wire", r.bytes_on_wire),
+                   field("read_acks", r.read_acks),
+                   field("read_ack_bytes", r.read_ack_bytes),
+                   field("wall_ms", r.wall_ms),
+                   col("events_per_sec", r.events_per_sec()),
+                   col("read_ack_bytes_warm", r.ack_bytes_warm),
+                   col("read_ack_bytes_late", r.ack_bytes_late),
+                   col("ack_growth", r.ack_growth())});
   }
-  j.end_array();
-}
-
-inline void print_valuevector_rows(const std::vector<VvRow>& rows) {
-  header("Valuevector GC: long-horizon bytes-on-wire (GC+delta vs. ablation)");
-  row({"protocol", "workload", "ops", "wire MB", "ack B warm", "ack B late",
-       "growth", "events/s"},
-      {24, 12, 6, 10, 12, 12, 8, 12});
-  for (const VvRow& r : rows) {
-    row({r.protocol, r.workload, std::to_string(r.ops_per_client),
-         fmt(static_cast<double>(r.bytes_on_wire) / 1e6, 2),
-         fmt(r.ack_bytes_warm, 0), fmt(r.ack_bytes_late, 0),
-         fmt(r.ack_growth(), 2) + "x", fmt(r.events_per_sec(), 0)},
-        {24, 12, 6, 10, 12, 12, 8, 12});
-  }
+  return out;
 }
 
 }  // namespace mwreg::bench

@@ -1,102 +1,130 @@
 #!/usr/bin/env python3
-"""Perf-trend gate: diff a fresh BENCH_simcore.json against the checked-in
-baseline and fail on events/sec regressions.
+"""Perf gate for BENCH_simcore.json: one spec table is the artifact's
+schema and its gate.
 
 Usage:
-    bench_trend.py --artifact build/BENCH_simcore.json \
-                   --baseline bench/baselines/BENCH_simcore.baseline.json \
-                   [--max-regression 0.25]
+    bench_trend.py --baseline bench/baselines/BENCH_simcore.baseline.json \
+                   --artifact run1.json run2.json run3.json
     bench_trend.py --self-test
 
-Rows are keyed by (section, protocol, cluster[, workload]) so the grid can
-grow without invalidating history; a row present in the baseline but
-missing from the artifact is itself a failure (silent coverage loss reads
-as "no regression").
+SPEC names every section, the key fields that identify a row of a list
+section, and gives every other field one kind:
 
-Shared CI runners differ wildly in absolute speed, so the gate is
-ratio-based: every row's events/sec is first normalized by the artifact's
-own engine_comparison.legacy_events_per_sec — a fixed single-threaded
-replay that acts as an in-run machine-speed calibration — and only then
-compared against the baseline's normalized value. A >25% drop of the
-normalized ratio fails; absolute machine speed cancels out.
+  exact   seed-determined (events, messages, bytes, counters, run lengths,
+          windows, p99s, ack sizes): must equal the baseline.
+  host    a throughput row. Each run's value is divided by that run's own
+          engine_comparison.legacy_events_per_sec, an in-run replay of a
+          fixed engine that calibrates for machine speed. The row fails
+          only when every gated run is more than MAX_DROP below every
+          baseline run: noise that lets the runs overlap never fails.
+  report  wall times, speedups, msgs/sec, checker ns/op: printed, never
+          judged.
+  bound   an exact field that must also meet an absolute bound no
+          baseline refresh can relax: steady allocation counters are 0,
+          the checked soak is atomic over at least 10^6 ops, and the
+          fan-out's mean dispatched-run length is at least 8.
 
-The gate also re-asserts the allocation-free steady state: any workload
-row with nonzero steady_engine_allocs/steady_pool_misses fails.
+merge() builds both sides. Runs must agree on every exact field; host and
+report fields keep one value per run, so a merged document holds them as
+lists. The baseline is a merged document of at least BASELINE_RUNS runs
+(scripts/rebaseline.py writes it); the gate merges the --artifact runs and
+refuses fewer than GATED_RUNS. A field the spec does not name is refused,
+so the spec stays the schema. A baselined row or field missing from the
+gated runs fails, and so does a missing bound field outside a list section,
+whatever the baseline holds; rebaseline.py refuses a baseline that breaks a
+bound.
 
-Schema v5 adds two absolute (non-ratio) gates on the fanout_replay
-section: the destination-major drain's mean dispatched-run length on the
-W2R2 table fan-out must stay >= 8, and the section itself must not vanish
-once baselined. Run length is deterministic (a property of the schedule,
-not the machine), so it is gated absolutely.
-
-Schema v6 adds the checked_soak section (the 10^6-op run with the
-streaming tag-witness checker live). Its events_per_sec rides the normal
-ratio gate; on top of that the verdict must be atomic, the steady-state
-allocation counters must stay 0, and peak_window — the checker's memory
-high-water mark, deterministic for the seeded schedule — must not exceed
-2x the baselined value (the checker staying window-bounded is the whole
-point of the section). checker_ns_per_op is reported but not gated: it is
-a difference of two wall times and too jittery for a hard threshold;
-rebaseline.py medians it for trend reading instead.
-
-Refreshing the baseline after a deliberate perf change:
+Refresh the baseline after a deliberate change with
     cmake --build build --target refresh-baseline
-then commit bench/baselines/BENCH_simcore.baseline.json with the PR that
-changed the numbers (see README "Performance").
+and commit bench/baselines/BENCH_simcore.baseline.json.
 
-Both inputs are validated before any row is compared: a row missing a key
-field, a non-numeric metric, or a section of the wrong JSON type is
-refused with one line naming the file, section and field.
-
-Exit codes: 0 pass, 1 regression/coverage failure, 2 usage, I/O or
-malformed-artifact error.
+Exit codes: 0 pass, 1 gate failure or runs that disagree, 2 usage, I/O or
+malformed input (one line naming the file, row and field).
 """
 
 import argparse
+import collections
 import contextlib
 import io
 import json
+import operator
 import os
+import statistics
 import sys
 import tempfile
 
-# ---- artifact shape ----------------------------------------------------------
+EXACT, HOST, REPORT = "exact", "host", "report"
+ZERO = ("==", 0)
+BOUND_OPS = {"==": operator.eq, ">=": operator.ge}
+# keys None: the section is one object; else a list of rows keyed by keys.
+Section = collections.namedtuple("Section", "keys fields")
+STEADY = dict(steady_engine_allocs=ZERO, steady_pool_misses=ZERO)
 
-# Row-list sections: (key fields, required numeric fields). The key fields
-# must match scripts/rebaseline.py's SECTIONS.
-ROW_SECTIONS = {
-    "workloads": (("protocol", "cluster"), ("events_per_sec",)),
-    "valuevector": (("protocol", "cluster", "workload"), ("events_per_sec",)),
-    "million_client": (
-        ("protocol", "clients", "ops_per_client"),
-        ("events_per_sec",),
-    ),
-}
-# Single-object sections: required numeric fields.
-OBJECT_SECTIONS = {
-    "engine_comparison": (),
-    "coalescing": ("per_message_events_per_sec", "coalesced_events_per_sec"),
-    "fanout_replay": ("frame_order_events_per_sec", "dest_major_events_per_sec"),
-    "checked_soak": ("events_per_sec",),
-}
-# Fields the gates and rebaseline.py read as numbers, wherever they appear.
-NUMERIC_FIELDS = frozenset(
-    (
-        "events_per_sec", "wall_ms", "steady_engine_allocs",
-        "steady_pool_misses", "legacy_events_per_sec", "pooled_events_per_sec",
-        "batched_events_per_sec", "per_message_events_per_sec",
-        "coalesced_events_per_sec", "coalesce_speedup", "frames_per_batch",
-        "batches", "frame_order_events_per_sec", "dest_major_events_per_sec",
-        "dest_major_speedup", "mean_run_len", "frame_order_mean_run_len",
-        "staged_replies", "ops_checked", "peak_window", "peak_pending",
-        "retired_tags", "checker_ns_per_op", "ge", "count",
-    )
-)
+SPEC = Section(None, dict(
+    bench=EXACT,
+    schema_version=EXACT,
+    engine_comparison=Section(None, dict(
+        workload=EXACT, hops=EXACT, legacy_events_per_sec=REPORT,
+        pooled_events_per_sec=REPORT, batched_events_per_sec=HOST,
+        speedup=REPORT, batched_speedup=REPORT)),
+    coalescing=Section(None, dict(
+        workload=EXACT, frames=EXACT, per_message_events_per_sec=HOST,
+        coalesced_events_per_sec=HOST, coalesce_speedup=REPORT,
+        batches=EXACT, frames_per_batch=EXACT,
+        batch_size_hist=Section(("ge",), dict(count=EXACT)), **STEADY)),
+    fanout_replay=Section(None, dict(
+        workload=EXACT, protocol=EXACT, clients=EXACT, ops_per_client=EXACT,
+        frames=EXACT, frame_order_events_per_sec=HOST,
+        frame_order_mean_run_len=EXACT, dest_major_events_per_sec=HOST,
+        dest_major_speedup=REPORT, mean_run_len=(">=", 8),
+        dest_major_ticks=EXACT, staged_replies=EXACT, wall_ms=REPORT)),
+    workloads=Section(("protocol", "cluster"), dict(
+        ops_per_client=EXACT, events=EXACT, msgs=EXACT, bytes_on_wire=EXACT,
+        wall_ms=REPORT, events_per_sec=HOST, msgs_per_sec=REPORT,
+        engine_allocs=EXACT, pool_misses=EXACT, **STEADY)),
+    million_client=Section(
+        ("protocol", "clients", "ops_per_client", "coalesce", "dest_major"),
+        dict(keyspace=EXACT, mean_run_len=EXACT, events=EXACT, msgs=EXACT,
+             wall_ms=REPORT, events_per_sec=HOST, write_p99_ms=EXACT,
+             read_p99_ms=EXACT, per_key_read_p99_max_ms=EXACT, **STEADY)),
+    checked_soak=Section(None, dict(
+        workload=EXACT, protocol=EXACT, keyspace=EXACT, clients=EXACT,
+        ops_per_client=EXACT, ops_checked=(">=", 10**6),
+        verdict_atomic=("==", True), peak_window=EXACT, peak_pending=EXACT,
+        retired_tags=EXACT, history_live=EXACT, events=EXACT,
+        wall_ms=REPORT, events_per_sec=HOST, checker_ns_per_op=REPORT,
+        **STEADY)),
+    valuevector=Section(("protocol", "cluster", "workload"), dict(
+        gc_enabled=EXACT, ops_per_client=EXACT, events=EXACT, msgs=EXACT,
+        bytes_on_wire=EXACT, read_acks=EXACT, read_ack_bytes=EXACT,
+        wall_ms=REPORT, events_per_sec=HOST, read_ack_bytes_warm=EXACT,
+        read_ack_bytes_late=EXACT, ack_growth=EXACT)),
+))
+CALIBRATION = ("engine_comparison", "legacy_events_per_sec")
+
+
+def _bounded(sec, row):
+    """Bound fields outside list sections: every run must carry them."""
+    for field, kind in sec.fields.items():
+        if isinstance(kind, Section):
+            if kind.keys is None:
+                yield from _bounded(kind, row + "." + field if row else field)
+        elif isinstance(kind, tuple):
+            yield row, field
+
+
+REQUIRED = list(_bounded(SPEC, ""))
+MAX_DROP = 0.25
+BASELINE_RUNS = 5
+GATED_RUNS = 3
 
 
 class ArtifactError(Exception):
-    """An artifact that cannot be read or has the wrong shape: a usage error
-    (exit 2), never a regression (exit 1)."""
+    """Unreadable or malformed input: exit 2, never a gate failure."""
+
+
+class GateError(Exception):
+    """Runs that disagree on an exact field or on their row set: exit 1."""
 
 
 _JSON_TYPES = {
@@ -106,69 +134,97 @@ _JSON_TYPES = {
 
 
 def _json_type(v):
-    """JSON type name of a json.load()ed value (int and float: number)."""
     return _JSON_TYPES.get(type(v), "number")
 
 
-def _check_fields(where, obj, keys, required):
+def _name(key):
+    row, field = key
+    return row + "." + field if row else field
+
+
+def _walk(obj, sec, row, where, out):
     if not isinstance(obj, dict):
-        raise ArtifactError(
-            "{}: expected an object, got {}".format(where, _json_type(obj))
-        )
-    for field in keys + required:
+        raise ArtifactError("{}: expected an object, got {}".format(
+            where or "top level", _json_type(obj)))
+    keys = sec.keys or ()
+    for field in keys:
         if field not in obj:
             raise ArtifactError("{}: missing field '{}'".format(where, field))
-    for field in keys:
-        if _json_type(obj[field]) not in ("string", "number"):
-            raise ArtifactError(
-                "{}: key field '{}' is a {}".format(
-                    where, field, _json_type(obj[field])
-                )
-            )
+    if keys:
+        row += "".join("/" + str(obj[k]) if _json_type(obj[k]) == "string"
+                       else "/" + json.dumps(obj[k]) for k in keys)
+        if (row, keys[0]) in out:
+            raise ArtifactError("{}: duplicate row {}".format(where, row))
     for field, value in obj.items():
-        if field in NUMERIC_FIELDS and _json_type(value) != "number":
-            raise ArtifactError(
-                "{}: field '{}' is not a number: {}".format(
-                    where, field, json.dumps(value)
-                )
-            )
+        kind = EXACT if field in keys else sec.fields.get(field)
+        name = where + "." + field if where else field
+        if kind is None:
+            raise ArtifactError("{}: field '{}' is not in the spec".format(
+                where or "top level", field))
+        if not isinstance(kind, Section):
+            _leaf(obj, field, kind, where or "top level")
+            out[(row, field)] = (kind, obj)
+        elif kind.keys is None:
+            _walk(value, kind, name, name, out)
+        elif not isinstance(value, list):
+            raise ArtifactError("{}: expected a list of rows, got {}".format(
+                name, _json_type(value)))
+        else:
+            for i, r in enumerate(value):
+                _walk(r, kind, name, "{}[{}]".format(name, i), out)
 
 
-def _check_rows(section, rows, keys, required):
-    if not isinstance(rows, list):
-        raise ArtifactError(
-            "{}: expected a list of rows, got {}".format(
-                section, _json_type(rows)
-            )
-        )
-    for i, row in enumerate(rows):
-        _check_fields("{}[{}]".format(section, i), row, keys, required)
+def _leaf(obj, field, kind, where):
+    """Type-check obj[field]; host and report values become per-run lists."""
+    if kind in (HOST, REPORT):
+        if _json_type(obj[field]) == "number":
+            obj[field] = [obj[field]]
+        ok = isinstance(obj[field], list) and obj[field] and all(
+            _json_type(v) == "number" for v in obj[field])
+        want = "number"
+    else:
+        want = _json_type(kind[1]) if isinstance(kind, tuple) else "scalar"
+        ok = _json_type(obj[field]) in (
+            (want,) if want != "scalar" else ("string", "number", "boolean"))
+    if not ok:
+        raise ArtifactError("{}: field '{}' is not a {}: {}".format(
+            where, field, want, json.dumps(obj[field])))
 
 
-def validate_artifact(doc):
-    """Raise ArtifactError naming the section and field of the first shape
-    error; the gates below may then index every field they read."""
-    if not isinstance(doc, dict):
-        raise ArtifactError("top level: expected an object")
-    for section, (keys, required) in ROW_SECTIONS.items():
-        _check_rows(section, doc.get(section, []), keys, required)
-    for section, required in OBJECT_SECTIONS.items():
-        if section in doc:
-            _check_fields(section, doc[section], (), required)
-    _check_rows(
-        "coalescing.batch_size_hist",
-        doc.get("coalescing", {}).get("batch_size_hist", []),
-        (),
-        ("ge", "count"),
-    )
+def flatten(doc):
+    """Validate `doc` against SPEC and return {(row, field): (kind, obj)}
+    with the value at obj[field]; raises ArtifactError on the first shape
+    error."""
+    out = {}
+    _walk(doc, SPEC, "", "", out)
+    return out
 
 
-def load_artifact(path):
-    """Read and validate one artifact; ArtifactError messages name the file."""
+def calibration(leaves):
+    """Per-run calibration values; every host and report field must hold
+    one value per run."""
+    if CALIBRATION not in leaves:
+        raise ArtifactError("missing calibration " + _name(CALIBRATION))
+    cal = leaves[CALIBRATION][1][CALIBRATION[1]]
+    for key, (kind, obj) in leaves.items():
+        if kind in (HOST, REPORT) and len(obj[key[1]]) != len(cal):
+            raise ArtifactError("{}: {} values for {} runs".format(
+                _name(key), len(obj[key[1]]), len(cal)))
+    if min(cal) <= 0:
+        raise ArtifactError(_name(CALIBRATION) + " must be positive")
+    return cal
+
+
+def runs(doc):
+    return len(calibration(flatten(doc)))
+
+
+def load(path):
+    """Read and validate one artifact or merged document."""
     try:
         with open(path) as f:
             doc = json.load(f)
-        validate_artifact(doc)
+        runs(doc)
     except (OSError, ValueError) as e:
         raise ArtifactError("{}: cannot load: {}".format(path, e))
     except ArtifactError as e:
@@ -176,873 +232,372 @@ def load_artifact(path):
     return doc
 
 
-def malformed_cases(make_doc):
-    """Three structurally malformed variants of make_doc() (which must have
-    a workloads row), each with the words its refusal must contain. Shared
-    by both scripts' self-tests."""
-    no_key = make_doc()
-    del no_key["workloads"][0]["protocol"]
-    not_a_number = make_doc()
-    not_a_number["workloads"][0]["events_per_sec"] = "n/a"
-    wrong_shape = make_doc()
-    wrong_shape["workloads"] = {}
-    return [
-        ("malformed-missing-key", no_key, ("workloads[0]", "'protocol'")),
-        (
-            "malformed-not-a-number",
-            not_a_number,
-            ("workloads[0]", "'events_per_sec'"),
-        ),
-        ("malformed-section-shape", wrong_shape, ("workloads:", "object")),
-    ]
+def merge(docs):
+    """One document from `docs`: exact fields must agree and are kept once,
+    host and report fields keep every run's value in run order. Raises
+    GateError on runs that disagree."""
+    out = json.loads(json.dumps(docs[0]))
+    leaves = flatten(out)
+    for n, doc in enumerate(docs[1:], start=2):
+        other = flatten(doc)
+        diff = sorted(leaves.keys() ^ other.keys())
+        if diff:
+            raise GateError("{}: in run {} but not in run {}".format(
+                _name(diff[0]), *((1, n) if diff[0] in leaves else (n, 1))))
+        for key, (kind, obj) in leaves.items():
+            mine, theirs = obj[key[1]], other[key][1][key[1]]
+            if kind in (HOST, REPORT):
+                mine.extend(theirs)
+            elif mine != theirs:
+                raise GateError("{}: run {} has {}, run 1 has {}".format(
+                    _name(key), n, json.dumps(theirs), json.dumps(mine)))
+    return out
+
+
+def _line(kind, key, base, gated, fail):
+    b, g = statistics.median(base), statistics.median(gated)
+    return "{:<7}{:<78}{:>11.4g}{:>11.4g}{:>7.2f}x{}".format(
+        kind, _name(key), b, g, g / b if b else float("inf"),
+        "  << FAIL" if fail else "")
+
+
+def _rows(keys, what):
+    """One line per row: '<row>: <its fields among keys> <what>'."""
+    rows = collections.defaultdict(list)
+    for row, field in keys:
+        rows[row].append(field)
+    return ["{}: {} {}".format(r, ", ".join(f), what) for r, f in rows.items()]
+
+
+def bounds(leaves):
+    """Failures of the bounds no baseline can relax: a bound field that
+    breaks its bound or, being one of REQUIRED, is missing."""
+    fails = _rows([k for k in REQUIRED if k not in leaves],
+                  "missing; their bounds hold whatever the baseline")
+    for key, (kind, obj) in leaves.items():
+        value = obj[key[1]]
+        if isinstance(kind, tuple) and not BOUND_OPS[kind[0]](value, kind[1]):
+            fails.append("{}: {} breaks the bound {} {}".format(
+                _name(key), json.dumps(value), kind[0], json.dumps(kind[1])))
+    return fails
+
+
+def gate(base, gated):
+    """(failures, report lines) for merged documents `base` and `gated`."""
+    b, g = flatten(base), flatten(gated)
+    bcal, gcal = calibration(b), calibration(g)
+    fails, lines, exact = bounds(g), [], 0
+    for key, (kind, obj) in b.items():
+        if key not in g:
+            continue
+        want, got = obj[key[1]], g[key][1][key[1]]
+        if kind == HOST:
+            bn = [v / c for v, c in zip(want, bcal)]
+            gn = [v / c for v, c in zip(got, gcal)]
+            dropped = max(gn) < (1 - MAX_DROP) * min(bn)
+            lines.append(_line(kind, key, bn, gn, dropped))
+            if dropped:
+                fails.append(
+                    "{}: every run is more than {:.0%} below every baseline "
+                    "run ({:.2f}x of the baseline median, normalized)".format(
+                        _name(key), MAX_DROP,
+                        statistics.median(gn) / statistics.median(bn)))
+        elif kind == REPORT:
+            lines.append(_line(kind, key, want, got, False))
+        elif want != got:
+            fails.append("{}: {} != baseline {}".format(
+                _name(key), json.dumps(got), json.dumps(want)))
+        else:
+            exact += 1
+    fails += _rows([k for k in b if k not in g and k not in REQUIRED],
+                   "missing from the gated runs")
+    lines += _rows([k for k in g if k not in b], "new, not gated")
+    lines.append("exact: {} values equal to the baseline".format(exact))
+    return fails, lines
+
+
+# ---- self-test -------------------------------------------------------------
+
+ROWS = {
+    "workloads": [("fr", "S=5"), ("abd", "S=3")],
+    "million_client": [("mw", 10**5, 10, False, False),
+                       ("mw", 10**5, 10, True, False),
+                       ("mw", 10**5, 10, True, True)],
+    "valuevector": [("fr", "S=5", "W2R1-long")],
+    "batch_size_hist": [(1,), (2,)],
+}
+DROP = "drop"  # an edit returning DROP leaves the run out
+
+
+def synthetic(sec=SPEC, keys=()):
+    """An artifact covering every SPEC field: exact fields are 1, bounds
+    sit on their limit, host fields are 1e6 and report fields 1.0."""
+    doc = dict(zip(sec.keys or (), keys))
+    for field, kind in sec.fields.items():
+        if isinstance(kind, Section):
+            doc[field] = (synthetic(kind) if kind.keys is None else
+                          [synthetic(kind, k) for k in ROWS[field]])
+        else:
+            doc[field] = kind[1] if isinstance(kind, tuple) else {
+                EXACT: 1, HOST: 1e6, REPORT: 1.0}[kind]
+    return doc
+
+
+def at(doc, path):
+    """(container, key) of a dotted path such as 'workloads.0.events'."""
+    *parts, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    for p in parts:
+        doc = doc[p]
+    return doc, last
+
+
+def edit(*pairs):
+    """Edit every gated run: (path, value | callable on the old value |
+    None to delete) pairs."""
+    def apply(doc, i):
+        for path, new in zip(pairs[::2], pairs[1::2] if i >= 0 else ()):
+            c, k = at(doc, path)
+            if new is None:
+                del c[k]
+            else:
+                c[k] = new(c[k]) if callable(new) else new
+    return apply
+
+
+def x(f):
+    return lambda v: [a * f for a in v]
+
+
+def scale(f, calibrated=False):
+    """Multiply run i's host values (and, if `calibrated`, its calibration)
+    by f(i)."""
+    def apply(doc, i):
+        for key, (kind, obj) in flatten(doc).items():
+            if kind == HOST or calibrated and key == CALIBRATION:
+                obj[key[1]] = [v * f(i) for v in obj[key[1]]]
+    return apply
+
+
+# A baseline from a machine twice as fast, gated runs on one twice as slow:
+# only each side's own calibration tells them apart.
+SLOW = scale(lambda i: 0.5 if i >= 0 else 2, calibrated=True)
+
+
+def spread(f):
+    """Baseline runs at 0.8, 0.9, ... 1.2x; gated runs at f x."""
+    return scale(lambda i: 1.3 + i / 10 if i < 0 else f)
 
 
 def run_on_files(main, docs, make_argv):
-    """Write `docs` to temp files, run main(make_argv(paths)) and return
-    (exit code, captured stderr) — how the self-tests pin exit codes."""
+    """Write `docs` (objects, or text written verbatim) to temp files, run
+    main(make_argv(paths)) and return (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, doc in enumerate(docs):
             paths.append(os.path.join(tmp, "run{}.json".format(i)))
             with open(paths[-1], "w") as f:
-                json.dump(doc, f)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()):
-            with contextlib.redirect_stderr(err):
-                code = main(make_argv(paths))
-    return code, err.getvalue()
+                f.write(doc if isinstance(doc, str) else json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(make_argv(paths))
+    return code, out.getvalue(), err.getvalue()
 
 
-def malformed_case_ok(code, err, needles):
-    """Exit 2 with exactly one stderr line containing every needle."""
-    return code == 2 and err.count("\n") == 1 and all(n in err for n in needles)
+def case_ok(code, out, err, want, needle):
+    """Exit `want`; a refusal (2) is exactly one stderr line; `needle` must
+    appear in the output."""
+    one_line = want != 2 or err.count("\n") == 1
+    return code == want and one_line and needle in out + err
 
 
-def collect_rows(doc):
-    """Flatten an artifact into {row_key: (events_per_sec, wall_ms)}."""
-    rows = {}
-    for w in doc.get("workloads", []):
-        key = "workloads/{}/{}".format(w["protocol"], w["cluster"])
-        rows[key] = (float(w["events_per_sec"]), float(w.get("wall_ms", 0)))
-    for v in doc.get("valuevector", []):
-        key = "valuevector/{}/{}/{}".format(
-            v["protocol"], v["cluster"], v["workload"]
-        )
-        rows[key] = (float(v["events_per_sec"]), float(v.get("wall_ms", 0)))
-    for m in doc.get("million_client", []):
-        key = "million_client/{}/{}x{}".format(
-            m["protocol"], m["clients"], m["ops_per_client"]
-        )
-        # Schema v4: coalesced rows share (protocol, clients, ops) with
-        # their per-message twins; the suffix keeps per-message keys stable
-        # so v3 baselines stay comparable. Schema v5 twins the coalesced
-        # rows again on the drain: "/coalesced" stays the default engine
-        # (dest-major — absent field defaults True so v4 baselines keep
-        # their key), the frame-order ablation gets its own suffix.
-        if m.get("coalesce", False):
-            key += (
-                "/coalesced"
-                if m.get("dest_major", True)
-                else "/coalesced/frame-order"
-            )
-        rows[key] = (float(m["events_per_sec"]), float(m.get("wall_ms", 0)))
-    fo = doc.get("fanout_replay")
-    if fo:
-        # Deterministic schedule, wall-clock denominator: both drain lanes
-        # ride the normalized ratio gate like every other row.
-        for field, name in (
-            ("frame_order_events_per_sec", "frame_order"),
-            ("dest_major_events_per_sec", "dest_major"),
-        ):
-            rows["fanout_replay/" + name] = (
-                float(fo[field]),
-                float(fo.get("wall_ms", 100.0)),
-            )
-    cs = doc.get("checked_soak")
-    if cs:
-        # Rides the normalized ratio gate like every other long row; the
-        # soak-specific absolute gates live in checked_soak_failures.
-        rows["checked_soak/million_client_checked"] = (
-            float(cs["events_per_sec"]),
-            float(cs.get("wall_ms", 0)),
-        )
-    co = doc.get("coalescing")
-    if co:
-        # The batched-delivery replay has no per-row wall_ms; each number is
-        # a best-of-5 over ~20ms timed runs, solid enough to hard-gate.
-        for field, name in (
-            ("per_message_events_per_sec", "per_message"),
-            ("coalesced_events_per_sec", "coalesced"),
-        ):
-            rows["coalescing/" + name] = (float(co[field]), 100.0)
-    # Schema v4: the batched cost-model engine rides the same calibration
-    # as every other row (legacy stays the denominator), so its ratio to
-    # the per-message engines is machine-independent and gateable.
-    batched = doc.get("engine_comparison", {}).get("batched_events_per_sec")
-    if batched is not None:
-        rows["engine_comparison/batched"] = (float(batched), 100.0)
-    return rows
+MALFORMED = [
+    ("malformed-missing-key", 2, edit("workloads.0.protocol", None),
+     "run1.json: workloads[0]: missing field 'protocol'"),
+    ("malformed-not-a-number", 2, edit("workloads.0.events_per_sec", "n/a"),
+     "run1.json: workloads[0]: field 'events_per_sec' is not a number"),
+    ("malformed-section-shape", 2, edit("workloads", {}),
+     "run1.json: workloads: expected a list of rows, got object"),
+]
+EPS = "workloads.0.events_per_sec"
+CASES = MALFORMED + [
+    ("identical", 0, edit(), "exact: "),
+    ("10pc-dip", 0, edit(EPS, x(0.9)), ""),
+    ("30pc-drop", 1, edit(EPS, x(0.7)), "workloads/fr/S=5.events_per_sec:"),
+    ("missing-row", 1, edit("workloads.1", None), "workloads/abd/S=3: "),
+    ("new-row", 0, lambda d, i: i >= 0 and d["workloads"].append(
+        dict(d["workloads"][0], cluster="S=9")), "workloads/fr/S=9: protocol"),
+    ("slow-machine", 0, SLOW, ""),
+    ("slow-machine-real-drop", 1,
+     lambda d, i: SLOW(d, i) or edit(EPS, x(0.7))(d, i), "S=5.ev"),
+    ("steady-allocs", 1, edit("workloads.0.steady_engine_allocs", 3),
+     "S=5.steady_engine_allocs: 3 breaks the bound == 0"),
+    ("million-identical", 0, edit(), ""),
+    ("million-30pc-drop", 1, edit("million_client.0.events_per_sec", x(0.7)),
+     "million_client/mw/100000/10/false/false.events_per_sec:"),
+    ("million-missing-row", 1, edit("million_client.0", None),
+     "million_client/mw/100000/10/false/false: "),
+    ("million-steady-allocs", 1,
+     edit("million_client.0.steady_engine_allocs", 7), "false.steady_engine"),
+    ("coalescing-identical", 0, edit(), ""),
+    ("coalescing-30pc-drop", 1,
+     edit("coalescing.coalesced_events_per_sec", x(0.7)),
+     "coalescing.coalesced_events_per_sec:"),
+    ("coalescing-steady-allocs", 1, edit("coalescing.steady_engine_allocs", 9),
+     "coalescing.steady_engine_allocs: 9 breaks"),
+    ("coalesced-million-drop", 1,
+     edit("million_client.2.events_per_sec", x(0.5)),
+     "million_client/mw/100000/10/true/true.events_per_sec:"),
+    ("coalescing-section-vanished", 1, edit("coalescing", None),
+     "coalescing: workload"),
+    ("fanout-identical", 0, edit(), ""),
+    ("fanout-short-runs", 1, edit("fanout_replay.mean_run_len", 5),
+     "fanout_replay.mean_run_len: 5 breaks the bound >= 8"),
+    ("fanout-dest-major-eps-drop", 1,
+     edit("fanout_replay.dest_major_events_per_sec", x(0.66)),
+     "fanout_replay.dest_major_events_per_sec:"),
+    ("fanout-section-vanished", 1, edit("fanout_replay", None),
+     "fanout_replay: workload"),
+    ("frame-order-million-drop", 1,
+     edit("million_client.1.events_per_sec", x(0.66)),
+     "million_client/mw/100000/10/true/false.events_per_sec:"),
+    ("soak-identical", 0, edit(), ""),
+    ("soak-30pc-drop", 1, edit("checked_soak.events_per_sec", x(0.7)),
+     "checked_soak.events_per_sec:"),
+    ("soak-violation", 1, edit("checked_soak.verdict_atomic", False),
+     "checked_soak.verdict_atomic: false breaks the bound == true"),
+    ("soak-window-blowup", 1, edit("checked_soak.peak_window", 5000),
+     "checked_soak.peak_window: 5000 != baseline 1"),
+    ("soak-steady-allocs", 1, edit("checked_soak.steady_engine_allocs", 4),
+     "checked_soak.steady_engine_allocs: 4 breaks"),
+    ("soak-section-vanished", 1, edit("checked_soak", None),
+     "checked_soak: workload"),
+    ("batched-engine-identical", 0, edit(), ""),
+    ("batched-engine-30pc-drop", 1,
+     edit("engine_comparison.batched_events_per_sec", x(0.7)),
+     "engine_comparison.batched_events_per_sec:"),
+    # One pass and one fail case per gate kind.
+    ("exact-bytes-plus-one", 1,
+     edit("workloads.0.bytes_on_wire", lambda v: v + 1),
+     "workloads/fr/S=5.bytes_on_wire: 2 != baseline 1"),
+    ("host-noisy-overlap", 0, lambda d, i: i >= 0 and edit(
+        EPS, x([0.6, 0.65, 0.8][i]))(d, i), ""),
+    ("host-dominated", 1, lambda d, i: i >= 0 and edit(
+        EPS, x([0.7, 0.72, 0.74][i]))(d, i), "S=5.events_per_sec: every"),
+    # The rule compares against the slowest baseline run, not the median.
+    ("host-spread-baseline-pass", 0, spread(0.7), ""),
+    ("host-spread-baseline-fail", 1, spread(0.55), "S=5.events_per_sec: ev"),
+    ("report-moves-freely", 0, edit("workloads.0.wall_ms", x(5)), ""),
+    ("report-missing", 1, edit("workloads.0.wall_ms", None),
+     "workloads/fr/S=5: wall_ms missing"),
+    ("bound-at-limit", 0, edit("checked_soak.ops_checked", 10**6), ""),
+    ("bound-not-relaxed-by-baseline", 1,
+     lambda d, i: d["checked_soak"].update(ops_checked=999999),
+     "checked_soak.ops_checked: 999999 breaks the bound >= 1000000"),
+    ("bound-section-dropped-everywhere", 1,
+     lambda d, i: d.pop("checked_soak") and None,
+     "checked_soak: ops_checked, verdict_atomic, steady_engine_allocs"),
+    ("runs-disagree", 1, lambda d, i: i == 1 and edit(
+        "workloads.0.events", 2)(d, i), "workloads/fr/S=5.events: run 2 has"),
+    ("duplicate-row", 2, lambda d, i: i >= 0 and d["workloads"].append(
+        d["workloads"][0]), "run1.json: workloads[2]: duplicate row"),
+    ("unknown-field", 2, edit("sweep_partial_version", 2),
+     "run1.json: top level: field 'sweep_partial_version' is not in the spec"),
+    ("too-few-gated-runs", 2, lambda d, i: DROP if i == 2 else None,
+     "needs at least 3"),
+    ("too-few-baseline-runs", 2, lambda d, i: DROP if i == -1 else None,
+     "needs at least 5"),
+]
+SMALL = json.dumps({"bench": "simcore_throughput",
+                    "engine_comparison": {"legacy_events_per_sec": 1e6}})
 
 
-def coalescing_lines(doc):
-    """Schema v4 coalescing summary: engine ratio + batch-size histogram."""
-    co = doc.get("coalescing")
-    if not co:
-        return []
-    lines = [
-        "coalescing: {:.2f}x over per-message ({:.1f} frames/batch, "
-        "{} batches)".format(
-            float(co.get("coalesce_speedup", 0)),
-            float(co.get("frames_per_batch", 0)),
-            int(co.get("batches", 0)),
-        )
-    ]
-    hist = co.get("batch_size_hist", [])
-    if hist:
-        lines.append(
-            "  batch size   " + " ".join(
-                "{:>8}".format(">=" + str(b["ge"])) for b in hist if b["count"]
-            )
-        )
-        lines.append(
-            "  batches      " + " ".join(
-                "{:>8}".format(b["count"]) for b in hist if b["count"]
-            )
-        )
-    return lines
-
-
-MIN_MEAN_RUN_LEN = 8.0
-
-
-def run_length_failures(doc):
-    """Schema v5 hard gate: the dest-major drain must keep dispatched runs
-    long on the W2R2 table fan-out. Deterministic, so gated absolutely."""
-    fo = doc.get("fanout_replay")
-    if not fo:
-        return []
-    mean = float(fo.get("mean_run_len", 0.0))
-    if mean < MIN_MEAN_RUN_LEN:
-        return [
-            "fanout_replay: dest-major mean run length {:.2f} < {:g} "
-            "(dispatched runs went short)".format(mean, MIN_MEAN_RUN_LEN)
-        ]
-    return []
-
-
-PEAK_WINDOW_HEADROOM = 2.0
-
-
-def checked_soak_failures(artifact, baseline):
-    """Schema v6 absolute gates on the checked_soak section: the live
-    verdict must be atomic, the checker must stay allocation-free in steady
-    state, and its memory high-water mark (peak_window, deterministic for
-    the seeded schedule) must not outgrow the baseline by more than
-    PEAK_WINDOW_HEADROOM."""
-    cs = artifact.get("checked_soak")
-    if not cs:
-        return []
-    bad = []
-    if not cs.get("verdict_atomic", False):
-        bad.append(
-            "checked_soak: streaming checker reported a violation on the "
-            "soak run"
-        )
-    steady = int(cs.get("steady_engine_allocs", 0)) + int(
-        cs.get("steady_pool_misses", 0)
-    )
-    if steady != 0:
-        bad.append(
-            "checked_soak: steady-state allocations = {}".format(steady)
-        )
-    base_cs = baseline.get("checked_soak")
-    if base_cs:
-        peak = int(cs.get("peak_window", 0))
-        base_peak = int(base_cs.get("peak_window", 0))
-        if base_peak > 0 and peak > base_peak * PEAK_WINDOW_HEADROOM:
-            bad.append(
-                "checked_soak: peak_window {} > {:g}x baseline {} "
-                "(checker memory no longer window-bounded?)".format(
-                    peak, PEAK_WINDOW_HEADROOM, base_peak
-                )
-            )
-    return bad
-
-
-def checked_soak_lines(doc):
-    cs = doc.get("checked_soak")
-    if not cs:
-        return []
-    return [
-        "checked_soak: {} ops checked, verdict {}, peak window {} "
-        "(pending {}), {} tags retired, {:.1f} ns/op checker overhead".format(
-            int(cs.get("ops_checked", 0)),
-            "atomic" if cs.get("verdict_atomic", False) else "VIOLATION",
-            int(cs.get("peak_window", 0)),
-            int(cs.get("peak_pending", 0)),
-            int(cs.get("retired_tags", 0)),
-            float(cs.get("checker_ns_per_op", 0.0)),
-        )
-    ]
-
-
-def fanout_lines(doc):
-    fo = doc.get("fanout_replay")
-    if not fo:
-        return []
-    return [
-        "fanout_replay: mean run {:.2f} dest-major vs {:.2f} frame-order "
-        "({:.2f}x events/sec, {} staged replies)".format(
-            float(fo.get("mean_run_len", 0)),
-            float(fo.get("frame_order_mean_run_len", 0)),
-            float(fo.get("dest_major_speedup", 0)),
-            int(fo.get("staged_replies", 0)),
-        )
-    ]
-
-
-def calibration(doc):
-    """In-run machine-speed reference; None when absent (raw comparison)."""
-    eps = doc.get("engine_comparison", {}).get("legacy_events_per_sec")
-    if eps is None:
-        return None
-    eps = float(eps)
-    return eps if eps > 0 else None
-
-
-def steady_alloc_failures(doc):
-    bad = []
-    for w in doc.get("workloads", []):
-        steady = int(w.get("steady_engine_allocs", 0)) + int(
-            w.get("steady_pool_misses", 0)
-        )
-        if steady != 0:
-            bad.append(
-                "workloads/{}/{}: steady-state allocations = {}".format(
-                    w["protocol"], w["cluster"], steady
-                )
-            )
-    for m in doc.get("million_client", []):
-        steady = int(m.get("steady_engine_allocs", 0)) + int(
-            m.get("steady_pool_misses", 0)
-        )
-        if steady != 0:
-            bad.append(
-                "million_client/{}/{}x{}: steady-state allocations = {}".format(
-                    m["protocol"], m["clients"], m["ops_per_client"], steady
-                )
-            )
-    co = doc.get("coalescing")
-    if co:
-        steady = int(co.get("steady_engine_allocs", 0)) + int(
-            co.get("steady_pool_misses", 0)
-        )
-        if steady != 0:
-            bad.append(
-                "coalescing: steady-state allocations = {}".format(steady)
-            )
-    return bad
-
-
-# Must match kPartialVersion in src/exp/partial.h (and PARTIAL_VERSION in
-# scripts/merge_shards.py). Artifacts assembled from a sharded sweep
-# fleet stamp the partial format they were merged from as
-# "sweep_partial_version"; unstamped artifacts (the single-process bench
-# path) are exempt.
-SWEEP_PARTIAL_VERSION = 2
-
-
-def partial_version_failures(artifact, baseline):
-    """Refuse to gate across sweep-partial format versions.
-
-    A version skew means one side was produced by binaries whose partial
-    codec this tree cannot read — the numbers may aggregate differently,
-    so a ratio against them is meaningless rather than merely noisy.
-    """
-    bad = []
-    for name, doc in (("artifact", artifact), ("baseline", baseline)):
-        version = doc.get("sweep_partial_version")
-        if version is not None and version != SWEEP_PARTIAL_VERSION:
-            bad.append(
-                "{}: assembled from sweep partials v{}, but this gate "
-                "reads v{} — regenerate with matching binaries".format(
-                    name, version, SWEEP_PARTIAL_VERSION
-                )
-            )
-    return bad
-
-
-def compare(artifact, baseline, max_regression, min_wall_ms=5.0):
-    """Return (failures, report_lines).
-
-    Rows whose wall time is below `min_wall_ms` in either run are reported
-    but not hard-gated: at millisecond scale a single scheduler preemption
-    exceeds any reasonable threshold, so tiny rows would flake. (Benches
-    already report best-of-3 wall times; this is the second guard.)
-    Row *presence* is still enforced for every baselined row.
-    """
-    failures = []
-    lines = []
-    art_rows = collect_rows(artifact)
-    base_rows = collect_rows(baseline)
-    art_cal = calibration(artifact)
-    base_cal = calibration(baseline)
-    normalized = art_cal is not None and base_cal is not None
-    if not normalized:
-        lines.append(
-            "warning: engine_comparison calibration missing; "
-            "comparing raw events/sec (machine-speed sensitive)"
-        )
-
-    lines.append(
-        "{:<58} {:>12} {:>12} {:>8}".format("row", "baseline", "artifact", "ratio")
-    )
-    for key in sorted(base_rows):
-        if key not in art_rows:
-            failures.append("row disappeared from artifact: " + key)
-            continue
-        base_eps, base_wall = base_rows[key]
-        art_eps, art_wall = art_rows[key]
-        base_v = base_eps / (base_cal if normalized else 1.0)
-        art_v = art_eps / (art_cal if normalized else 1.0)
-        ratio = art_v / base_v if base_v > 0 else float("inf")
-        flag = ""
-        if ratio < 1.0 - max_regression:
-            if min(base_wall, art_wall) < min_wall_ms:
-                flag = "  (regressed, ungated: wall < {:g} ms)".format(
-                    min_wall_ms
-                )
-            else:
-                failures.append(
-                    "{}: normalized events/sec fell to {:.0%} of baseline".format(
-                        key, ratio
-                    )
-                )
-                flag = "  << FAIL"
-        lines.append(
-            "{:<58} {:>12.4g} {:>12.4g} {:>7.2f}x{}".format(
-                key, base_eps, art_eps, ratio, flag
-            )
-        )
-    for key in sorted(set(art_rows) - set(base_rows)):
-        lines.append(
-            "{:<58} {:>12} {:>12.4g}   (new row, not gated)".format(
-                key, "-", art_rows[key][0]
-            )
-        )
-
-    lines.extend(coalescing_lines(artifact))
-    lines.extend(fanout_lines(artifact))
-    lines.extend(checked_soak_lines(artifact))
-    for msg in steady_alloc_failures(artifact):
-        failures.append(msg)
-    for msg in run_length_failures(artifact):
-        failures.append(msg)
-    for msg in checked_soak_failures(artifact, baseline):
-        failures.append(msg)
-    for msg in partial_version_failures(artifact, baseline):
-        failures.append(msg)
-    return failures, lines
-
-
-# ---- self-test -------------------------------------------------------------
-
-
-def _doc(
-    rows,
-    legacy_eps=1_000_000.0,
-    steady=0,
-    wall_ms=100.0,
-    million=None,
-    coalescing=None,
-    batched_eps=None,
-    fanout=None,
-    soak=None,
-):
-    """Synthetic artifact with the given {(proto, cluster): eps} workloads.
-
-    `million` is an optional {(clients, ops[, coalesce[, dest_major]]):
-    (eps, steady)} dict rendered as the million_client section.
-    `coalescing` is an optional (per_message_eps, coalesced_eps, steady)
-    tuple rendered as the schema v4 coalescing section. `batched_eps`
-    populates the v4 engine_comparison batched-engine row. `fanout` is an
-    optional (frame_order_eps, dest_major_eps, mean_run_len) tuple rendered
-    as the schema v5 fanout_replay section. `soak` is an optional
-    (eps, verdict_atomic, peak_window, steady) tuple rendered as the schema
-    v6 checked_soak section.
-    """
-    doc = {
-        "bench": "simcore_throughput",
-        "schema_version": 5,
-        "engine_comparison": {"legacy_events_per_sec": legacy_eps},
-        "workloads": [
-            {
-                "protocol": p,
-                "cluster": c,
-                "events_per_sec": eps,
-                "wall_ms": wall_ms,
-                "steady_engine_allocs": steady,
-                "steady_pool_misses": 0,
-            }
-            for (p, c), eps in rows.items()
-        ],
-        "million_client": [
-            {
-                "protocol": "mw-abd(W2R2)",
-                "clients": key[0],
-                "ops_per_client": key[1],
-                "coalesce": bool(key[2]) if len(key) > 2 else False,
-                "dest_major": bool(key[3]) if len(key) > 3 else True,
-                "events_per_sec": eps,
-                "wall_ms": wall_ms,
-                "steady_engine_allocs": msteady,
-                "steady_pool_misses": 0,
-            }
-            for key, (eps, msteady) in (million or {}).items()
-        ],
-        "valuevector": [],
-    }
-    if batched_eps is not None:
-        doc["engine_comparison"]["batched_events_per_sec"] = batched_eps
-    if fanout is not None:
-        fo_eps, dm_eps, mean_run = fanout
-        doc["fanout_replay"] = {
-            "workload": "w2r2_table_fanout",
-            "protocol": "mw-abd(W2R2)",
-            "clients": 10_000,
-            "ops_per_client": 4,
-            "frames": 800_000,
-            "frame_order_events_per_sec": fo_eps,
-            "frame_order_mean_run_len": 3.0,
-            "dest_major_events_per_sec": dm_eps,
-            "dest_major_speedup": dm_eps / fo_eps if fo_eps else 0,
-            "mean_run_len": mean_run,
-            "dest_major_ticks": 12_000,
-            "staged_replies": 600_000,
-            "wall_ms": wall_ms,
-        }
-    if soak is not None:
-        s_eps, s_atomic, s_peak, s_steady = soak
-        doc["checked_soak"] = {
-            "workload": "million_client_checked",
-            "protocol": "mw-abd(W2R2)",
-            "keyspace": "keys=64 shards=8 zipf=0.99",
-            "clients": 100_000,
-            "ops_per_client": 10,
-            "ops_checked": 1_000_000,
-            "verdict_atomic": s_atomic,
-            "peak_window": s_peak,
-            "peak_pending": s_peak * 2,
-            "retired_tags": 450_000,
-            "history_live": 30_000,
-            "events": 40_000_000,
-            "wall_ms": wall_ms,
-            "events_per_sec": s_eps,
-            "checker_ns_per_op": 55.0,
-            "steady_engine_allocs": s_steady,
-            "steady_pool_misses": 0,
-        }
-    if coalescing is not None:
-        per_msg, coalesced, csteady = coalescing
-        doc["coalescing"] = {
-            "workload": "w2r1_replay_real_network",
-            "frames": 300_000,
-            "per_message_events_per_sec": per_msg,
-            "coalesced_events_per_sec": coalesced,
-            "coalesce_speedup": coalesced / per_msg if per_msg else 0,
-            "batches": 50_000,
-            "frames_per_batch": 6.0,
-            "batch_size_hist": [
-                {"ge": 1, "count": 10_000},
-                {"ge": 2, "count": 20_000},
-                {"ge": 4, "count": 20_000},
-            ],
-            "steady_engine_allocs": csteady,
-            "steady_pool_misses": 0,
-        }
-    return doc
+def build_runs(edit_fn, n, first):
+    """n synthetic runs, each passed through edit_fn(doc, i) for
+    i = first, first + 1, ...; baseline runs get i < 0."""
+    out = []
+    for i in range(first, first + n):
+        doc = synthetic()
+        flatten(doc)
+        got = edit_fn(doc, i)
+        if got != DROP:
+            out.append(got if isinstance(got, str) else doc)
+    return out
 
 
 def self_test():
-    base = _doc({("fr", "S=5"): 400_000.0, ("abd", "S=3"): 8_000_000.0})
-    checks = []
+    cases = CASES + [("truncated-{}".format(n), 2,
+                      lambda d, i, n=n: SMALL[:n] if i == 0 else None,
+                      "run1.json: cannot load") for n in range(len(SMALL))]
+    cases.append(("small-document-accepted", 1,
+                  lambda d, i: SMALL if i >= 0 else None,
+                  "missing from the gated runs"))
+    return run_cases(main, cases,
+                     lambda p: ["--baseline", p[0], "--artifact"] + p[1:],
+                     lambda fn: [merge(build_runs(fn, 5, -5))] +
+                     build_runs(fn, 3, 0))
 
-    def check(name, doc, want_fail, max_regression=0.25):
-        failures, _ = compare(doc, base, max_regression)
-        ok = bool(failures) == want_fail
-        checks.append((name, ok, failures))
-        return ok
 
-    # Identical numbers pass.
-    check("identical", _doc({("fr", "S=5"): 400_000.0, ("abd", "S=3"): 8e6}), False)
-    # A 10% dip is shared-runner noise: pass.
-    check("10pc-dip", _doc({("fr", "S=5"): 360_000.0, ("abd", "S=3"): 8e6}), False)
-    # A >25% regression on one row fails.
-    check("30pc-drop", _doc({("fr", "S=5"): 280_000.0, ("abd", "S=3"): 8e6}), True)
-    # A vanished row fails (coverage loss must be loud).
-    check("missing-row", _doc({("fr", "S=5"): 400_000.0}), True)
-    # A new, un-baselined row passes (it gets gated once baselined).
-    check(
-        "new-row",
-        _doc({("fr", "S=5"): 4e5, ("abd", "S=3"): 8e6, ("new", "S=9"): 1.0}),
-        False,
-    )
-    # Machine speed cancels: a runner half as fast shows half the eps
-    # everywhere, including the calibration row, and still passes.
-    check(
-        "slow-machine",
-        _doc(
-            {("fr", "S=5"): 200_000.0, ("abd", "S=3"): 4e6},
-            legacy_eps=500_000.0,
-        ),
-        False,
-    )
-    # ... but a real 30% drop is still caught on the slow machine.
-    check(
-        "slow-machine-real-drop",
-        _doc(
-            {("fr", "S=5"): 140_000.0, ("abd", "S=3"): 4e6},
-            legacy_eps=500_000.0,
-        ),
-        True,
-    )
-    # Steady-state allocations fail regardless of speed.
-    check(
-        "steady-allocs",
-        _doc({("fr", "S=5"): 4e5, ("abd", "S=3"): 8e6}, steady=3),
-        True,
-    )
-    # An artifact stamped with the supported sweep-partial version passes;
-    # a foreign version is refused outright (numbers from a codec this
-    # tree cannot read are meaningless to ratio against).
-    stamped = _doc({("fr", "S=5"): 4e5, ("abd", "S=3"): 8e6})
-    stamped["sweep_partial_version"] = SWEEP_PARTIAL_VERSION
-    check("partial-version-ok", stamped, False)
-    foreign = _doc({("fr", "S=5"): 4e5, ("abd", "S=3"): 8e6})
-    foreign["sweep_partial_version"] = SWEEP_PARTIAL_VERSION + 1
-    check("partial-version-skew", foreign, True)
-    # Millisecond-scale rows are reported but not hard-gated: at that
-    # duration one scheduler preemption exceeds any threshold.
-    check(
-        "tiny-row-exempt",
-        _doc({("fr", "S=5"): 280_000.0, ("abd", "S=3"): 8e6}, wall_ms=2.0),
-        False,
-    )
-    # million_client rows ride the same gates: once baselined, a vanished
-    # or regressed row fails, and steady-state allocations always fail.
-    mbase = _doc(
-        {("fr", "S=5"): 4e5}, million={(100_000, 10): (2e6, 0)}
-    )
-    mchecks = [
-        (
-            "million-identical",
-            _doc({("fr", "S=5"): 4e5}, million={(100_000, 10): (2e6, 0)}),
-            False,
-        ),
-        (
-            "million-30pc-drop",
-            _doc({("fr", "S=5"): 4e5}, million={(100_000, 10): (1.4e6, 0)}),
-            True,
-        ),
-        ("million-missing-row", _doc({("fr", "S=5"): 4e5}), True),
-        (
-            "million-steady-allocs",
-            _doc({("fr", "S=5"): 4e5}, million={(100_000, 10): (2e6, 7)}),
-            True,
-        ),
-    ]
-    for name, doc, want_fail in mchecks:
-        failures, _ = compare(doc, mbase, 0.25)
-        checks.append((name, bool(failures) == want_fail, failures))
-
-    # Schema v4: the coalescing section contributes two gated rows (both
-    # delivery engines), its steady counters are enforced, and coalesced
-    # million_client rows are keyed apart from their per-message twins.
-    cbase = _doc(
-        {("fr", "S=5"): 4e5},
-        million={(100_000, 10): (2e6, 0), (100_000, 10, True): (6e6, 0)},
-        coalescing=(15e6, 45e6, 0),
-    )
-    cchecks = [
-        (
-            "coalescing-identical",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={(100_000, 10): (2e6, 0), (100_000, 10, True): (6e6, 0)},
-                coalescing=(15e6, 45e6, 0),
-            ),
-            False,
-        ),
-        (
-            "coalescing-30pc-drop",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={(100_000, 10): (2e6, 0), (100_000, 10, True): (6e6, 0)},
-                coalescing=(15e6, 30e6, 0),
-            ),
-            True,
-        ),
-        (
-            "coalescing-steady-allocs",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={(100_000, 10): (2e6, 0), (100_000, 10, True): (6e6, 0)},
-                coalescing=(15e6, 45e6, 9),
-            ),
-            True,
-        ),
-        (
-            # Only the coalesced million row regresses; the per-message twin
-            # with the same (clients, ops) must not mask it.
-            "coalesced-million-drop",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={(100_000, 10): (2e6, 0), (100_000, 10, True): (3e6, 0)},
-                coalescing=(15e6, 45e6, 0),
-            ),
-            True,
-        ),
-        (
-            "coalescing-section-vanished",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={(100_000, 10): (2e6, 0), (100_000, 10, True): (6e6, 0)},
-            ),
-            True,
-        ),
-    ]
-    for name, doc, want_fail in cchecks:
-        failures, _ = compare(doc, cbase, 0.25)
-        checks.append((name, bool(failures) == want_fail, failures))
-
-    # Schema v5: the fanout_replay section carries two ratio-gated rows and
-    # the absolute mean-run-length gate; frame-order million twins are keyed
-    # apart from both the dest-major default and the per-message rows.
-    fbase = _doc(
-        {("fr", "S=5"): 4e5},
-        million={
-            (100_000, 10): (2e6, 0),
-            (100_000, 10, True, False): (6e6, 0),
-            (100_000, 10, True, True): (9e6, 0),
-        },
-        fanout=(3e6, 6e6, 11.0),
-    )
-    fchecks = [
-        (
-            "fanout-identical",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={
-                    (100_000, 10): (2e6, 0),
-                    (100_000, 10, True, False): (6e6, 0),
-                    (100_000, 10, True, True): (9e6, 0),
-                },
-                fanout=(3e6, 6e6, 11.0),
-            ),
-            False,
-        ),
-        (
-            # Run length is gated absolutely: a short-run artifact fails
-            # even with throughput intact.
-            "fanout-short-runs",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={
-                    (100_000, 10): (2e6, 0),
-                    (100_000, 10, True, False): (6e6, 0),
-                    (100_000, 10, True, True): (9e6, 0),
-                },
-                fanout=(3e6, 6e6, 5.0),
-            ),
-            True,
-        ),
-        (
-            "fanout-dest-major-eps-drop",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={
-                    (100_000, 10): (2e6, 0),
-                    (100_000, 10, True, False): (6e6, 0),
-                    (100_000, 10, True, True): (9e6, 0),
-                },
-                fanout=(3e6, 4e6, 11.0),
-            ),
-            True,
-        ),
-        (
-            "fanout-section-vanished",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={
-                    (100_000, 10): (2e6, 0),
-                    (100_000, 10, True, False): (6e6, 0),
-                    (100_000, 10, True, True): (9e6, 0),
-                },
-            ),
-            True,
-        ),
-        (
-            # Only the frame-order million twin regresses; neither sibling
-            # key may mask it.
-            "frame-order-million-drop",
-            _doc(
-                {("fr", "S=5"): 4e5},
-                million={
-                    (100_000, 10): (2e6, 0),
-                    (100_000, 10, True, False): (4e6, 0),
-                    (100_000, 10, True, True): (9e6, 0),
-                },
-                fanout=(3e6, 6e6, 11.0),
-            ),
-            True,
-        ),
-    ]
-    for name, doc, want_fail in fchecks:
-        failures, _ = compare(doc, fbase, 0.25)
-        checks.append((name, bool(failures) == want_fail, failures))
-
-    # Schema v6: the checked_soak section rides the ratio gate on its
-    # events_per_sec and carries three absolute gates — verdict, steady
-    # counters, and the peak_window headroom bound.
-    sbase = _doc({("fr", "S=5"): 4e5}, soak=(5e6, True, 1000, 0))
-    schecks = [
-        (
-            "soak-identical",
-            _doc({("fr", "S=5"): 4e5}, soak=(5e6, True, 1000, 0)),
-            False,
-        ),
-        (
-            "soak-30pc-drop",
-            _doc({("fr", "S=5"): 4e5}, soak=(3.5e6, True, 1000, 0)),
-            True,
-        ),
-        (
-            "soak-violation",
-            _doc({("fr", "S=5"): 4e5}, soak=(5e6, False, 1000, 0)),
-            True,
-        ),
-        (
-            # Window growth inside the headroom passes (concurrency shifts
-            # with workload tweaks)...
-            "soak-window-within-headroom",
-            _doc({("fr", "S=5"): 4e5}, soak=(5e6, True, 1800, 0)),
-            False,
-        ),
-        (
-            # ... but a blow-up past 2x the baseline means the checker is no
-            # longer window-bounded.
-            "soak-window-blowup",
-            _doc({("fr", "S=5"): 4e5}, soak=(5e6, True, 5000, 0)),
-            True,
-        ),
-        (
-            "soak-steady-allocs",
-            _doc({("fr", "S=5"): 4e5}, soak=(5e6, True, 1000, 4)),
-            True,
-        ),
-        ("soak-section-vanished", _doc({("fr", "S=5"): 4e5}), True),
-    ]
-    for name, doc, want_fail in schecks:
-        failures, _ = compare(doc, sbase, 0.25)
-        checks.append((name, bool(failures) == want_fail, failures))
-
-    # The batched cost-model engine row is gated like any other once
-    # baselined: identical passes, a >25% normalized drop fails.
-    bbase = _doc({("fr", "S=5"): 4e5}, batched_eps=50e6)
-    for name, doc, want_fail in (
-        (
-            "batched-engine-identical",
-            _doc({("fr", "S=5"): 4e5}, batched_eps=50e6),
-            False,
-        ),
-        (
-            "batched-engine-30pc-drop",
-            _doc({("fr", "S=5"): 4e5}, batched_eps=35e6),
-            True,
-        ),
-    ):
-        failures, _ = compare(doc, bbase, 0.25)
-        checks.append((name, bool(failures) == want_fail, failures))
-
-    # A structurally malformed artifact is a usage error (exit 2), never a
-    # regression (exit 1): one line naming the file, section and field.
-    for name, doc, needles in malformed_cases(lambda: _doc({("fr", "S=5"): 4e5})):
-        code, err = run_on_files(
-            main, [base, doc], lambda p: ["--baseline", p[0], "--artifact", p[1]]
-        )
-        ok = malformed_case_ok(code, err, needles + ("run1.json",))
-        checks.append((name, ok, ["exit {}: {}".format(code, err.strip())]))
-
-    bad = [name for name, ok, _ in checks if not ok]
-    for name, ok, failures in checks:
-        print(
-            "self-test {:<24} {}".format(name, "ok" if ok else "FAILED"),
-            "" if ok else failures,
-        )
-    if bad:
-        print("self-test FAILED:", ", ".join(bad))
-        return 1
-    print("self-test passed ({} cases)".format(len(checks)))
-    return 0
+def run_cases(main, cases, make_argv, make_docs):
+    """Run (name, exit code, edit, needle) cases through `main`; print one
+    line each."""
+    bad = []
+    for name, want, fn, needle in cases:
+        code, out, err = run_on_files(main, make_docs(fn), make_argv)
+        ok = case_ok(code, out, err, want, needle)
+        print("self-test {:<32} {}".format(name, "ok" if ok else "FAILED"))
+        if not ok:
+            bad.append(name)
+            print("  exit {} (want {}), needle {!r}\n{}{}".format(
+                code, want, needle, out[-2000:], err))
+    print("self-test " + ("FAILED: " + ", ".join(bad) if bad else
+                          "passed ({} cases)".format(len(cases))))
+    return 1 if bad else 0
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--artifact", help="fresh BENCH_simcore.json")
-    ap.add_argument("--baseline", help="checked-in baseline artifact")
-    ap.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed fractional drop of normalized events/sec (default 0.25)",
-    )
-    ap.add_argument(
-        "--min-wall-ms",
-        type=float,
-        default=5.0,
-        help="rows faster than this are reported but not gated (default 5)",
-    )
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--baseline", help="merged baseline (rebaseline.py)")
+    ap.add_argument("--artifact", nargs="+",
+                    help="at least {} BENCH_simcore.json runs".format(
+                        GATED_RUNS))
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args(argv)
-
     if args.self_test:
         return self_test()
     if not args.artifact or not args.baseline:
-        ap.error("--artifact and --baseline are required (or use --self-test)")
-
+        ap.error("--artifact and --baseline are required (or --self-test)")
     try:
-        artifact = load_artifact(args.artifact)
-        baseline = load_artifact(args.baseline)
+        base = load(args.baseline)
+        docs = [load(p) for p in args.artifact]
+        counts = runs(base), sum(map(runs, docs))
+        for what, n, need in zip(("baseline", "gate"), counts,
+                                 (BASELINE_RUNS, GATED_RUNS)):
+            if n < need:
+                raise ArtifactError("the {} needs at least {} runs, got {}"
+                                    .format(what, need, n))
     except ArtifactError as e:
         print("bench_trend:", e, file=sys.stderr)
         return 2
-
-    failures, lines = compare(
-        artifact, baseline, args.max_regression, args.min_wall_ms
-    )
-    print(
-        "bench_trend: {} vs {} (max regression {:.0%}, {})".format(
-            args.artifact,
-            args.baseline,
-            args.max_regression,
-            "normalized by in-run calibration"
-            if calibration(artifact) and calibration(baseline)
-            else "raw",
-        )
-    )
-    for line in lines:
-        print(line)
+    try:
+        gated = merge(docs)
+        failures, lines = gate(base, gated)
+    except GateError as e:
+        failures, lines = [str(e)], []
+    print("bench_trend: {1} runs vs a {0}-run baseline; host rows normalized "
+          "by {2}".format(*counts, _name(CALIBRATION)))
+    print("{:<7}{:<78}{:>11}{:>11}{:>8}".format(
+        "kind", "row.field", "baseline", "gated", "ratio"))
+    print("\n".join(lines))
     if failures:
         print("\nbench_trend: FAIL")
-        for f in failures:
-            print("  -", f)
-        print(
-            "If this change is a deliberate trade-off, refresh the baseline:\n"
-            "  cmake --build build --target refresh-baseline\n"
-            "and commit bench/baselines/BENCH_simcore.baseline.json."
-        )
+        print("\n".join("  - " + f for f in failures))
+        print("If the change moves these numbers on purpose, refresh the "
+              "baseline:\n  cmake --build build --target refresh-baseline\n"
+              "and commit bench/baselines/BENCH_simcore.baseline.json.")
         return 1
-    print("\nbench_trend: OK ({} rows gated)".format(len(collect_rows(baseline))))
+    print("\nbench_trend: OK")
     return 0
 
 
