@@ -2,8 +2,7 @@
 // reports.
 //
 // Usage:
-//   sweep_merge [--out DIR] partial...            merge and write reports
-//   sweep_merge --describe partial...             print headers, verify decode
+//   sweep_merge [--out DIR] partial...
 //
 // Partials may be given in any order and may span several sweeps (they are
 // grouped by the report stem stamped in their headers); each complete
@@ -26,7 +25,7 @@ namespace {
 using namespace mwreg;
 
 void print_usage(const char* prog) {
-  std::printf("usage: %s [--out DIR] [--describe] partial...\n", prog);
+  std::printf("usage: %s [--out DIR] partial...\n", prog);
 }
 
 }  // namespace
@@ -43,18 +42,14 @@ int main(int argc, char** argv) {
     print_usage(argv[0]);
     return 0;
   }
-  bool describe = false;
   std::vector<std::string> paths;
   for (const std::string& arg : cli.extra) {
-    if (arg == "--describe") {
-      describe = true;
-    } else if (!arg.empty() && arg[0] == '-') {
+    if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       print_usage(argv[0]);
       return 2;
-    } else {
-      paths.push_back(arg);
     }
+    paths.push_back(arg);
   }
   if (paths.empty()) {
     std::fprintf(stderr, "error: no partial files given\n");
@@ -70,20 +65,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", err.c_str());
       return 1;
     }
-    if (describe) {
-      std::printf(
-          "{\"file\":\"%s\",\"version\":%u,\"name\":\"%s\",\"shard\":%d,"
-          "\"of\":%d,\"trials\":%zu,\"total_trials\":%llu,"
-          "\"expansion_digest\":\"%016llx\"}\n",
-          exp::json_escape(path).c_str(), exp::kPartialVersion,
-          exp::json_escape(p.meta.name).c_str(), p.meta.shard.index,
-          p.meta.shard.count, p.results.size(),
-          static_cast<unsigned long long>(p.meta.total_trials),
-          static_cast<unsigned long long>(p.meta.expansion_digest));
-    }
     groups[p.meta.name].push_back(std::move(p));
   }
-  if (describe) return 0;
 
   bool ok = true;
   for (const auto& entry : groups) {

@@ -1,9 +1,8 @@
-// AtomicityChecker registry and the streaming-replay shim.
+// The checker registry, a table over the checker functions, and the
+// streaming-replay entry point.
 //
 // The batch algorithms live in their own translation units
-// (tag_witness_checker.cpp, wing_gong_checker.cpp, graph_checker.cpp); this
-// file gives each a registered identity so callers enumerate checkers
-// instead of hand-calling entry points.
+// (tag_witness_checker.cpp, wing_gong_checker.cpp, graph_checker.cpp).
 #include "consistency/checkers.h"
 
 #include <algorithm>
@@ -12,56 +11,23 @@
 #include "consistency/streaming_checker.h"
 
 namespace mwreg {
-namespace {
-
-class TagWitnessChecker final : public AtomicityChecker {
- public:
-  [[nodiscard]] std::string_view name() const override { return "tag-witness"; }
-  [[nodiscard]] CheckResult check(const History& h) const override {
-    return check_tag_witness(h);
-  }
-};
-
-class WingGongChecker final : public AtomicityChecker {
- public:
-  [[nodiscard]] std::string_view name() const override { return "wing-gong"; }
-  [[nodiscard]] CheckResult check(const History& h) const override {
-    return check_wing_gong(h);
-  }
-};
-
-class UniqueValueGraphChecker final : public AtomicityChecker {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "unique-value-graph";
-  }
-  [[nodiscard]] CheckResult check(const History& h) const override {
-    return check_unique_value_graph(h);
-  }
-};
-
-class StreamingTagWitnessChecker final : public AtomicityChecker {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "streaming-tag-witness";
-  }
-  [[nodiscard]] CheckResult check(const History& h) const override {
-    return check_streaming(h);
-  }
-  [[nodiscard]] std::unique_ptr<StreamingFeed> make_streaming() const override {
-    return std::make_unique<StreamingTagWitness>();
-  }
-};
-
-}  // namespace
 
 const std::vector<const AtomicityChecker*>& all_checkers() {
-  static const TagWitnessChecker tag_witness;
-  static const WingGongChecker wing_gong;
-  static const UniqueValueGraphChecker graph;
-  static const StreamingTagWitnessChecker streaming;
-  static const std::vector<const AtomicityChecker*> table = {
-      &tag_witness, &wing_gong, &graph, &streaming};
+  static const AtomicityChecker rows[] = {
+      {"tag-witness", check_tag_witness, nullptr},
+      {"wing-gong", [](const History& h) { return check_wing_gong(h); },
+       nullptr},
+      {"unique-value-graph", check_unique_value_graph, nullptr},
+      {"streaming-tag-witness", check_streaming,
+       []() -> std::unique_ptr<StreamingFeed> {
+         return std::make_unique<StreamingTagWitness>();
+       }},
+  };
+  static const std::vector<const AtomicityChecker*> table = [] {
+    std::vector<const AtomicityChecker*> v;
+    for (const AtomicityChecker& c : rows) v.push_back(&c);
+    return v;
+  }();
   return table;
 }
 

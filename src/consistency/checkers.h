@@ -28,9 +28,10 @@
 // implies both; checker 4 equals checker 1. These relations are enforced by
 // property tests.
 //
-// Tests, sweeps, and the fuzzer enumerate checkers through the
-// AtomicityChecker registry (all_checkers / checker_by_name) instead of
-// hand-calling entry points; the free functions below remain as thin shims.
+// The free functions below are the algorithms and the API: the Runner, the
+// fuzzer and the chain engines call them directly. The AtomicityChecker
+// registry (all_checkers / checker_by_name) is a table over them, for
+// callers that pick a checker by name or enumerate all four.
 #pragma once
 
 #include <cstddef>
@@ -53,16 +54,19 @@ class StreamingFeed : public HistorySink {
   virtual CheckResult finish() = 0;
 };
 
-/// A registered atomicity checker: a stable name for reports/CLIs, a batch
-/// entry point, and (when the algorithm supports it) a streaming feed.
-class AtomicityChecker {
- public:
-  virtual ~AtomicityChecker() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual CheckResult check(const History& h) const = 0;
+/// A registered atomicity checker: a stable name for reports/CLIs, the
+/// batch algorithm, and (when the algorithm supports it) a streaming feed
+/// factory.
+struct AtomicityChecker {
+  std::string_view label;
+  CheckResult (*batch)(const History& h);
   /// nullptr when the algorithm is inherently batch (needs the full history).
-  [[nodiscard]] virtual std::unique_ptr<StreamingFeed> make_streaming() const {
-    return nullptr;
+  std::unique_ptr<StreamingFeed> (*streaming)();
+
+  [[nodiscard]] std::string_view name() const { return label; }
+  [[nodiscard]] CheckResult check(const History& h) const { return batch(h); }
+  [[nodiscard]] std::unique_ptr<StreamingFeed> make_streaming() const {
+    return streaming == nullptr ? nullptr : streaming();
   }
 };
 
@@ -72,7 +76,7 @@ class AtomicityChecker {
 /// Lookup by registered name; nullptr when unknown.
 [[nodiscard]] const AtomicityChecker* checker_by_name(std::string_view name);
 
-// ---- free-function shims (source compat; forward to the registry) ---------
+// ---- the algorithms --------------------------------------------------------
 
 /// Tag-witness check. Requires unique completed-write tags. Conditions:
 ///  (RF) every read tag is bottom or the tag of some write, with equal payload;

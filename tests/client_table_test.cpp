@@ -83,7 +83,7 @@ TEST(ClientTableParity, GoldenBatchDigestWithTableClients) {
   // two fault plans, three seeds. Bit-identical histories mean
   // bit-identical digests.
   const ExperimentSpec spec = golden_spec();
-  Runner serial(Runner::Options{1});
+  Runner serial(Runner::Options{1, ShardSpec{}});
   EXPECT_EQ(digest_results(serial.run(spec)), kGoldenBatchDigest);
 }
 
@@ -98,7 +98,7 @@ TEST(ClientTableParity, ObjectAndTableClientsAgreeOnWiderCells) {
   spec.workload.ops_per_writer = 6;
   spec.workload.ops_per_reader = 6;
   spec.check_graph = true;
-  Runner serial(Runner::Options{1});
+  Runner serial(Runner::Options{1, ShardSpec{}});
   const std::vector<TrialResult> results = serial.run(spec);
   EXPECT_EQ(digest_results(results), kObjectWiderCellsDigest);
   for (const TrialResult& tr : results) {
@@ -127,8 +127,8 @@ TEST(Keyspace, SweepIsThreadCountInvariantAndAtomic) {
   spec.seeds = 2;
   spec.workload.ops_per_writer = 5;
   spec.workload.ops_per_reader = 5;
-  Runner serial(Runner::Options{1});
-  Runner pooled(Runner::Options{4});
+  Runner serial(Runner::Options{1, ShardSpec{}});
+  Runner pooled(Runner::Options{4, ShardSpec{}});
   const std::vector<TrialResult> a = serial.run(spec);
   const std::vector<TrialResult> b = pooled.run(spec);
   EXPECT_EQ(digest_results(a), digest_results(b));

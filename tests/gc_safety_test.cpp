@@ -108,7 +108,7 @@ TEST(GcParity, RunnerVerdictsMatchAcrossScenarioSweep) {
   spec.seeds = 2;
   spec.workload.ops_per_writer = 8;
   spec.workload.ops_per_reader = 8;
-  const exp::Runner runner(exp::Runner::Options{4});
+  const exp::Runner runner(exp::Runner::Options{4, exp::ShardSpec{}});
   for (const exp::TrialResult& tr : runner.run(spec)) {
     EXPECT_TRUE(tr.tag_atomic)
         << tr.protocol << " " << tr.cfg.to_string() << " " << tr.fault_plan

@@ -12,6 +12,7 @@
 
 #include "exp/aggregator.h"
 #include "exp/runner.h"
+#include "protocols/protocols.h"
 #include "sim/fault_plan.h"
 
 namespace mwreg::exp {
@@ -74,15 +75,18 @@ constexpr std::uint64_t kGoldenBatchDigest = 16581352218070049687ULL;
 constexpr std::uint64_t kGoldenCellDigestMwAbd521 = 8683406513189852776ULL;
 constexpr std::uint64_t kGoldenCellDigestFastRead321 = 15207139009833096594ULL;
 
+// golden_spec() over every all_protocols() name.
+constexpr std::uint64_t kGoldenAllProtocolsDigest = 14781087596422958843ULL;
+
 TEST(GoldenDeterminism, BatchDigestMatchesPreRefactorEngine) {
-  Runner serial(Runner::Options{1});
+  Runner serial(Runner::Options{1, ShardSpec{}});
   const std::uint64_t got = digest_results(serial.run(golden_spec()));
   EXPECT_EQ(got, kGoldenBatchDigest);
 }
 
 TEST(GoldenDeterminism, ThreadCountDoesNotChangeTheDigest) {
-  Runner serial(Runner::Options{1});
-  Runner pooled(Runner::Options{4});
+  Runner serial(Runner::Options{1, ShardSpec{}});
+  Runner pooled(Runner::Options{4, ShardSpec{}});
   const ExperimentSpec spec = golden_spec();
   EXPECT_EQ(digest_results(serial.run(spec)), kGoldenBatchDigest);
   EXPECT_EQ(digest_results(pooled.run(spec)), kGoldenBatchDigest);
@@ -97,8 +101,8 @@ TEST(GoldenDeterminism, NoGcAblationDigestIsThreadCountInvariant) {
   ExperimentSpec spec = golden_spec();
   spec.protocols = {"fast-read-mw-nogc(W2R1)"};
   spec.clusters = {ClusterConfig{5, 2, 1, 1}, ClusterConfig{7, 2, 3, 1}};
-  Runner serial(Runner::Options{1});
-  Runner pooled(Runner::Options{4});
+  Runner serial(Runner::Options{1, ShardSpec{}});
+  Runner pooled(Runner::Options{4, ShardSpec{}});
   const std::uint64_t serial_digest = digest_results(serial.run(spec));
   EXPECT_EQ(serial_digest, digest_results(pooled.run(spec)));
   EXPECT_EQ(serial_digest, digest_results(pooled.run(spec)));
@@ -110,7 +114,7 @@ TEST(GoldenDeterminism, CoalescingPreservesTheGoldenDigest) {
   // same event times — coalescing only changes how fast they compute.
   ExperimentSpec spec = golden_spec();
   spec.coalesce = true;
-  Runner serial(Runner::Options{1});
+  Runner serial(Runner::Options{1, ShardSpec{}});
   EXPECT_EQ(digest_results(serial.run(spec)), kGoldenBatchDigest);
 }
 
@@ -122,8 +126,8 @@ TEST(GoldenDeterminism, CoalescingAndTickAreEngineAndThreadInvariant) {
   spec.tick = 10 * kMicrosecond;
   ExperimentSpec coalesced = spec;
   coalesced.coalesce = true;
-  Runner serial(Runner::Options{1});
-  Runner pooled(Runner::Options{4});
+  Runner serial(Runner::Options{1, ShardSpec{}});
+  Runner pooled(Runner::Options{4, ShardSpec{}});
   const std::uint64_t base = digest_results(serial.run(spec));
   EXPECT_EQ(base, digest_results(serial.run(coalesced)));
   EXPECT_EQ(base, digest_results(pooled.run(spec)));
@@ -135,7 +139,7 @@ TEST(GoldenDeterminism, PerMessageAblationPreservesTheGoldenDigest) {
   // the per-message ablation must still reproduce the recorded digest.
   ExperimentSpec spec = golden_spec();
   spec.coalesce = false;
-  Runner serial(Runner::Options{1});
+  Runner serial(Runner::Options{1, ShardSpec{}});
   EXPECT_EQ(digest_results(serial.run(spec)), kGoldenBatchDigest);
 }
 
@@ -147,8 +151,8 @@ TEST(GoldenDeterminism, DestMajorOnVsOffIsDigestAndThreadInvariant) {
   ExperimentSpec on = golden_spec();  // dest_major defaults on
   ExperimentSpec off = golden_spec();
   off.dest_major = false;
-  Runner serial(Runner::Options{1});
-  Runner pooled(Runner::Options{4});
+  Runner serial(Runner::Options{1, ShardSpec{}});
+  Runner pooled(Runner::Options{4, ShardSpec{}});
   EXPECT_EQ(digest_results(serial.run(on)), kGoldenBatchDigest);
   EXPECT_EQ(digest_results(serial.run(off)), kGoldenBatchDigest);
   EXPECT_EQ(digest_results(pooled.run(on)), kGoldenBatchDigest);
@@ -164,6 +168,16 @@ TEST(GoldenDeterminism, DestMajorOnVsOffIsDigestAndThreadInvariant) {
   EXPECT_EQ(base, digest_results(serial.run(coarse_off)));
   EXPECT_EQ(base, digest_results(pooled.run(coarse_on)));
   EXPECT_EQ(base, digest_results(pooled.run(coarse_off)));
+}
+
+TEST(GoldenDeterminism, EveryRegisteredProtocolIsPinned) {
+  // Pins every row's server and client programs, not only those of the
+  // three protocols golden_spec() names.
+  ExperimentSpec spec = golden_spec();
+  spec.protocols.clear();
+  for (const Protocol* p : all_protocols()) spec.protocols.push_back(p->name());
+  Runner serial(Runner::Options{1, ShardSpec{}});
+  EXPECT_EQ(digest_results(serial.run(spec)), kGoldenAllProtocolsDigest);
 }
 
 TEST(GoldenDeterminism, FaultFreeCellDigestsUnchanged) {

@@ -6,7 +6,9 @@
 
 #include <memory>
 #include <cctype>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "consistency/checkers.h"
 #include "core/harness.h"
@@ -31,6 +33,52 @@ void expect_history_atomic(SimHarness& h) {
   EXPECT_TRUE(tw.atomic) << tw.violation << "\n" << h.history().to_string();
   const CheckResult g = check_unique_value_graph(h.history());
   EXPECT_TRUE(g.atomic) << g.violation;
+}
+
+// ---------- The registry is Table 1 ----------
+
+TEST(ProtocolTable, NamesInRegistryOrder) {
+  const std::vector<std::string> want = {
+      "mw-abd(W2R2)",       "abd-swmr(W1R2)",          "naive-fast-write(W1R2)",
+      "fast-read-mw(W2R1)", "fast-read-mw-nogc(W2R1)", "fast-swmr(W1R1)",
+      "regular-fast-read(W2R1)", "fast-read-mw-literal(W2R1)"};
+  std::vector<std::string> got;
+  for (const Protocol* p : all_protocols()) {
+    got.push_back(p->name());
+    EXPECT_EQ(protocol_by_name(p->name()), p);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(protocol_by_name("no-such-protocol"), nullptr);
+}
+
+TEST(ProtocolTable, RoundTripsMatchTheNamedWR) {
+  for (const Protocol* p : all_protocols()) {
+    const std::string n = p->name();
+    const std::size_t at = n.rfind("(W");
+    ASSERT_NE(at, std::string::npos) << n;
+    ASSERT_EQ(n.substr(at + 3, 1), "R") << n;
+    EXPECT_EQ(p->write_round_trips(), n[at + 2] - '0') << n;
+    EXPECT_EQ(p->read_round_trips(), n[at + 4] - '0') << n;
+  }
+}
+
+TEST(ProtocolTable, FeasibilityDigestIsPinned) {
+  // Every row's "atomic iff" column over S 3-9, t 0-2, W 1-3, R 1-4, as one
+  // FNV-1a digest of the verdict bits in registry order.
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const Protocol* p : all_protocols()) {
+    for (int s = 3; s <= 9; ++s) {
+      for (int t = 0; t <= 2; ++t) {
+        for (int w = 1; w <= 3; ++w) {
+          for (int r = 1; r <= 4; ++r) {
+            const bool ok = p->guarantees_atomicity(ClusterConfig{s, w, r, t});
+            h = (h ^ (ok ? 1u : 0u)) * 1099511628211ULL;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 15780542258145827815ULL);
 }
 
 // ---------- Sequential semantics ----------

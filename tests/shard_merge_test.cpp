@@ -246,6 +246,14 @@ TEST(ShardMerge, RefusesIncompleteDuplicateOrForeignShards) {
       merge_partials({partials[0], renamed, partials[2]}, &merged, &err));
   EXPECT_NE(err.find("name"), std::string::npos) << err;
 
+  // A trial index one past the expansion has no slot to land in.
+  Partial stray = partials[1];
+  ASSERT_FALSE(stray.results.empty());
+  stray.results.front().trial_index = stray.meta.total_trials;
+  EXPECT_FALSE(
+      merge_partials({partials[0], stray, partials[2]}, &merged, &err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+
   EXPECT_FALSE(merge_partials({}, &merged, &err));
 }
 
@@ -317,7 +325,7 @@ TEST(PartialCodec, RefusesTruncationAtEveryPrefixLength) {
   EXPECT_NE(err.find("trailing"), std::string::npos) << err;
 }
 
-TEST(PartialCodec, RefusesBadMagicAndVersionMismatch) {
+TEST(PartialCodec, RefusesBadMagicVersionOrShard) {
   const std::vector<ExperimentSpec> specs = ref_batch();
   Runner::Options o;
   o.threads = 1;
@@ -340,6 +348,11 @@ TEST(PartialCodec, RefusesBadMagicAndVersionMismatch) {
   bad[4] = kPartialVersion + 1;
   EXPECT_FALSE(decode_partial(bad.data(), bad.size(), &p, &err));
   EXPECT_NE(err.find("version mismatch"), std::string::npos) << err;
+
+  // A header whose shard index is not below its count names no slice.
+  bad = encode_partial(make_partial_meta("ref", specs, ShardSpec{3, 3}), {});
+  EXPECT_FALSE(decode_partial(bad.data(), bad.size(), &p, &err));
+  EXPECT_NE(err.find("invalid shard"), std::string::npos) << err;
 }
 
 TEST(PartialCodec, HostileSampleCountCannotForceOversizedReserve) {
