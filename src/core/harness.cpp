@@ -1,15 +1,20 @@
 #include "core/harness.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace mwreg {
 
 SimHarness::SimHarness(const Protocol& proto, Options opts)
     : cfg_(opts.cfg), keyspace_(opts.keyspace), rng_(opts.seed) {
-  assert(cfg_.valid());
-  assert(keyspace_.valid());
+  // Refused in every build, worded as ExperimentSpec::validate words them.
+  if (!cfg_.valid()) {
+    throw std::invalid_argument("invalid cluster: " + cfg_.to_string());
+  }
+  if (!keyspace_.valid()) {
+    throw std::invalid_argument("invalid keyspace: " + keyspace_.to_string());
+  }
   std::unique_ptr<DelayModel> delay = std::move(opts.delay);
   if (!delay) {
     delay = std::make_unique<UniformDelay>(1 * kMillisecond, 10 * kMillisecond);
@@ -41,7 +46,11 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
   }
 
   const bool affine = reader_key_affine(proto.table_reader());
-  assert(!affine || !keyspace_.multi() || keyspace_.num_keys <= cfg_.r());
+  if (affine && keyspace_.multi() && keyspace_.num_keys > cfg_.r()) {
+    throw std::invalid_argument(
+        "reader-affine protocol " + proto.name() + " needs num_keys <= R (" +
+        keyspace_.to_string() + " vs " + cfg_.to_string() + ")");
+  }
   key_cfgs_ = key_clusters(cfg_, keyspace_, affine);
   key_histories_.resize(key_cfgs_.size());
   ClusterConfig global = cfg_;  // the client id ranges
@@ -135,8 +144,10 @@ OpId SimHarness::async_read_key(int ri, std::uint32_t key,
 }
 
 void SimHarness::install_fault_plan(const FaultPlan& plan) {
-  assert(!keyspace_.multi() &&
-         "fault plans resolve against the single-register layout");
+  // Fault plans resolve against the single-register layout.
+  if (keyspace_.multi()) {
+    throw std::invalid_argument("fault plans cannot cross multi-key keyspaces");
+  }
   // Repeated installs share one log, so composed plans account together.
   fault_log_ = mwreg::install_fault_plan(*net_, cfg_, plan, spike_, fault_log_);
 }

@@ -70,6 +70,8 @@ class SimHarness {
     bool retire_history = false;
   };
 
+  /// Throws std::invalid_argument on an invalid cluster or keyspace, or a
+  /// reader-affine protocol on a keyspace with more keys than readers.
   SimHarness(const Protocol& proto, Options opts);
 
   Simulator& sim() { return sim_; }
@@ -101,7 +103,7 @@ class SimHarness {
   /// this harness's cluster). The log is observable via fault_log() during
   /// and after run(). Call before run(); repeated installs compose.
   /// Single-register harnesses only (plans resolve against the classic id
-  /// layout).
+  /// layout); a multi-key harness throws std::invalid_argument.
   void install_fault_plan(const FaultPlan& plan);
 
   /// Log of the most recently installed plan (null when none installed).

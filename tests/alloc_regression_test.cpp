@@ -1,5 +1,7 @@
 // Allocation regression: steady-state simulation must be allocation-free
-// as measured by the engine and pool counters.
+// as measured by the engine and pool counters, and a warm streaming
+// checker's hooks must not allocate at all (counted by this binary's global
+// operator new).
 //
 // A fixed W2R1 workload warms the event slab and the payload pool; after
 // that, further closed-loop traffic on the same harness must not move
@@ -10,15 +12,54 @@
 // pool) trips one of these counters.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 
+#include "consistency/history.h"
+#include "consistency/streaming_checker.h"
 #include "core/client_table.h"
 #include "core/harness.h"
 #include "core/workload.h"
 #include "protocols/fastread_server.h"
 #include "protocols/protocols.h"
 #include "sim/buffer_pool.h"
+
+// Whole-process allocation counter: every global operator new in this
+// binary lands here. All non-aligned forms are replaced so each allocation
+// is paired with the matching free (sanitizer builds check the pairing).
+namespace {
+std::atomic<std::uint64_t> g_operator_news{0};
+
+void* counted_new(std::size_t n) {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace mwreg {
 namespace {
@@ -272,6 +313,83 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
   EXPECT_EQ(h.net().dest_major_grows() - dm_grows, 0u)
       << "dest-major grouping or reply-staging scratch grew after warmup";
   EXPECT_EQ(h.sim().alloc_stats().heap_spills, 0u);
+}
+
+/// Forwards every hook to a checker and counts the operator new calls made
+/// inside each one. History::retire_prefix counts as on_complete's, since
+/// the checker calls it from there.
+class AllocCountingSink final : public HistorySink {
+ public:
+  explicit AllocCountingSink(HistorySink* inner) : inner_(inner) {}
+
+  struct Counts {
+    std::uint64_t invoke = 0;
+    std::uint64_t value = 0;
+    std::uint64_t complete = 0;
+  };
+
+  void on_invoke(const OpRecord& op) override {
+    const std::uint64_t before = g_operator_news.load();
+    inner_->on_invoke(op);
+    allocs.invoke += g_operator_news.load() - before;
+  }
+  void on_value(const OpRecord& op) override {
+    const std::uint64_t before = g_operator_news.load();
+    inner_->on_value(op);
+    allocs.value += g_operator_news.load() - before;
+  }
+  void on_complete(const OpRecord& op) override {
+    const std::uint64_t before = g_operator_news.load();
+    inner_->on_complete(op);
+    allocs.complete += g_operator_news.load() - before;
+  }
+
+  Counts allocs;
+
+ private:
+  HistorySink* inner_;
+};
+
+TEST(AllocRegression, WarmStreamingCheckerHooksAllocateNothing) {
+  // A single-key harness with a fixed client set: once the checker's ring,
+  // floor FIFO, window and client table have seen the workload's peak
+  // concurrency, a further burst must not allocate inside any hook.
+  const Protocol* proto = protocol_by_name("mw-abd(W2R2)");
+  ASSERT_NE(proto, nullptr);
+  SimHarness::Options o;
+  o.cfg = ClusterConfig{5, 4, 4, 2};
+  o.seed = 42;
+  SimHarness h(*proto, std::move(o));
+  StreamingTagWitness checker;
+  checker.retire_history(&h.history(), 64);
+  AllocCountingSink sink(&checker);
+  h.history().subscribe(&sink);
+
+  WorkloadOptions w;
+  w.ops_per_writer = 400;
+  w.ops_per_reader = 400;
+  run_random_workload(h, w);  // warmup: 3,200 ops
+  EXPECT_GT(sink.allocs.invoke, 0u) << "the counter never saw the warmup";
+  const AllocCountingSink::Counts warm = sink.allocs;
+  const std::size_t retired_records = h.history().retired_count();
+  const std::size_t retired_tags = checker.stats().retired_tags;
+
+  WorkloadOptions burst;
+  burst.ops_per_writer = 100;
+  burst.ops_per_reader = 100;
+  run_random_workload(h, burst);  // steady state: 800 more ops
+
+  EXPECT_EQ(sink.allocs.invoke - warm.invoke, 0u);
+  EXPECT_EQ(sink.allocs.value - warm.value, 0u);
+  EXPECT_EQ(sink.allocs.complete - warm.complete, 0u);
+  // The burst really ran through the checker, its watermark retirement and
+  // the history retirement it drives.
+  EXPECT_EQ(checker.stats().ops_seen, 4000u);
+  EXPECT_GT(checker.stats().retired_tags, retired_tags);
+  EXPECT_GT(h.history().retired_count(), retired_records);
+  const CheckResult verdict = checker.finish();
+  EXPECT_TRUE(verdict.atomic) << verdict.violation;
+  h.history().unsubscribe(&sink);
 }
 
 TEST(AllocRegression, DeliveryClosureFitsTheInlineEventBudget) {

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "consistency/checkers.h"
@@ -179,6 +182,87 @@ TEST(Keyspace, ReaderBlocksPartitionReaders) {
       }
     }
   }
+}
+
+// ---------- harness refusals ----------
+//
+// SimHarness refuses, in every build, the cells ExperimentSpec::validate
+// refuses, with the same message.
+
+std::unique_ptr<SimHarness> make_harness(const char* protocol,
+                                         ClusterConfig cfg,
+                                         KeyspaceConfig keyspace) {
+  SimHarness::Options o;
+  o.cfg = cfg;
+  o.keyspace = keyspace;
+  return std::make_unique<SimHarness>(*protocol_by_name(protocol),
+                                      std::move(o));
+}
+
+/// The message the harness refuses the cell with, or "" if it builds.
+std::string harness_refusal(const char* protocol, ClusterConfig cfg,
+                            KeyspaceConfig keyspace) {
+  try {
+    make_harness(protocol, cfg, keyspace);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string spec_refusal(const char* protocol, ClusterConfig cfg,
+                         KeyspaceConfig keyspace,
+                         std::vector<FaultPlan> plans = {}) {
+  ExperimentSpec spec;
+  spec.protocols = {protocol};
+  spec.clusters = {cfg};
+  spec.keyspaces = {keyspace};
+  spec.fault_plans = std::move(plans);
+  return spec.validate();
+}
+
+TEST(HarnessRefusals, InvalidCluster) {
+  const ClusterConfig t_is_s{5, 2, 2, 5};  // quorum S - t = 0
+  EXPECT_THROW(make_harness("mw-abd(W2R2)", t_is_s, {}),
+               std::invalid_argument);
+  EXPECT_EQ(harness_refusal("mw-abd(W2R2)", t_is_s, {}),
+            spec_refusal("mw-abd(W2R2)", t_is_s, {}));
+}
+
+TEST(HarnessRefusals, InvalidKeyspace) {
+  const KeyspaceConfig more_shards_than_keys{4, 8, 0.0};
+  const ClusterConfig cfg{5, 2, 2, 2};
+  EXPECT_THROW(make_harness("mw-abd(W2R2)", cfg, more_shards_than_keys),
+               std::invalid_argument);
+  EXPECT_EQ(harness_refusal("mw-abd(W2R2)", cfg, more_shards_than_keys),
+            spec_refusal("mw-abd(W2R2)", cfg, more_shards_than_keys));
+}
+
+TEST(HarnessRefusals, ReaderAffineProtocolNeedsAReaderPerKey) {
+  const ClusterConfig two_readers{5, 2, 2, 1};
+  const KeyspaceConfig four_keys{4, 2, 0.0};
+  EXPECT_THROW(make_harness("fast-read-mw(W2R1)", two_readers, four_keys),
+               std::invalid_argument);
+  EXPECT_EQ(harness_refusal("fast-read-mw(W2R1)", two_readers, four_keys),
+            spec_refusal("fast-read-mw(W2R1)", two_readers, four_keys));
+  // A reader per key is enough.
+  EXPECT_EQ(harness_refusal("fast-read-mw(W2R1)", ClusterConfig{5, 2, 4, 1},
+                            four_keys),
+            "");
+}
+
+TEST(HarnessRefusals, FaultPlanOnAMultiKeyKeyspace) {
+  const ClusterConfig cfg{5, 2, 2, 2};
+  const KeyspaceConfig four_keys{4, 2, 0.0};
+  std::unique_ptr<SimHarness> h = make_harness("mw-abd(W2R2)", cfg, four_keys);
+  const FaultPlan plan = scenarios::single_crash();
+  EXPECT_THROW(h->install_fault_plan(plan), std::invalid_argument);
+  try {
+    h->install_fault_plan(plan);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), spec_refusal("mw-abd(W2R2)", cfg, four_keys, {plan}));
+  }
+  EXPECT_EQ(h->fault_log(), nullptr) << "the refused plan was installed";
 }
 
 }  // namespace
