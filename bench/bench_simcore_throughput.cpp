@@ -505,26 +505,22 @@ Row workload_row(const std::string& protocol, const ClusterConfig& cfg) {
 /// `clients` closed-loop table clients (half writers, half readers) over a
 /// 64-key, 8-shard Zipfian keyspace in one mw-abd(W2R2) harness; batched
 /// delivery quantizes to a 10us tick so same-tick traffic batches.
-SimHarness::Options keyspace_options(int clients, bool coalesce,
-                                     bool dest_major) {
+SimHarness::Options keyspace_options(int clients, bool coalesce) {
   SimHarness::Options o =
       harness_options(ClusterConfig{5, clients / 2, clients - clients / 2, 1});
   o.keyspace = KeyspaceConfig{64, 8, 0.99};
   o.coalesce = coalesce;
-  if (coalesce) {
-    o.tick = 10 * kMicrosecond;
-    o.dest_major = dest_major;
-  }
+  if (coalesce) o.tick = 10 * kMicrosecond;
   return o;
 }
 
 /// A million-client grid point: 10 ops per client, so 10^5 or 10^6 ops.
 /// One rep: the run is long enough to be stable on its own.
-Row million_row(int clients, bool coalesce, bool dest_major) {
+Row million_row(int clients, bool coalesce) {
   constexpr int kOps = 10;
   Run r = run(
-      "mw-abd(W2R2)",
-      [&] { return keyspace_options(clients, coalesce, dest_major); }, kOps);
+      "mw-abd(W2R2)", [&] { return keyspace_options(clients, coalesce); },
+      kOps);
   SimHarness& h = *r.h;
   std::vector<double> writes, reads;
   double per_key_read_p99_max = 0;
@@ -541,7 +537,6 @@ Row million_row(int clients, bool coalesce, bool dest_major) {
              field("keyspace", h.keyspace().to_string()),
              col("clients", clients), col("ops_per_client", kOps),
              col("coalesce", coalesce),
-             col("dest_major", coalesce && dest_major),
              col("mean_run_len", h.net().coalesce_stats().mean_run_len()),
              field("events", r.events), field("msgs", h.net().stats().sent),
              field("wall_ms", r.wall_ms),
@@ -553,7 +548,7 @@ Row million_row(int clients, bool coalesce, bool dest_major) {
   return row;
 }
 
-/// The dest-major 10^6-op grid point re-run with a StreamingTagWitness
+/// The batched 10^6-op grid point re-run with a StreamingTagWitness
 /// subscribed to every key history and settled-prefix retirement on:
 /// proves the run can be checked live in window-bounded memory and
 /// measures the cost next to its unchecked twin. No latency columns:
@@ -564,7 +559,7 @@ Row checked_soak(double unchecked_wall_ms) {
   Run r = run(
       "mw-abd(W2R2)",
       [] {
-        SimHarness::Options o = keyspace_options(kClients, true, true);
+        SimHarness::Options o = keyspace_options(kClients, true);
         o.streaming_check = true;
         o.retire_history = true;
         return o;
@@ -608,45 +603,6 @@ Row checked_soak(double unchecked_wall_ms) {
   return row;
 }
 
-/// The destination-major drain's headline: one single-register
-/// mw-abd(W2R2) deployment, 10^4 table-driven closed-loop clients at a
-/// 10us tick, run under both drains (best-of-2 each). Every server ack
-/// fans out to table clients and the whole ClientTable is ONE process, so
-/// a tick's ack traffic regroups into a single long run; the gate bounds
-/// the dest-major mean_run_len below.
-Row fanout_replay() {
-  constexpr int kClients = 10'000;
-  constexpr int kOps = 4;
-  auto lane = [](bool dest_major) {
-    return run(
-        "mw-abd(W2R2)",
-        [dest_major] {
-          SimHarness::Options o = harness_options(
-              ClusterConfig{5, kClients / 2, kClients / 2, 1});
-          o.tick = 10 * kMicrosecond;
-          o.dest_major = dest_major;
-          return o;
-        },
-        kOps, 2);
-  };
-  const Run fo = lane(false);
-  const Run dm = lane(true);
-  const CoalesceStats& fs = fo.h->net().coalesce_stats();
-  const CoalesceStats& ds = dm.h->net().coalesce_stats();
-  const double fo_eps = fo.per_sec(fo.events);
-  const double dm_eps = dm.per_sec(dm.events);
-  return {field("workload", "w2r2_table_fanout"),
-          field("protocol", "mw-abd(W2R2)"), field("clients", kClients),
-          field("ops_per_client", kOps), col("frames", ds.frames),
-          col("frame_order_events_per_sec", fo_eps),
-          col("frame_order_mean_run_len", fs.mean_run_len()),
-          col("dest_major_events_per_sec", dm_eps),
-          col("dest_major_speedup", ratio(dm_eps, fo_eps)),
-          col("mean_run_len", ds.mean_run_len()),
-          col("dest_major_ticks", ds.dest_major),
-          col("staged_replies", ds.staged), field("wall_ms", dm.wall_ms)};
-}
-
 // ---- report + artifact ----
 
 void report() {
@@ -662,9 +618,6 @@ void report() {
   section(j, "coalescing",
           "Batched delivery: same hop stream through the real Network stack",
           {measure_coalesced_delivery(hop_sizes)}, false);
-  section(j, "fanout_replay",
-          "W2R2 table fan-out: dispatched-run length (10us tick)",
-          {fanout_replay()}, false);
   std::vector<Row> workloads;
   for (const auto& [proto, cfg] :
        std::vector<std::pair<std::string, ClusterConfig>>{
@@ -681,12 +634,11 @@ void report() {
           "End-to-end workload throughput (300 ops/client, uniform 1..10ms)",
           workloads, true);
   // 10^5 and 10^6 total ops through one table-driven harness: per-message,
-  // then batched under the frame-order and destination-major drains.
+  // then batched.
   std::vector<Row> million;
   for (const int clients : {10'000, 100'000}) {
-    million.push_back(million_row(clients, false, false));
-    million.push_back(million_row(clients, true, false));
-    million.push_back(million_row(clients, true, true));
+    million.push_back(million_row(clients, false));
+    million.push_back(million_row(clients, true));
   }
   section(j, "million_client",
           "Million-client keyspace (table clients, 64 keys / 8 shards, zipf)",

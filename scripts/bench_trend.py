@@ -21,8 +21,7 @@ section, and gives every other field one kind:
           judged.
   bound   an exact field that must also meet an absolute bound no
           baseline refresh can relax: steady allocation counters are 0,
-          the checked soak is atomic over at least 10^6 ops, and the
-          fan-out's mean dispatched-run length is at least 8.
+          and the checked soak is atomic over at least 10^6 ops.
 
 merge() builds both sides. Runs must agree on every exact field; host and
 report fields keep one value per run, so a merged document holds them as
@@ -72,18 +71,12 @@ SPEC = Section(None, dict(
         coalesced_events_per_sec=HOST, coalesce_speedup=REPORT,
         batches=EXACT, frames_per_batch=EXACT,
         batch_size_hist=Section(("ge",), dict(count=EXACT)), **STEADY)),
-    fanout_replay=Section(None, dict(
-        workload=EXACT, protocol=EXACT, clients=EXACT, ops_per_client=EXACT,
-        frames=EXACT, frame_order_events_per_sec=HOST,
-        frame_order_mean_run_len=EXACT, dest_major_events_per_sec=HOST,
-        dest_major_speedup=REPORT, mean_run_len=(">=", 8),
-        dest_major_ticks=EXACT, staged_replies=EXACT, wall_ms=REPORT)),
     workloads=Section(("protocol", "cluster"), dict(
         ops_per_client=EXACT, events=EXACT, msgs=EXACT, bytes_on_wire=EXACT,
         wall_ms=REPORT, events_per_sec=HOST, msgs_per_sec=REPORT,
         engine_allocs=EXACT, pool_misses=EXACT, **STEADY)),
     million_client=Section(
-        ("protocol", "clients", "ops_per_client", "coalesce", "dest_major"),
+        ("protocol", "clients", "ops_per_client", "coalesce"),
         dict(keyspace=EXACT, mean_run_len=EXACT, events=EXACT, msgs=EXACT,
              wall_ms=REPORT, events_per_sec=HOST, write_p99_ms=EXACT,
              read_p99_ms=EXACT, per_key_read_p99_max_ms=EXACT, **STEADY)),
@@ -320,9 +313,8 @@ def gate(base, gated):
 
 ROWS = {
     "workloads": [("fr", "S=5"), ("abd", "S=3")],
-    "million_client": [("mw", 10**5, 10, False, False),
-                       ("mw", 10**5, 10, True, False),
-                       ("mw", 10**5, 10, True, True)],
+    "million_client": [("mw", 10**5, 10, False),
+                       ("mw", 10**5, 10, True)],
     "valuevector": [("fr", "S=5", "W2R1-long")],
     "batch_size_hist": [(1,), (2,)],
 }
@@ -433,9 +425,9 @@ CASES = MALFORMED + [
      "S=5.steady_engine_allocs: 3 breaks the bound == 0"),
     ("million-identical", 0, edit(), ""),
     ("million-30pc-drop", 1, edit("million_client.0.events_per_sec", x(0.7)),
-     "million_client/mw/100000/10/false/false.events_per_sec:"),
+     "million_client/mw/100000/10/false.events_per_sec:"),
     ("million-missing-row", 1, edit("million_client.0", None),
-     "million_client/mw/100000/10/false/false: "),
+     "million_client/mw/100000/10/false: "),
     ("million-steady-allocs", 1,
      edit("million_client.0.steady_engine_allocs", 7), "false.steady_engine"),
     ("coalescing-identical", 0, edit(), ""),
@@ -445,21 +437,10 @@ CASES = MALFORMED + [
     ("coalescing-steady-allocs", 1, edit("coalescing.steady_engine_allocs", 9),
      "coalescing.steady_engine_allocs: 9 breaks"),
     ("coalesced-million-drop", 1,
-     edit("million_client.2.events_per_sec", x(0.5)),
-     "million_client/mw/100000/10/true/true.events_per_sec:"),
+     edit("million_client.1.events_per_sec", x(0.5)),
+     "million_client/mw/100000/10/true.events_per_sec:"),
     ("coalescing-section-vanished", 1, edit("coalescing", None),
      "coalescing: workload"),
-    ("fanout-identical", 0, edit(), ""),
-    ("fanout-short-runs", 1, edit("fanout_replay.mean_run_len", 5),
-     "fanout_replay.mean_run_len: 5 breaks the bound >= 8"),
-    ("fanout-dest-major-eps-drop", 1,
-     edit("fanout_replay.dest_major_events_per_sec", x(0.66)),
-     "fanout_replay.dest_major_events_per_sec:"),
-    ("fanout-section-vanished", 1, edit("fanout_replay", None),
-     "fanout_replay: workload"),
-    ("frame-order-million-drop", 1,
-     edit("million_client.1.events_per_sec", x(0.66)),
-     "million_client/mw/100000/10/true/false.events_per_sec:"),
     ("soak-identical", 0, edit(), ""),
     ("soak-30pc-drop", 1, edit("checked_soak.events_per_sec", x(0.7)),
      "checked_soak.events_per_sec:"),

@@ -33,13 +33,6 @@ MERGE_CASES = [
     ("calibration-median", "engine_comparison.legacy_events_per_sec", 3.0),
     ("coalescing-eps-median", "coalescing.per_message_events_per_sec", 3e6),
     ("coalescing-eps-median", "coalescing.coalesced_events_per_sec", 3e6),
-    ("million-dest-major-keyed", "million_client.2.dest_major", True),
-    ("million-dest-major-keyed", "million_client.2.events_per_sec", 3e6),
-    ("fanout-eps-median", "fanout_replay.frame_order_events_per_sec", 3e6),
-    ("fanout-eps-median", "fanout_replay.dest_major_events_per_sec", 3e6),
-    ("fanout-wall-median", "fanout_replay.wall_ms", 3.0),
-    ("fanout-runlen-verbatim", "fanout_replay.mean_run_len", 8),
-    ("fanout-runlen-verbatim", "fanout_replay.frames", 1),
     ("soak-medians", "checked_soak.events_per_sec", 3e6),
     ("soak-medians", "checked_soak.wall_ms", 3.0),
     ("soak-medians", "checked_soak.checker_ns_per_op", 3.0),
@@ -81,8 +74,9 @@ def self_test():
          lambda d, i: d["checked_soak"].update(verdict_atomic=False),
          "checked_soak.verdict_atomic: false breaks the bound == true"),
         ("bound-section-missing", 1,
-         lambda d, i: d.pop("fanout_replay") and None,
-         "fanout_replay: mean_run_len missing"),
+         lambda d, i: d.pop("checked_soak") and None,
+         "checked_soak: ops_checked, verdict_atomic, steady_engine_allocs, "
+         "steady_pool_misses missing"),
     ]
     rc = bt.run_cases(main, cases, lambda p: p + ["--output", p[0] + ".out"],
                       lambda fn: bt.build_runs(

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mwreg {
@@ -69,22 +71,40 @@ void ClientTable::broadcast(int slot, std::uint32_t key, MsgType type,
   // the free list for them would starve the capacity-carrying payloads at
   // 10^5-client bursts); the batched engine copies the bytes straight into
   // each destination's slab. Pool stats are not part of any digest.
-  // cause_ (the reply being handled, when this round chains off one)
-  // routes the fan-out through the reply-staging buffer under a
-  // destination-major drain; it is null for workload-initiated rounds.
   for (int i = 0; i < kc.s(); ++i) {
-    net().send_bytes(src, kc.server_id(i), type, key, rpc, ByteSpan(payload),
-                     cause_);
+    net().send_bytes(src, kc.server_id(i), type, key, rpc, ByteSpan(payload));
   }
   pool().release(std::move(payload));
 }
 
+void ClientTable::check_start(bool writer, int index, std::uint32_t key) const {
+  // Messages are built only on refusal: a start that passes allocates
+  // nothing here.
+  const char* who =
+      writer ? "ClientTable::start_write: " : "ClientTable::start_read: ";
+  const int count = writer ? w_ : r_;
+  if (index < 0 || index >= count) {
+    throw std::out_of_range(std::string(who) + "index " +
+                            std::to_string(index) + " outside [0, " +
+                            std::to_string(count) + ")");
+  }
+  if (key >= key_cfgs_.size()) {
+    throw std::out_of_range(std::string(who) + "key " + std::to_string(key) +
+                            " outside [0, " +
+                            std::to_string(key_cfgs_.size()) + ")");
+  }
+  const int slot = writer ? index : w_ + index;
+  if (phase_[static_cast<std::size_t>(slot)] != 0) {
+    throw std::logic_error(std::string(who) + (writer ? "writer " : "reader ") +
+                           std::to_string(index) +
+                           " already has an operation in flight");
+  }
+}
+
 OpId ClientTable::start_write(int wi, std::uint32_t key, std::int64_t payload) {
+  check_start(/*writer=*/true, wi, key);
   const int slot = wi;
   const auto s = static_cast<std::size_t>(slot);
-  assert(wi >= 0 && wi < w_);
-  assert(key < key_cfgs_.size());
-  assert(phase_[s] == 0 && "writer already has an operation in flight");
   const NodeId node = slot_node(slot);
   const OpId op = histories_[key]->begin_op(node, OpKind::kWrite, sim().now());
   op_[s] = op;
@@ -122,11 +142,9 @@ void ClientTable::begin_write_round2(int slot, Tag tag) {
 }
 
 OpId ClientTable::start_read(int ri, std::uint32_t key) {
+  check_start(/*writer=*/false, ri, key);
   const int slot = w_ + ri;
   const auto s = static_cast<std::size_t>(slot);
-  assert(ri >= 0 && ri < r_);
-  assert(key < key_cfgs_.size());
-  assert(phase_[s] == 0 && "reader already has an operation in flight");
   const NodeId node = slot_node(slot);
   const OpId op = histories_[key]->begin_op(node, OpKind::kRead, sim().now());
   op_[s] = op;
@@ -169,11 +187,7 @@ OpId ClientTable::start_read(int ri, std::uint32_t key) {
   return op;
 }
 
-void ClientTable::on_message(const Frame& m) {
-  cause_ = &m;
-  handle_reply(m);
-  cause_ = nullptr;
-}
+void ClientTable::on_message(const Frame& m) { handle_reply(m); }
 
 void ClientTable::handle_reply(const Frame& m) {
   const int slot = slot_of(m.dst);

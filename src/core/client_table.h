@@ -55,26 +55,18 @@ class ClientTable final : public Process {
 
   void on_message(const Frame& m) override;
 
-  /// Batched delivery: a tick's worth of replies to many table clients
-  /// lands as one span; one virtual dispatch, then a non-virtual demux per
-  /// frame (slot lookup is an id-range subtraction, not worth run-batching).
-  /// Under the destination-major drain this span covers EVERY table client
-  /// addressed in the tick (the table is one process at many node ids) —
-  /// the per-frame dst demux makes that free. Tracks the frame being
-  /// processed so mid-run round transitions (RT1 quorum -> RT2 broadcast)
-  /// attribute their fan-out to the triggering reply for reply staging.
+  /// Batched delivery: a run of replies to one table client lands as one
+  /// span; one virtual dispatch, then a non-virtual demux per frame.
   void on_deliver_batch(FrameSpan frames) override {
-    for (const Frame& f : frames) {
-      cause_ = &f;
-      handle_reply(f);
-    }
-    cause_ = nullptr;
+    for (const Frame& f : frames) handle_reply(f);
   }
 
   /// Start a write by writer `wi` on `key`; one op per slot at a time.
-  /// Returns the OpId in key `key`'s history.
+  /// Returns the OpId in key `key`'s history. Throws, in every build and
+  /// before touching any state, std::out_of_range for a bad `wi` or `key`
+  /// and std::logic_error while the writer's previous op is in flight.
   OpId start_write(int wi, std::uint32_t key, std::int64_t payload);
-  /// Start a read by reader `ri` on `key`.
+  /// Start a read by reader `ri` on `key`; refuses as start_write does.
   OpId start_read(int ri, std::uint32_t key);
 
   void set_on_complete(CompleteFn fn) { on_complete_ = std::move(fn); }
@@ -141,6 +133,9 @@ class ClientTable final : public Process {
   void broadcast(int slot, std::uint32_t key, MsgType type,
                  std::vector<std::uint8_t> payload);
 
+  /// start_write / start_read's refusals.
+  void check_start(bool writer, int index, std::uint32_t key) const;
+
   void handle_reply(const Frame& m);
   void on_writer_reply(int slot, const Frame& m);
   void on_reader_reply(int slot, const Frame& m);
@@ -157,9 +152,6 @@ class ClientTable final : public Process {
   TableReaderProgram reader_program_;
   std::vector<History*> histories_;
   CompleteFn on_complete_;
-  /// Frame currently being handled (null outside delivery): the cause
-  /// passed to the network so mid-run broadcasts get staged (network.h).
-  const Frame* cause_ = nullptr;
   int w_ = 0;
   int r_ = 0;
   std::uint64_t rounds_done_ = 0;

@@ -27,7 +27,6 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
   nopts.fifo = opts.fifo;
   nopts.coalesce = opts.coalesce;
   nopts.tick = opts.tick;
-  nopts.dest_major = opts.dest_major;
   net_ = std::make_unique<Network>(sim_, std::move(spike), rng_.fork(), nopts);
   if (opts.coalesce) {
     // Pre-size the batch rings from cluster shape. A batch is one delivery
@@ -130,17 +129,22 @@ OpId SimHarness::async_read(int ri, std::function<void(TaggedValue)> done) {
   return async_read_key(ri, 0, std::move(done));
 }
 
+// The done callback is stored only once the start succeeded, so a refused
+// call leaves the in-flight op's callback in place. Completions come from
+// deliveries, never from inside start_*, so none can fire before the store.
 OpId SimHarness::async_write_key(int wi, std::uint32_t key,
                                  std::int64_t payload,
                                  std::function<void()> done) {
-  write_done_.at(static_cast<std::size_t>(wi)) = std::move(done);
-  return table_->start_write(wi, key, payload);
+  const OpId op = table_->start_write(wi, key, payload);
+  write_done_[static_cast<std::size_t>(wi)] = std::move(done);
+  return op;
 }
 
 OpId SimHarness::async_read_key(int ri, std::uint32_t key,
                                 std::function<void(TaggedValue)> done) {
-  read_done_.at(static_cast<std::size_t>(ri)) = std::move(done);
-  return table_->start_read(ri, key);
+  const OpId op = table_->start_read(ri, key);
+  read_done_[static_cast<std::size_t>(ri)] = std::move(done);
+  return op;
 }
 
 void SimHarness::install_fault_plan(const FaultPlan& plan) {

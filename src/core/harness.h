@@ -49,15 +49,14 @@ class SimHarness {
     /// Batch same-(destination, tick) deliveries into one simulator event
     /// (Network::Options::coalesce). Observably identical to the
     /// per-message engine — histories, digests, and stats match bit for
-    /// bit — it only changes how fast the simulation runs. Default ON
-    /// since the destination-major PR; per-message (false) is the
-    /// registered ablation, soaked by the schedule fuzzer's parity lanes.
+    /// bit — it only changes how fast the simulation runs. Default ON;
+    /// per-message (false) is the registered ablation and the reference
+    /// lane of the schedule fuzzer's engine-parity soak.
     bool coalesce = true;
     /// Delivery-time quantum (Network::Options::tick); 1 = exact-ns.
     Duration tick = 1;
-    /// Destination-major drain + reply staging when a tick's whole frame
-    /// window is foreign-event-free (Network::Options::dest_major).
-    /// Frame-order (false) is the second ablation axis.
+    /// Ignored; kept only because benchmark/driver/soaks.cpp and sweeps.cpp
+    /// assign it.
     bool dest_major = true;
     /// Subscribe a StreamingTagWitness to every key history so atomicity is
     /// checked live as operations complete (memory bounded by the
@@ -89,7 +88,9 @@ class SimHarness {
   /// Issue a read by reader index `ri` (key 0), recording it in the history.
   OpId async_read(int ri, std::function<void(TaggedValue)> done = nullptr);
 
-  /// Keyed variants. The OpId indexes key `key`'s history.
+  /// Keyed variants. The OpId indexes key `key`'s history. All four throw
+  /// as ClientTable::start_write / start_read do (a bad index or key, or a
+  /// client whose previous op is in flight) and then leave that op intact.
   OpId async_write_key(int wi, std::uint32_t key, std::int64_t payload,
                        std::function<void()> done = nullptr);
   OpId async_read_key(int ri, std::uint32_t key,

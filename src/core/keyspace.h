@@ -110,10 +110,7 @@ class KeyRouter final : public Process {
 
   /// Batched delivery: forward maximal same-replica runs as subspans, so a
   /// burst of requests for one key costs one demux and one virtual dispatch
-  /// instead of one per frame. A router sits at exactly one node id, so its
-  /// spans stay pure same-destination even under the destination-major
-  /// drain; replica replies carry their request as the cause frame and get
-  /// staged by the network like any direct server's.
+  /// instead of one per frame.
   void on_deliver_batch(FrameSpan frames) override {
     std::size_t i = 0;
     while (i < frames.size()) {

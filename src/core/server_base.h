@@ -21,14 +21,10 @@ class ServerBase : public Process {
 
   virtual void handle_request(const Frame& req) = 0;
 
-  /// Ack/reply to `req`, mirroring its rpc_id. Carries `req` down as the
-  /// cause frame: under a destination-major drain the network stages the
-  /// reply and flushes a whole run's fan-out contiguously at batch end
-  /// (in canonical frame order), so a server's acks land as one run at the
-  /// receiving table/client instead of scattering through the next tick.
+  /// Ack/reply to `req`, mirroring its rpc_id.
   void reply(const Frame& req, MsgType type,
              std::vector<std::uint8_t> payload) {
-    send_from(req, req.src, type, req.rpc_id, std::move(payload));
+    send(req.src, type, req.rpc_id, std::move(payload));
   }
 
  private:

@@ -150,7 +150,6 @@ TrialResult run_trial(const ExperimentSpec& spec, int spec_index,
   o.keyspace = tr.keyspace;
   o.coalesce = spec.coalesce;
   o.tick = spec.tick;
-  o.dest_major = spec.dest_major;
   o.streaming_check = spec.check_streaming;
   if (spec.delay) o.delay = spec.delay(cfg);
   SimHarness h(*proto, std::move(o));
@@ -298,7 +297,6 @@ ExpansionInfo expansion_info(const std::vector<ExperimentSpec>& specs) {
     mix(static_cast<std::uint64_t>(spec.fifo));
     mix(static_cast<std::uint64_t>(spec.coalesce));
     mix(static_cast<std::uint64_t>(spec.tick));
-    mix(static_cast<std::uint64_t>(spec.dest_major));
     mix(static_cast<std::uint64_t>(spec.check_graph));
     mix(static_cast<std::uint64_t>(spec.check_streaming));
   }

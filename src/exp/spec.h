@@ -84,13 +84,11 @@ struct ExperimentSpec {
   /// Batched delivery (SimHarness::Options::coalesce / tick). Observably
   /// identical to the per-message engine — these are deliberately NOT part
   /// of cell_digest, so flipping them reproduces the same harness seeds and
-  /// bit-identical results. Batched is the default since the
-  /// destination-major PR; per-message is the registered ablation.
+  /// bit-identical results. Batched is the default; per-message is the
+  /// registered ablation.
   bool coalesce = true;
   Duration tick = 1;
-  /// Destination-major drain + reply staging (also NOT part of
-  /// cell_digest; frame-order is the second ablation axis — golden tests
-  /// pin digests identical on-vs-off).
+  /// Ignored; kept only because benchmark/driver/sweeps.cpp reads it.
   bool dest_major = true;
 
   /// Also run the O(n^2) exact unique-value-graph checker per trial (the

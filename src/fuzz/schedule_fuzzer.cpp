@@ -74,16 +74,15 @@ struct LaneResult {
 /// trial_seed see the same harness RNG, the same flap plan, and the same
 /// workload draws — the engine is the only variable.
 LaneResult run_parity_lane(const ParityOptions& opts, const Protocol& proto,
-                           std::uint64_t trial_seed, bool crash, bool coalesce,
-                           bool dest_major) {
+                           std::uint64_t trial_seed, bool crash,
+                           bool coalesce) {
   SimHarness::Options o;
   o.cfg = opts.cfg;
   o.seed = trial_seed;
   o.delay = std::make_unique<LogNormalDelay>(3 * kMillisecond, 1.2);
   o.coalesce = coalesce;
-  o.dest_major = dest_major;
   o.tick = opts.tick;
-  // Fourth verdict lane: the streaming checker rides along live (history
+  // Streaming verdict lane: the checker rides along live (history
   // retirement stays OFF so trial digests still cover the full history).
   o.streaming_check = true;
   SimHarness h(proto, std::move(o));
@@ -169,12 +168,10 @@ ParityReport run_engine_parity_fuzzer(const ParityOptions& opts) {
     const bool crash = master.next_bool(opts.crash_probability);
     if (crash) ++report.crash_trials;
 
-    const LaneResult per_message = run_parity_lane(
-        opts, *proto, trial_seed, crash, /*coalesce=*/false, false);
-    const LaneResult frame_order = run_parity_lane(
-        opts, *proto, trial_seed, crash, /*coalesce=*/true, false);
-    const LaneResult dest_major = run_parity_lane(
-        opts, *proto, trial_seed, crash, /*coalesce=*/true, true);
+    const LaneResult per_message =
+        run_parity_lane(opts, *proto, trial_seed, crash, /*coalesce=*/false);
+    const LaneResult frame_order =
+        run_parity_lane(opts, *proto, trial_seed, crash, /*coalesce=*/true);
 
     auto note = [&report, trial](const std::string& what) {
       ++report.mismatches;
@@ -188,16 +185,10 @@ ParityReport run_engine_parity_fuzzer(const ParityOptions& opts) {
       note("per-message vs frame-order digest mismatch");
     }
     if (per_message.stream_atomic == per_message.atomic &&
-        frame_order.stream_atomic == frame_order.atomic &&
-        dest_major.stream_atomic == dest_major.atomic) {
+        frame_order.stream_atomic == frame_order.atomic) {
       ++report.stream_verdict_parity;
     } else {
       note("live streaming verdict diverged from the batch tag witness");
-    }
-    if (frame_order.digest == dest_major.digest) {
-      ++report.dest_major_exact;
-    } else {
-      note("frame-order vs dest-major digest mismatch");
     }
   }
   return report;

@@ -43,17 +43,16 @@ FuzzReport run_schedule_fuzzer(const FuzzOptions& opts);
 
 /// Engine-parity soak: replays every fuzzed schedule — same harness seed,
 /// same link-flap plan, same workload, optionally a mid-run crash — under
-/// three delivery engines and cross-checks them:
+/// both delivery engines and cross-checks them:
 ///   A. per-message (coalesce off): the live reference;
-///   B. batched, frame-order drain (coalesce on, dest_major off);
-///   C. batched, destination-major drain (coalesce on, dest_major on).
-/// A vs B and B vs C must be digest-identical on EVERY trial, crashes
-/// included: the workload schedules its crash as a simulator event, and the
-/// network refuses fault mutations from inside a drain, so fault state never
+///   B. batched, frame-order drain (coalesce on).
+/// A and B must be digest-identical on EVERY trial, crashes included: the
+/// workload schedules its crash as a simulator event, and the network
+/// refuses fault mutations from inside a drain, so fault state never
 /// changes under a dispatched run.
 ///
-/// Every lane additionally runs the streaming tag-witness checker LIVE
-/// (subscribed to the lane's history) — the fourth verdict lane: its
+/// Both lanes additionally run the streaming tag-witness checker LIVE
+/// (subscribed to the lane's history) — the streaming verdict lane: its
 /// finish() verdict must equal the lane's batch check_tag_witness verdict
 /// on every trial, crashed or not (stream_verdict_parity).
 struct ParityOptions {
@@ -64,7 +63,7 @@ struct ParityOptions {
   double crash_probability = 0.3;
   int link_flaps = 20;
   std::uint64_t seed = 1;
-  /// Delivery-time quantum shared by all three lanes (coarse enough that
+  /// Delivery-time quantum shared by both lanes (coarse enough that
   /// multi-frame batches actually form under the fuzzed delays).
   Duration tick = 10'000;  // 10us in ns
 };
@@ -75,9 +74,6 @@ struct ParityReport {
   /// Trials where the per-message and frame-order digests matched
   /// (must equal trials).
   int frame_order_exact = 0;
-  /// Trials where the frame-order and dest-major digests matched (must
-  /// equal trials).
-  int dest_major_exact = 0;
   /// Trials where every lane's LIVE streaming verdict equaled that lane's
   /// batch tag-witness verdict (must equal trials).
   int stream_verdict_parity = 0;

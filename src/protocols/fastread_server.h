@@ -74,10 +74,7 @@ class FastReadServer final : public ServerBase {
   [[nodiscard]] std::uint64_t entries_pruned() const { return pruned_; }
 
   /// Batched delivery: one virtual dispatch per span, then a non-virtual
-  /// per-frame loop through the request switch. Every reply (tag acks,
-  /// full read acks, delta acks) carries its request as the cause frame,
-  /// so under a destination-major drain the run's fan-out is staged and
-  /// lands contiguously at the receivers (network.h reply staging).
+  /// per-frame loop through the request switch.
   void on_deliver_batch(FrameSpan frames) final {
     for (const Frame& f : frames) handle_request(f);
   }

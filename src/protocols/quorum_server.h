@@ -16,10 +16,6 @@ class QuorumServer final : public ServerBase {
 
   /// Batched delivery: one virtual dispatch per span, then a non-virtual
   /// per-frame loop (the switch in handle_request is the whole handler).
-  /// Each reply() carries its request as the cause frame, so under a
-  /// destination-major drain the whole run's acks are staged and flushed
-  /// contiguously at batch end — the receiving table/client sees them as
-  /// one run instead of interleaved singles.
   void on_deliver_batch(FrameSpan frames) final {
     for (const Frame& f : frames) handle_request(f);
   }

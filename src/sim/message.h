@@ -38,12 +38,6 @@ struct Frame {
   std::uint32_t key = 0;
   std::uint64_t rpc_id = 0;
   ByteSpan payload;
-  /// Index of this frame within its delivery batch, in original (time, seq)
-  /// frame order; set at batch seal time. The destination-major drain hands
-  /// it to the reply-staging machinery so handler-emitted sends can be
-  /// flushed in canonical frame order (network.h). 0 in the per-message
-  /// engine, where no reordering ever happens.
-  std::uint32_t bix = 0;
 };
 
 /// Contiguous run of frames delivered to one destination in one simulator

@@ -86,18 +86,9 @@ Time Network::arrival_time(NodeId src, NodeId dst) {
   return at;
 }
 
-void Network::send(Message m, const Frame* cause) {
+void Network::send(Message m) {
   ++stats_.sent;
   stats_.bytes_sent += m.payload.size();
-  if (stage_active_ && cause != nullptr) {
-    // Destination-major drain in progress: defer to the staging buffer
-    // (crash/block checks and the delay draw happen at flush, in canonical
-    // frame order).
-    stage_send(cause->bix, m.src, m.dst, m.type, m.key, m.rpc_id,
-               ByteSpan(m.payload));
-    discard(std::move(m));
-    return;
-  }
   if (crashed(m.src)) {  // a crashed node sends nothing
     ++stats_.from_crashed;
     discard(std::move(m));
@@ -108,13 +99,9 @@ void Network::send(Message m, const Frame* cause) {
 
 void Network::send_bytes(NodeId src, NodeId dst, MsgType type,
                          std::uint32_t key, std::uint64_t rpc_id,
-                         ByteSpan bytes, const Frame* cause) {
+                         ByteSpan bytes) {
   ++stats_.sent;
   stats_.bytes_sent += bytes.size();
-  if (stage_active_ && cause != nullptr) {
-    stage_send(cause->bix, src, dst, type, key, rpc_id, bytes);
-    return;
-  }
   if (crashed(src)) {
     ++stats_.from_crashed;
     return;
@@ -303,25 +290,10 @@ void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
     const std::uint8_t* base = b.slab.data();
     for (std::size_t i = 0; i < b.frames.size(); ++i) {
       b.frames[i].payload.ptr = base + b.meta[i].off;
-      b.frames[i].bix = static_cast<std::uint32_t>(i);
     }
     ++coalesce_stats_.batches;
   }
   const auto n = static_cast<std::uint32_t>(b.frames.size());
-  // Destination-major eligibility: a fresh (non-continuation) fire, the
-  // option on, no fault or hook active, and one peek proving no foreign
-  // event orders anywhere inside the tick's frame window — i.e. before the
-  // LAST frame's reserved sequence. If the whole window is ours, no
-  // observer exists for the within-tick dispatch order and the batch can
-  // drain destination-major; otherwise fall through to the exact
-  // frame-order drain below.
-  if (from == 0 && opts_.dest_major && n > 1 && num_crashed_ == 0 &&
-      num_blocked_ == 0 && !hook_ &&
-      !sim_.has_event_before(b.at, b.meta[n - 1].seq)) {
-    fire_batch_dest_major(b);
-    recycle_batch(bi);
-    return;
-  }
   std::uint32_t i = from;
   while (i < n) {
     // Yield whenever an intermediate event — a timer, a fault-plan step, an
@@ -384,129 +356,6 @@ void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
     }
   }
   recycle_batch(bi);
-}
-
-void Network::fire_batch_dest_major(Batch& b) {
-  const auto n = static_cast<std::uint32_t>(b.frames.size());
-  ++coalesce_stats_.dest_major;
-  // Group frames by attached Process (not NodeId): the ClientTable is ONE
-  // process attached at every client id, so a tick's entire ack traffic to
-  // all table clients becomes one run. The grouping is stable, so each
-  // process's observed frame order — and every per-(src,dst) FIFO
-  // projection inside it — is the frame-order drain's, verbatim.
-  ++dm_epoch_;
-  dm_groups_.clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto d = static_cast<std::size_t>(b.frames[i].dst);
-    if (dm_node_epoch_.size() <= d) {
-      ++dm_grows_;
-      dm_node_epoch_.resize(d + 1, 0);
-      dm_group_of_.resize(d + 1, 0);
-    }
-    if (dm_node_epoch_[d] != dm_epoch_) {
-      dm_node_epoch_[d] = dm_epoch_;
-      Process* p = d < procs_.size() ? procs_[d] : nullptr;
-      // Linear scan: distinct processes per tick are few (servers/routers
-      // plus one table), and repeated destinations hit the epoch table.
-      std::uint32_t g = 0;
-      while (g < dm_groups_.size() && dm_groups_[g].proc != p) ++g;
-      if (g == dm_groups_.size()) {
-        note_growth(dm_groups_, dm_groups_.size() + 1);
-        dm_groups_.push_back(DmGroup{p, 0, 0, 0});
-      }
-      dm_group_of_[d] = g;
-    }
-    ++dm_groups_[dm_group_of_[d]].count;
-  }
-  std::uint32_t off = 0;
-  for (DmGroup& g : dm_groups_) {
-    g.offset = off;
-    g.fill = off;
-    off += g.count;
-  }
-  note_growth(dm_frames_, n);
-  dm_frames_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    DmGroup& g =
-        dm_groups_[dm_group_of_[static_cast<std::size_t>(b.frames[i].dst)]];
-    dm_frames_[g.fill++] = b.frames[i];
-  }
-  // Dispatch one maximal run per process with reply staging active:
-  // handler sends carrying a cause frame are deferred and flushed below in
-  // canonical frame order, so their sequence/delay assignment is identical
-  // to the frame-order drain's. No fault is active (eligibility) and none
-  // can start mid-drain (the contract), so no group needs a fault check.
-  stage_active_ = true;
-  dispatching_ = true;
-  for (const DmGroup& g : dm_groups_) {
-    if (g.proc == nullptr) {
-      stats_.dropped_unattached += g.count;
-      continue;
-    }
-    stats_.delivered += g.count;
-    coalesce_stats_.frames += g.count;
-    ++coalesce_stats_.hist[span_bucket(g.count)];
-    g.proc->on_deliver_batch(FrameSpan{dm_frames_.data() + g.offset, g.count});
-  }
-  dispatching_ = false;
-  stage_active_ = false;
-  flush_staged(n);
-}
-
-void Network::stage_send(std::uint32_t bix, NodeId src, NodeId dst,
-                         MsgType type, std::uint32_t key, std::uint64_t rpc_id,
-                         ByteSpan bytes) {
-  StagedSend e;
-  e.bix = bix;
-  e.src = src;
-  e.dst = dst;
-  e.type = type;
-  e.key = key;
-  e.rpc_id = rpc_id;
-  e.off = static_cast<std::uint32_t>(stage_slab_.size());
-  e.len = static_cast<std::uint32_t>(bytes.size());
-  note_growth(stage_slab_, stage_slab_.size() + bytes.size());
-  note_growth(stage_entries_, stage_entries_.size() + 1);
-  if (!bytes.empty()) {
-    stage_slab_.insert(stage_slab_.end(), bytes.begin(), bytes.end());
-  }
-  stage_entries_.push_back(e);
-}
-
-void Network::flush_staged(std::uint32_t frame_count) {
-  if (stage_entries_.empty()) return;
-  coalesce_stats_.staged += stage_entries_.size();
-  // Stable counting sort by originating frame index. Entries were appended
-  // in (group, within-group frame) order; re-keying on bix restores the
-  // exact order the frame-order drain would have emitted these sends in,
-  // which makes sequence reservation and shared-RNG delay draws invariant
-  // under the destination-major reorder.
-  note_growth(stage_counts_, static_cast<std::size_t>(frame_count) + 1);
-  stage_counts_.assign(static_cast<std::size_t>(frame_count) + 1, 0);
-  for (const StagedSend& e : stage_entries_) ++stage_counts_[e.bix];
-  std::uint32_t sum = 0;
-  for (std::uint32_t& c : stage_counts_) {
-    const std::uint32_t v = c;
-    c = sum;
-    sum += v;
-  }
-  note_growth(stage_order_, stage_entries_.size());
-  stage_order_.resize(stage_entries_.size());
-  for (std::uint32_t i = 0; i < stage_entries_.size(); ++i) {
-    stage_order_[stage_counts_[stage_entries_[i].bix]++] = i;
-  }
-  // `sent` and bytes were counted at stage time. With no fault active the
-  // immediate send's crash and block checks all pass, so the rest of its
-  // pipeline is the delay draw and the enqueue.
-  assert(num_crashed_ == 0 && num_blocked_ == 0);
-  for (const std::uint32_t idx : stage_order_) {
-    const StagedSend& e = stage_entries_[idx];
-    enqueue_frame(e.src, e.dst, e.type, e.key, e.rpc_id,
-                  ByteSpan{stage_slab_.data() + e.off, e.len}, sim_.now(),
-                  arrival_time(e.src, e.dst));
-  }
-  stage_entries_.clear();
-  stage_slab_.clear();
 }
 
 void Network::refuse_while_dispatching(const char* call, NodeId a,

@@ -32,29 +32,14 @@
 // mid-batch; golden digests match bit-for-bit with coalescing on and off
 // (DESIGN.md section 8).
 //
-// Destination-major drain (Options::dest_major). Frame-order runs end at
-// every destination switch, so interleaved fan-out traffic yields runs of
-// 1-3 frames. When one has_event_before peek against the tick's LAST
-// reserved sequence proves the whole window is foreign-event-free (and no
-// fault or delivery hook is active), the drain instead regroups the tick's
-// frames by attached process — stable, so per-(src,dst) FIFO and each
-// process's observed order are untouched — and dispatches one maximal run
-// per process. Handler-emitted sends with a known cause frame are staged
-// and flushed at batch end in canonical frame order, so sequence
-// reservation and shared-RNG delay draws match the frame-order drain
-// exactly; the only residual reorder is send-vs-timer sequence assignment
-// within one drain, observable solely at exact-ns time ties (DESIGN.md
-// section 9). Whenever the window check fails the batch takes the exact
-// frame-order drain above, unchanged.
-//
 // Contract: crash/recover/block/unblock transitions originate from simulator
 // events (fault plans, scheduled test steps) or between runs — never from
 // inside a message handler or delivery hook. The network enforces this:
 // while it is dispatching to a handler or hook, those calls throw
 // std::logic_error (the throw aborts the run). A handler that needs a fault
 // schedules it as an event at now(). Fault state is therefore constant
-// across every dispatched span, which is what lets all three delivery lanes
-// produce identical histories under faults (DESIGN.md section 9.3).
+// across every dispatched span, which is what lets both delivery lanes
+// produce identical histories under faults (DESIGN.md section 9).
 // Options::tick quantizes delivery times (round-up) so that same-destination
 // traffic actually ties; tick == 1 keeps exact-ns timing and is the default,
 // leaving every recorded golden digest valid.
@@ -104,11 +89,9 @@ struct CoalesceStats {
   std::uint64_t continuations = 0;  ///< mid-batch yields rescheduled
   std::uint64_t enqueued = 0;       ///< frames appended into batches
   std::uint64_t frames = 0;         ///< frames delivered through batches
-  /// Batches drained destination-major (the window check passed); the
-  /// remainder fell back to the exact frame-order drain.
+  /// Always 0; kept only because benchmark/driver/bench.cpp reads it.
   std::uint64_t dest_major = 0;
-  /// Handler-emitted sends deferred by the reply-staging buffer and
-  /// flushed in canonical frame order at batch end.
+  /// Always 0; kept only because benchmark/driver/bench.cpp reads it.
   std::uint64_t staged = 0;
   /// Dispatched span sizes, log2-bucketed: hist[b] counts spans of size
   /// [2^b, 2^(b+1)). Buckets past the last saturate into it.
@@ -138,16 +121,6 @@ class Network {
     /// multiple of tick, in both engines, so coalescing on/off stays
     /// bit-identical at any tick. 1 = exact-ns (default; no timing change).
     Duration tick = 1;
-    /// Destination-major drain (coalesce only): when a batch's whole frame
-    /// window is provably free of foreign events (one has_event_before peek
-    /// against the tick's last reserved seq) and no fault or hook is
-    /// active, regroup the tick's frames by attached process — stable
-    /// within each destination — and dispatch one maximal run per process,
-    /// with handler-emitted sends staged and flushed in canonical frame
-    /// order at batch end. Falls back to the exact frame-order drain
-    /// whenever the window check fails. Off = always frame-order (the
-    /// registered ablation).
-    bool dest_major = true;
   };
 
   Network(Simulator& sim, std::unique_ptr<DelayModel> delay, Rng rng,
@@ -179,14 +152,8 @@ class Network {
   /// delivered to `id`. The process must outlive the network run.
   void attach(NodeId id, Process& p);
 
-  /// Send a message. The src/dst fields must be filled in. `cause` is the
-  /// frame whose handler emitted this send, when known (replies, round
-  /// chaining): during a destination-major drain such sends are staged and
-  /// flushed at batch end in canonical frame order — keyed on cause->bix —
-  /// so sequence reservation and delay draws match the frame-order drain
-  /// exactly. Outside a drain (or with cause == nullptr) this is the plain
-  /// immediate send.
-  void send(Message m, const Frame* cause = nullptr);
+  /// Send a message. The src/dst fields must be filled in.
+  void send(Message m);
 
   /// Fan-out entry point: send one message whose payload is copied from
   /// `bytes` (the caller keeps ownership). With coalescing on the bytes go
@@ -194,10 +161,8 @@ class Network {
   /// Message materialization; with it off this acquires a pooled copy,
   /// exactly what broadcast call sites used to do by hand. Empty payloads
   /// skip the pool in both modes (capacity-0 buffers never recycle).
-  /// `cause` as in send().
   void send_bytes(NodeId src, NodeId dst, MsgType type, std::uint32_t key,
-                  std::uint64_t rpc_id, ByteSpan bytes,
-                  const Frame* cause = nullptr);
+                  std::uint64_t rpc_id, ByteSpan bytes);
 
   /// Crash a node: all future and in-flight messages to it are dropped, and
   /// nothing it sends afterwards is accepted. This and the other fault
@@ -244,11 +209,6 @@ class Network {
   /// Batches ever created (live + free). Ratchets during warmup, then must
   /// stay flat — the coalescing analogue of Simulator::allocations().
   [[nodiscard]] std::size_t batch_pool_size() const { return batches_.size(); }
-  /// Capacity-growth events across the destination-major scratch and the
-  /// reply-staging buffers (grouping tables, gathered frame array, staging
-  /// slab/entries/order). Ratchets during warmup, then must stay flat —
-  /// pinned by the allocation regression tests.
-  [[nodiscard]] std::uint64_t dest_major_grows() const { return dm_grows_; }
 
  private:
   /// One coalesced delivery-tick batch: every frame arriving at time `at`,
@@ -302,31 +262,8 @@ class Network {
                      std::uint64_t rpc_id, ByteSpan bytes, Time sent, Time at);
   /// Seal (fix payload pointers, leave the open table) then drain frames
   /// [from, n) as maximal same-destination runs, yielding to the heap
-  /// whenever an earlier event is due. When the whole window is provably
-  /// foreign-event-free (and Options::dest_major allows), delegates to the
-  /// destination-major drain instead.
+  /// whenever an earlier event is due.
   void fire_batch(std::uint32_t bi, std::uint32_t from);
-  /// Destination-major drain: regroup the batch's frames by attached
-  /// process (stable within each destination), dispatch one maximal run per
-  /// process with reply staging active, then flush staged sends in
-  /// canonical frame order. Only called when the window check proved no
-  /// foreign event can observe the reorder.
-  void fire_batch_dest_major(Batch& b);
-  /// Append one handler-emitted send to the staging buffer (send /
-  /// send_bytes route here while stage_active_ and a cause frame is known).
-  void stage_send(std::uint32_t bix, NodeId src, NodeId dst, MsgType type,
-                  std::uint32_t key, std::uint64_t rpc_id, ByteSpan bytes);
-  /// Flush the staging buffer: counting-sort entries by originating frame
-  /// index (stable), then draw each delay and enqueue it in exactly the
-  /// order the frame-order drain would have emitted them. No crash or block
-  /// check is needed: the drain only runs with no fault active, and the
-  /// contract keeps it that way.
-  void flush_staged(std::uint32_t frame_count);
-  /// Bump dm_grows_ if appending/assigning `needed` elements would grow `v`.
-  template <typename V>
-  void note_growth(const V& v, std::size_t needed) {
-    if (v.capacity() < needed) ++dm_grows_;
-  }
 
   Simulator& sim_;
   std::unique_ptr<DelayModel> delay_;
@@ -356,42 +293,6 @@ class Network {
   std::vector<std::unique_ptr<Batch>> batches_;
   std::vector<std::uint32_t> free_batches_;
   std::vector<OpenEntry> open_tab_;  ///< power-of-two, direct-mapped
-
-  // ---- destination-major drain scratch (all capacities ratchet) ----
-  /// One run per distinct attached process in the batch, in first-appearance
-  /// order. `offset`/`fill` index into dm_frames_ during the scatter.
-  struct DmGroup {
-    Process* proc = nullptr;
-    std::uint32_t count = 0;
-    std::uint32_t offset = 0;
-    std::uint32_t fill = 0;
-  };
-  std::vector<DmGroup> dm_groups_;
-  /// Dense NodeId -> group index, O(1)-reset via the epoch stamp.
-  std::vector<std::uint64_t> dm_node_epoch_;
-  std::vector<std::uint32_t> dm_group_of_;
-  std::uint64_t dm_epoch_ = 0;
-  /// Frames gathered group-contiguous (copies; the batch slab still owns the
-  /// payload bytes).
-  std::vector<Frame> dm_frames_;
-  std::uint64_t dm_grows_ = 0;
-
-  // ---- reply staging (active only inside a destination-major drain) ----
-  struct StagedSend {
-    std::uint32_t bix = 0;  ///< originating frame's batch index
-    NodeId src = kNoNode;
-    NodeId dst = kNoNode;
-    MsgType type = 0;
-    std::uint32_t key = 0;
-    std::uint64_t rpc_id = 0;
-    std::uint32_t off = 0;  ///< payload offset into stage_slab_
-    std::uint32_t len = 0;
-  };
-  bool stage_active_ = false;
-  std::vector<StagedSend> stage_entries_;
-  std::vector<std::uint8_t> stage_slab_;
-  std::vector<std::uint32_t> stage_counts_;  ///< counting-sort workspace
-  std::vector<std::uint32_t> stage_order_;   ///< canonical flush order
 };
 
 /// A protocol participant: owns a node id and reacts to delivered messages.
@@ -411,12 +312,9 @@ class Process {
   /// Handle a coalesced run of frames addressed to this process (batched
   /// engine). The default replays on_message per frame; servers and client
   /// tables override it to hoist per-batch work (demux, virtual dispatch)
-  /// out of the per-frame loop. Frames arrive in this process's observed
-  /// delivery order; a process attached at several node ids (the
-  /// ClientTable) may receive a mixed-destination run under the
-  /// destination-major drain — each per-destination subsequence is still in
-  /// exact global order, and single-id processes always see pure
-  /// same-destination runs.
+  /// out of the per-frame loop. Every frame of a run has the same
+  /// destination node id, and the frames arrive in exact global delivery
+  /// order.
   virtual void on_deliver_batch(FrameSpan frames) {
     for (const Frame& f : frames) on_message(f);
   }
@@ -439,22 +337,6 @@ class Process {
     m.rpc_id = rpc_id;
     m.payload = std::move(payload);
     net_.send(std::move(m));
-  }
-
-  /// Cause-carrying send: `cause` is the delivered frame this send is a
-  /// direct reaction to (a server replying to a request, a client chaining
-  /// rounds off a reply). Under a destination-major drain the network
-  /// stages such sends and flushes them in canonical frame order, keeping
-  /// sequence/delay assignment identical to the frame-order drain.
-  void send_from(const Frame& cause, NodeId dst, MsgType type,
-                 std::uint64_t rpc_id, std::vector<std::uint8_t> payload) {
-    Message m;
-    m.src = id_;
-    m.dst = dst;
-    m.type = type;
-    m.rpc_id = rpc_id;
-    m.payload = std::move(payload);
-    net_.send(std::move(m), &cause);
   }
 
  private:

@@ -292,12 +292,8 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
   const std::uint64_t engine_allocs = h.sim().allocations();
   const BufferPool::Stats pool_warm = h.net().pool().stats();
   const std::size_t batch_ring = h.net().batch_pool_size();
-  const std::uint64_t dm_grows = h.net().dest_major_grows();
-  EXPECT_GT(h.net().coalesce_stats().frames, 0u) << "nothing coalesced";
-  EXPECT_GT(h.net().coalesce_stats().dest_major, 0u)
-      << "no tick qualified for the destination-major drain";
-  EXPECT_GT(h.net().coalesce_stats().staged, 0u)
-      << "no reply was staged through the coalescing buffer";
+  const CoalesceStats& cs = h.net().coalesce_stats();
+  EXPECT_GT(cs.frames, cs.batches) << "no multi-frame batch formed";
 
   WorkloadOptions w2;
   w2.ops_per_writer = 1;
@@ -310,8 +306,6 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
       << "a payload buffer was allocated fresh after warmup";
   EXPECT_EQ(h.net().batch_pool_size(), batch_ring)
       << "a Batch was created after warmup: ring growth must be warmup-only";
-  EXPECT_EQ(h.net().dest_major_grows() - dm_grows, 0u)
-      << "dest-major grouping or reply-staging scratch grew after warmup";
   EXPECT_EQ(h.sim().alloc_stats().heap_spills, 0u);
 }
 

@@ -265,5 +265,79 @@ TEST(HarnessRefusals, FaultPlanOnAMultiKeyKeyspace) {
   EXPECT_EQ(h->fault_log(), nullptr) << "the refused plan was installed";
 }
 
+// ---------- op-start refusals ----------
+//
+// A start on a client index or key out of range, or on a client whose
+// previous op is still in flight, is refused in every build before any
+// state changes: the op in flight completes with its own callback, and the
+// history stays well-formed.
+
+TEST(OpStartRefusals, BusyWriterKeepsItsInFlightWrite) {
+  std::unique_ptr<SimHarness> h =
+      make_harness("mw-abd(W2R2)", ClusterConfig{5, 2, 2, 2}, {});
+  int first_done = 0;
+  int second_done = 0;
+  h->async_write(0, 1, [&] { ++first_done; });
+  try {
+    h->async_write(0, 2, [&] { ++second_done; });
+    ADD_FAILURE() << "a second write on a busy writer was not refused";
+  } catch (const std::out_of_range& e) {
+    ADD_FAILURE() << "refused as out of range: " << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("in flight"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(h->table()->start_write(0, 0, 3), std::logic_error);
+  EXPECT_EQ(h->history().size(), 1u) << "a refused start recorded an op";
+  h->run();
+  EXPECT_EQ(first_done, 1);
+  EXPECT_EQ(second_done, 0);
+  EXPECT_EQ(h->history().completed_count(), 1u);
+  const CheckResult r = check_tag_witness(h->history());
+  EXPECT_TRUE(r.atomic) << r.violation;
+}
+
+TEST(OpStartRefusals, BusyReaderKeepsItsInFlightRead) {
+  std::unique_ptr<SimHarness> h =
+      make_harness("fast-read-mw(W2R1)", ClusterConfig{5, 2, 2, 1}, {});
+  int writes_done = 0;
+  int reads_done = 0;
+  h->async_write(0, 7, [&] { ++writes_done; });
+  h->async_read(1, [&](TaggedValue) { ++reads_done; });
+  EXPECT_THROW(h->async_read(1, [&](TaggedValue) { reads_done += 100; }),
+               std::logic_error);
+  EXPECT_EQ(h->history().size(), 2u) << "a refused start recorded an op";
+  h->run();
+  EXPECT_EQ(writes_done, 1);
+  EXPECT_EQ(reads_done, 1);
+  EXPECT_EQ(h->history().completed_count(), 2u);
+  const CheckResult r = check_tag_witness(h->history());
+  EXPECT_TRUE(r.atomic) << r.violation;
+}
+
+TEST(OpStartRefusals, IndexOrKeyOutOfRange) {
+  std::unique_ptr<SimHarness> one =
+      make_harness("mw-abd(W2R2)", ClusterConfig{5, 2, 2, 2}, {});
+  EXPECT_THROW(one->async_write(-1, 1), std::out_of_range);
+  EXPECT_THROW(one->async_write(2, 1), std::out_of_range);
+  EXPECT_THROW(one->async_read(-1), std::out_of_range);
+  EXPECT_THROW(one->async_read(2), std::out_of_range);
+  EXPECT_THROW(one->async_write_key(0, 1, 1), std::out_of_range);
+  EXPECT_THROW(one->async_read_key(0, 1), std::out_of_range);
+  EXPECT_EQ(one->history().size(), 0u) << "a refused start recorded an op";
+
+  std::unique_ptr<SimHarness> four = make_harness(
+      "mw-abd(W2R2)", ClusterConfig{5, 2, 2, 2}, KeyspaceConfig{4, 2, 0.0});
+  EXPECT_THROW(four->async_write_key(0, 4, 1), std::out_of_range);
+  EXPECT_THROW(four->async_read_key(1, 4), std::out_of_range);
+  // The refusals left both clients idle: a valid start still goes through.
+  int done = 0;
+  four->async_write_key(0, 3, 1, [&] { ++done; });
+  four->async_read_key(1, 3, [&](TaggedValue) { ++done; });
+  four->run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(four->key_history(3).completed_count(), 2u);
+}
+
 }  // namespace
 }  // namespace mwreg::exp

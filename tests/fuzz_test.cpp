@@ -74,10 +74,10 @@ TEST(Fuzzer, ReportsAccounting) {
 }
 
 TEST(Fuzzer, EngineParityAcrossFuzzedSchedules) {
-  // Every fuzzed schedule replayed under all three delivery engines: all
-  // three must be digest-identical on every trial, mid-run crashes
-  // included. The live streaming checker rides along in every lane and must
-  // agree with the batch tag witness on every trial.
+  // Every fuzzed schedule replayed under both delivery engines: the two
+  // must be digest-identical on every trial, mid-run crashes included. The
+  // live streaming checker rides along in both lanes and must agree with
+  // the batch tag witness on every trial.
   ParityOptions o;
   o.protocol = "mw-abd(W2R2)";
   o.cfg = ClusterConfig{5, 2, 2, 2};
@@ -86,15 +86,14 @@ TEST(Fuzzer, EngineParityAcrossFuzzedSchedules) {
   const ParityReport r = run_engine_parity_fuzzer(o);
   EXPECT_EQ(r.mismatches, 0) << r.first_mismatch;
   EXPECT_EQ(r.frame_order_exact, r.trials);
-  EXPECT_EQ(r.dest_major_exact, r.trials);
   EXPECT_EQ(r.stream_verdict_parity, r.trials);
   EXPECT_GT(r.crash_trials, 0) << "seed produced no crash trials; crashes "
                                   "went unsoaked";
 }
 
 TEST(Fuzzer, EngineParityHoldsForFastReadUnderCrashHeavySchedules) {
-  // The fast-read protocol exercises the largest server fan-outs (and so
-  // the reply-staging path hardest); force a crash on every trial.
+  // The fast-read protocol exercises the largest server fan-outs, and so
+  // the longest same-tick batches; force a crash on every trial.
   ParityOptions o;
   o.protocol = "fast-read-mw(W2R1)";
   o.cfg = ClusterConfig{7, 2, 3, 1};
@@ -105,7 +104,6 @@ TEST(Fuzzer, EngineParityHoldsForFastReadUnderCrashHeavySchedules) {
   EXPECT_EQ(r.mismatches, 0) << r.first_mismatch;
   EXPECT_EQ(r.crash_trials, r.trials);
   EXPECT_EQ(r.frame_order_exact, r.trials);
-  EXPECT_EQ(r.dest_major_exact, r.trials);
   EXPECT_EQ(r.stream_verdict_parity, r.trials);
 }
 

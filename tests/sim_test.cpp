@@ -590,90 +590,17 @@ TEST(NetworkCoalesce, FifoOrderSurvivesCoalescing) {
   EXPECT_EQ(per_message, coalesced);
 }
 
-// ---------- Destination-major drain (Network::Options::dest_major) --------
-
-struct DestMajorRig {
-  explicit DestMajorRig(Network::Options opts, std::uint64_t seed = 1)
-      : net(sim, std::make_unique<ConstantDelay>(100), Rng(seed), opts),
-        a(0, net),
-        b(1, net),
-        c(2, net),
-        d(3, net) {}
-  Simulator sim;
-  Network net;
-  Recorder a, b, c, d;
-};
-
-TEST(NetworkCoalesce, DestMajorPreservesPerSourcePerDestinationFifo) {
-  // Two sources interleave fan-out to two destinations within one tick.
-  // Frame order alternates destinations every frame; the destination-major
-  // drain regroups the batch into exactly one maximal run per destination
-  // while preserving each (src, dst) pair's send order — each receiver sees
-  // the original frame order projected onto itself.
-  DestMajorRig rig(Network::Options{false, true, 1});
-  for (MsgType i = 0; i < 8; ++i) {
-    rig.a.post(2, i);          // a -> c
-    rig.b.post(3, 100 + i);    // b -> d
-    rig.a.post(3, 200 + i);    // a -> d
-    rig.b.post(2, 300 + i);    // b -> c
-  }
-  rig.sim.run();
-  EXPECT_GE(rig.net.coalesce_stats().dest_major, 1u);
-  ASSERT_EQ(rig.c.received.size(), 16u);
-  ASSERT_EQ(rig.d.received.size(), 16u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(rig.c.received[2 * i].type, static_cast<MsgType>(i));
-    EXPECT_EQ(rig.c.received[2 * i + 1].type, static_cast<MsgType>(300 + i));
-    EXPECT_EQ(rig.d.received[2 * i].type, static_cast<MsgType>(100 + i));
-    EXPECT_EQ(rig.d.received[2 * i + 1].type, static_cast<MsgType>(200 + i));
-  }
-  // 32 frames drained as two maximal runs: the regrouping is what makes
-  // dispatched runs long even under pathological destination interleaving.
-  EXPECT_EQ(rig.net.coalesce_stats().frames, 32u);
-  EXPECT_DOUBLE_EQ(rig.net.coalesce_stats().mean_run_len(), 16.0);
-  expect_stats_invariant(rig.net.stats());
-}
-
-TEST(NetworkCoalesce, ForeignEventInsideTheFrameWindowForcesFrameOrder) {
-  // The eligibility peek is exact at the boundary: a foreign event whose
-  // (time, seq) sits strictly inside the tick's frame window suppresses the
-  // destination-major drain (frame-order fallback, PR 7 behavior)...
-  {
-    CoalescedRig rig(std::make_unique<ConstantDelay>(100),
-                     Network::Options{false, true, 1});
-    rig.a.post(1, 0);
-    rig.sim.schedule_at(100, [] {});  // seq between the two frame seqs
-    rig.a.post(1, 1);
-    rig.sim.run();
-    EXPECT_EQ(rig.net.coalesce_stats().dest_major, 0u);
-    ASSERT_EQ(rig.b.received.size(), 2u);
-    expect_stats_invariant(rig.net.stats());
-  }
-  // ...while the same event scheduled one seq later — after the last
-  // reserved frame — is outside the window and dest-major engages.
-  {
-    CoalescedRig rig(std::make_unique<ConstantDelay>(100),
-                     Network::Options{false, true, 1});
-    rig.a.post(1, 0);
-    rig.a.post(1, 1);
-    rig.sim.schedule_at(100, [] {});  // seq above the whole frame window
-    rig.sim.run();
-    EXPECT_EQ(rig.net.coalesce_stats().dest_major, 1u);
-    ASSERT_EQ(rig.b.received.size(), 2u);
-    expect_stats_invariant(rig.net.stats());
-  }
-}
-
-TEST(NetworkCoalesce, DestMajorDropsUnattachedGroupsAndConserves) {
-  // An entire destination group with no attached process is discarded in
-  // one step; the conservation invariant still balances.
-  DestMajorRig rig(Network::Options{false, true, 1});
+TEST(NetworkCoalesce, UnattachedDestinationRunIsDroppedAndConserves) {
+  // Two same-tick frames to a node with no attached process drain as one
+  // run and are discarded together; the conservation invariant balances.
+  CoalescedRig rig(std::make_unique<ConstantDelay>(100),
+                   Network::Options{false, true, 1});
   rig.a.post(7, 1);  // node 7 has no process
   rig.a.post(7, 2);
-  rig.a.post(2, 3);
+  rig.a.post(1, 3);
   rig.sim.run();
-  EXPECT_GE(rig.net.coalesce_stats().dest_major, 1u);
-  EXPECT_EQ(rig.c.received.size(), 1u);
+  EXPECT_EQ(rig.net.coalesce_stats().batches, 1u);
+  EXPECT_EQ(rig.b.received.size(), 1u);
   EXPECT_EQ(rig.net.stats().delivered, 1u);
   EXPECT_EQ(rig.net.stats().dropped_unattached, 2u);
   expect_stats_invariant(rig.net.stats());
@@ -686,9 +613,8 @@ struct Lane {
   Network::Options opts;
 };
 const Lane kLanes[] = {
-    {"per-message", Network::Options{false, false, 1, false}},
-    {"frame-order", Network::Options{false, true, 1, false}},
-    {"dest-major", Network::Options{false, true, 1, true}},
+    {"per-message", Network::Options{false, false, 1}},
+    {"frame-order", Network::Options{false, true, 1}},
 };
 
 struct Mutation {
@@ -734,20 +660,14 @@ TEST(NetworkContract, HandlerFaultMutationsAreRefusedInEveryLane) {
       Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1), lane.opts);
       Recorder src(0, net);
       Mutator dst(2, net, m.apply);
-      // Two same-tick frames and no foreign event: under dest_major the
-      // batch takes the destination-major drain.
       src.post(2, 1);
       src.post(2, 2);
       expect_refused(sim, m.refusal);
-      EXPECT_EQ(net.coalesce_stats().dest_major,
-                lane.opts.coalesce && lane.opts.dest_major ? 1u : 0u);
     }
   }
 }
 
 TEST(NetworkContract, HookFaultMutationsAreRefusedInEveryLane) {
-  // An active hook keeps batches off the destination-major drain, so that
-  // lane refuses from the frame-order drain it falls back to.
   for (const Lane& lane : kLanes) {
     for (const Mutation& m : kMutations) {
       SCOPED_TRACE(std::string(lane.name) + ": " + m.refusal);
