@@ -298,7 +298,10 @@ Row compare_engines(const std::vector<std::uint32_t>& sizes) {
 // per-message scheduling vs. batched per-tick delivery — at the same
 // tick, so the measured difference is coalescing itself: one heap event
 // and one dispatch per batch instead of per message, frames appended to
-// pre-sized per-destination slabs instead of pooled per-message buffers.
+// per-batch slabs instead of pooled per-message buffers. It replays at two
+// ticks: 1 ms, where ~85 frames share a tick and batching always wins, and
+// exact-ns, where nearly every frame is alone on its tick and rides its own
+// event, the regime every sweep runs in.
 
 struct NetReplayDriver {
   explicit NetReplayDriver(const std::vector<std::uint32_t>& s) : sizes(s) {}
@@ -347,22 +350,21 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
   std::uint32_t max_sz = 0;
   for (std::uint32_t s : sizes) max_sz = std::max(max_sz, s);
   std::uint64_t frames = 0;
-  CoalesceStats stats;
+  CoalesceStats stats, exact;
   Row steady;
 
-  // Counters are deterministic across reps; `first` captures them once.
-  auto run_once = [&](bool coalesce, bool first) {
+  // Counters are deterministic across reps: the first rep captures them
+  // into `counters`, and the 1 ms batched one runs the steady-state probe.
+  auto run_once = [&](bool coalesce, Duration tick, CoalesceStats* counters,
+                      bool probe) {
     Simulator sim;
     Network::Options nopts;
     nopts.coalesce = coalesce;
     // Same tick on both sides: quantization is not what is being measured.
-    nopts.tick = kMillisecond;
+    nopts.tick = tick;
     Network net(sim,
                 std::make_unique<UniformDelay>(kMillisecond, 10 * kMillisecond),
                 Rng(7), nopts);
-    if (coalesce) {
-      net.reserve_coalescing(kDsts * 16, kFanout / kDsts, max_sz);
-    }
     NetReplayDriver d{sizes};
     d.scratch.assign(max_sz, 0xA5);
     d.net = &net;
@@ -384,9 +386,9 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
     drive();
     const double secs = seconds_since(t0);
     const std::uint64_t delivered = net.stats().delivered;
-    if (first && coalesce) {
+    if (counters != nullptr) *counters = net.coalesce_stats();
+    if (probe) {
       frames = delivered;
-      stats = net.coalesce_stats();
       // Steady-state probe: one more trace round on the warm network —
       // batch rings, slabs, and the event slab must all be ratcheted.
       const std::uint64_t a0 = sim.allocations();
@@ -400,9 +402,17 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
   };
 
   double per_message = 0, coalesced = 0;
+  double exact_per_message = 0, exact_coalesced = 0;
   for (int rep = 0; rep < kReps; ++rep) {
-    per_message = std::max(per_message, run_once(false, rep == 0));
-    coalesced = std::max(coalesced, run_once(true, rep == 0));
+    const bool first = rep == 0;
+    per_message = std::max(per_message,
+                           run_once(false, kMillisecond, nullptr, false));
+    coalesced = std::max(coalesced, run_once(true, kMillisecond,
+                                             first ? &stats : nullptr, first));
+    exact_per_message =
+        std::max(exact_per_message, run_once(false, 1, nullptr, false));
+    exact_coalesced = std::max(
+        exact_coalesced, run_once(true, 1, first ? &exact : nullptr, false));
   }
   std::vector<Row> hist;
   for (int b = 0; b < CoalesceStats::kHistBuckets; ++b) {
@@ -418,8 +428,14 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
              col("coalesced_events_per_sec", coalesced),
              col("coalesce_speedup", ratio(coalesced, per_message)),
              col("batches", stats.batches),
+             col("lone", stats.lone),
              col("frames_per_batch", frames_per_batch),
-             field("batch_size_hist", std::move(hist))};
+             field("batch_size_hist", std::move(hist)),
+             col("exact_ns_per_message_events_per_sec", exact_per_message),
+             col("exact_ns_coalesced_events_per_sec", exact_coalesced),
+             col("exact_ns_speedup", ratio(exact_coalesced, exact_per_message)),
+             col("exact_ns_batches", exact.batches),
+             col("exact_ns_lone", exact.lone)};
   row.insert(row.end(), steady.begin(), steady.end());
   return row;
 }

@@ -69,8 +69,11 @@ SPEC = Section(None, dict(
     coalescing=Section(None, dict(
         workload=EXACT, frames=EXACT, per_message_events_per_sec=HOST,
         coalesced_events_per_sec=HOST, coalesce_speedup=REPORT,
-        batches=EXACT, frames_per_batch=EXACT,
-        batch_size_hist=Section(("ge",), dict(count=EXACT)), **STEADY)),
+        batches=EXACT, lone=EXACT, frames_per_batch=EXACT,
+        batch_size_hist=Section(("ge",), dict(count=EXACT)),
+        exact_ns_per_message_events_per_sec=HOST,
+        exact_ns_coalesced_events_per_sec=HOST, exact_ns_speedup=REPORT,
+        exact_ns_batches=EXACT, exact_ns_lone=EXACT, **STEADY)),
     workloads=Section(("protocol", "cluster"), dict(
         ops_per_client=EXACT, events=EXACT, msgs=EXACT, bytes_on_wire=EXACT,
         wall_ms=REPORT, events_per_sec=HOST, msgs_per_sec=REPORT,
@@ -436,6 +439,11 @@ CASES = MALFORMED + [
      "coalescing.coalesced_events_per_sec:"),
     ("coalescing-steady-allocs", 1, edit("coalescing.steady_engine_allocs", 9),
      "coalescing.steady_engine_allocs: 9 breaks"),
+    ("exact-ns-30pc-drop", 1,
+     edit("coalescing.exact_ns_coalesced_events_per_sec", x(0.7)),
+     "coalescing.exact_ns_coalesced_events_per_sec:"),
+    ("exact-ns-lone-moved", 1, edit("coalescing.exact_ns_lone", 2),
+     "coalescing.exact_ns_lone: 2 != baseline 1"),
     ("coalesced-million-drop", 1,
      edit("million_client.1.events_per_sec", x(0.5)),
      "million_client/mw/100000/10/true.events_per_sec:"),

@@ -1,6 +1,5 @@
 #include "core/harness.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -28,21 +27,6 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
   nopts.coalesce = opts.coalesce;
   nopts.tick = opts.tick;
   net_ = std::make_unique<Network>(sim_, std::move(spike), rng_.fork(), nopts);
-  if (opts.coalesce) {
-    // Pre-size the batch rings from cluster shape. A batch is one delivery
-    // tick; the number concurrently open is bounded by the in-flight
-    // horizon (at fine ticks, roughly the number of nodes with traffic in
-    // flight), and a tick's frame count starts around the quorum fan-in of
-    // one round. ~64 payload bytes covers the fast-read entry encodings
-    // seen in practice; real traffic ratchets every capacity from actual
-    // shapes during warmup, so these are seeds, not ceilings.
-    const int shards = keyspace_.multi() ? keyspace_.shards : 1;
-    const std::size_t dests = static_cast<std::size_t>(shards * cfg_.s()) +
-                              static_cast<std::size_t>(cfg_.w() + cfg_.r());
-    const auto fan_in = static_cast<std::size_t>(
-        std::min(std::max(cfg_.s(), cfg_.w() + cfg_.r()), 64));
-    net_->reserve_coalescing(dests, fan_in, 64);
-  }
 
   const bool affine = reader_key_affine(proto.table_reader());
   if (affine && keyspace_.multi() && keyspace_.num_keys > cfg_.r()) {

@@ -192,8 +192,9 @@ TrialResult run_trial(const ExperimentSpec& spec, int spec_index,
   tr.msgs_sent = h.net().stats().sent;
   // Report the engine-independent (logical) event count: under coalescing a
   // batch event carries many frames, so substitute one event per enqueued
-  // frame for each batch firing — exactly what the per-message engine would
-  // have executed. Keeps trial digests comparable across engines.
+  // frame for each batch firing and continuation — exactly what the
+  // per-message engine would have executed. A lone frame is its own event
+  // in both engines. Keeps trial digests comparable across engines.
   const CoalesceStats& cs = h.net().coalesce_stats();
   tr.sim_events =
       h.sim().executed() - cs.batches - cs.continuations + cs.enqueued;

@@ -12,19 +12,40 @@
 namespace mwreg::fuzz {
 namespace {
 
+/// Run `step` at `at`. With `lead` > 0 an arming event `lead` earlier
+/// schedules it, so the step's sequence falls among those of the frames
+/// already in flight to `at`.
+template <typename Step>
+void schedule_step(SimHarness& h, Time at, Duration lead, Step step) {
+  if (lead == 0) {
+    h.sim().schedule_at(at, std::move(step));
+    return;
+  }
+  h.sim().schedule_at(at - lead, [&h, at, step]() {
+    h.sim().schedule_at(at, step);
+  });
+}
+
 /// Temporarily cut one random server off from one random client, honoring
-/// the budget: per client at most t servers blocked at a time.
-void schedule_link_flaps(SimHarness& h, int flaps, Rng& rng) {
+/// the budget: per client at most t servers blocked at a time. With a
+/// delivery tick (> 1), every block and unblock lands on the tick grid,
+/// armed up to 5 ms ahead: a flap can then land between two frames of one
+/// batch and split it (DESIGN.md section 8.2).
+void schedule_link_flaps(SimHarness& h, int flaps, Rng& rng,
+                         Duration tick = 1) {
   const ClusterConfig& cfg = h.cfg();
   const Duration horizon = 400 * kMillisecond;
+  const auto grid = [tick](Time t) { return (t + tick - 1) / tick * tick; };
   for (int i = 0; i < flaps; ++i) {
-    const Time at = rng.next_in(0, horizon);
-    const Duration len = rng.next_in(5 * kMillisecond, 60 * kMillisecond);
+    const Time at = grid(rng.next_in(0, horizon));
+    const Duration len =
+        grid(rng.next_in(5 * kMillisecond, 60 * kMillisecond));
     const NodeId server = static_cast<NodeId>(rng.next_below(
         static_cast<std::uint64_t>(cfg.s())));
     const std::vector<NodeId> clients = cfg.client_ids();
     const NodeId client = clients[rng.next_below(clients.size())];
-    h.sim().schedule_at(at, [&h, server, client, len]() {
+    const Duration lead = tick > 1 ? rng.next_in(0, 5 * kMillisecond) : 0;
+    schedule_step(h, at, lead, [&h, server, client, len, lead]() {
       // Budget check: count servers currently cut from this client.
       int blocked = 0;
       for (NodeId sv : h.cfg().server_ids()) {
@@ -32,7 +53,7 @@ void schedule_link_flaps(SimHarness& h, int flaps, Rng& rng) {
       }
       if (blocked >= h.cfg().t()) return;  // would exceed the failure budget
       h.net().block_pair(server, client);
-      h.sim().schedule_after(len, [&h, server, client]() {
+      schedule_step(h, h.sim().now() + len, lead, [&h, server, client]() {
         h.net().unblock_pair(server, client);
       });
     });
@@ -68,6 +89,7 @@ struct LaneResult {
   std::uint64_t digest = 0;
   bool atomic = false;
   bool stream_atomic = false;  ///< live streaming checker, same history
+  CoalesceStats coalesce;
 };
 
 /// One fuzzed schedule under one engine configuration. Lanes sharing a
@@ -88,7 +110,7 @@ LaneResult run_parity_lane(const ParityOptions& opts, const Protocol& proto,
   SimHarness h(proto, std::move(o));
 
   Rng flap_rng(trial_seed ^ 0x9e3779b97f4a7c15ULL);
-  schedule_link_flaps(h, opts.link_flaps, flap_rng);
+  schedule_link_flaps(h, opts.link_flaps, flap_rng, opts.tick);
 
   WorkloadOptions w;
   w.ops_per_writer = opts.ops_per_client;
@@ -104,6 +126,7 @@ LaneResult run_parity_lane(const ParityOptions& opts, const Protocol& proto,
   r.digest = trial_digest(h.history(), h.net().stats());
   r.atomic = check_tag_witness(h.history()).atomic;
   r.stream_atomic = h.stream_checker(0)->finish().atomic;
+  r.coalesce = h.net().coalesce_stats();
   return r;
 }
 
@@ -172,6 +195,10 @@ ParityReport run_engine_parity_fuzzer(const ParityOptions& opts) {
         run_parity_lane(opts, *proto, trial_seed, crash, /*coalesce=*/false);
     const LaneResult frame_order =
         run_parity_lane(opts, *proto, trial_seed, crash, /*coalesce=*/true);
+
+    report.lone += frame_order.coalesce.lone;
+    report.batches += frame_order.coalesce.batches;
+    report.continuations += frame_order.coalesce.continuations;
 
     auto note = [&report, trial](const std::string& what) {
       ++report.mismatches;

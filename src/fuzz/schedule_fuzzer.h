@@ -63,9 +63,11 @@ struct ParityOptions {
   double crash_probability = 0.3;
   int link_flaps = 20;
   std::uint64_t seed = 1;
-  /// Delivery-time quantum shared by both lanes (coarse enough that
-  /// multi-frame batches actually form under the fuzzed delays).
-  Duration tick = 10'000;  // 10us in ns
+  /// Delivery-time quantum shared by both lanes, and the grid the link
+  /// flaps land on. Coarse against the 3 ms median delay, so most ticks
+  /// have company: lane B runs lone frames, multi-frame batches and
+  /// flap-split batches (mid-batch yields) on every suite.
+  Duration tick = kMillisecond;
 };
 
 struct ParityReport {
@@ -77,6 +79,12 @@ struct ParityReport {
   /// Trials where every lane's LIVE streaming verdict equaled that lane's
   /// batch tag-witness verdict (must equal trials).
   int stream_verdict_parity = 0;
+  /// Lane B's coalescing counters summed over every trial: lone frames,
+  /// batches and mid-batch yields. All three > 0 shows the soak covered
+  /// both batched-lane delivery paths and the drain's yield.
+  std::uint64_t lone = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t continuations = 0;
   int mismatches = 0;
   std::string first_mismatch;
 };

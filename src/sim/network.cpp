@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -9,12 +10,26 @@ namespace mwreg {
 
 namespace {
 
+/// Slots the open-tick table starts with; it doubles from real traffic.
+constexpr std::size_t kOpenTableSlots = 256;
+
 /// Mix a deliver-time into a table index. Fibonacci-style multiply so
 /// consecutive ticks land in different slots.
 std::size_t open_hash(Time at) {
   std::uint64_t x = static_cast<std::uint64_t>(at);
   x *= 0x9E3779B97F4A7C15ULL;
   return static_cast<std::size_t>(x >> 32);
+}
+
+Frame frame_of(const Message& m) {
+  Frame f;
+  f.src = m.src;
+  f.dst = m.dst;
+  f.type = m.type;
+  f.key = m.key;
+  f.rpc_id = m.rpc_id;
+  f.payload = ByteSpan(m.payload);
+  return f;
 }
 
 int span_bucket(std::size_t n) {
@@ -32,7 +47,7 @@ Network::Network(Simulator& sim, std::unique_ptr<DelayModel> delay, Rng rng,
                  Options opts)
     : sim_(sim), delay_(std::move(delay)), rng_(rng), opts_(opts) {
   if (opts_.tick < 1) opts_.tick = 1;
-  if (opts_.coalesce) open_tab_.resize(1024);
+  if (opts_.coalesce) open_tab_.resize(kOpenTableSlots);
 }
 
 void Network::attach(NodeId id, Process& p) {
@@ -40,28 +55,6 @@ void Network::attach(NodeId id, Process& p) {
     procs_.resize(static_cast<std::size_t>(id) + 1, nullptr);
   }
   procs_[static_cast<std::size_t>(id)] = &p;
-}
-
-void Network::reserve_coalescing(std::size_t expected_batches,
-                                 std::size_t frames_per_batch,
-                                 std::size_t bytes_per_frame) {
-  if (!opts_.coalesce) return;
-  std::size_t tab = open_tab_.size();
-  while (tab < 4 * expected_batches) tab <<= 1;
-  if (tab > open_tab_.size()) open_tab_.assign(tab, OpenEntry{});
-  // The lookup table is sized for the full destination count (entries are
-  // cheap and collisions cost coalescing quality), but batch pre-creation
-  // is bounded: past this, warmup traffic grows the pool organically and
-  // capacities ratchet from real frame shapes instead of worst-case ones.
-  const std::size_t precreate = std::min<std::size_t>(expected_batches, 4096);
-  while (batches_.size() < precreate) {
-    batches_.push_back(std::make_unique<Batch>());
-    Batch& b = *batches_.back();
-    b.slab.reserve(frames_per_batch * bytes_per_frame);
-    b.frames.reserve(frames_per_batch);
-    b.meta.reserve(frames_per_batch);
-    free_batches_.push_back(static_cast<std::uint32_t>(batches_.size() - 1));
-  }
 }
 
 void Network::discard(Message&& m) { pool_.release(std::move(m.payload)); }
@@ -106,39 +99,28 @@ void Network::send_bytes(NodeId src, NodeId dst, MsgType type,
     ++stats_.from_crashed;
     return;
   }
-  if (opts_.coalesce) {
-    // Same check order as deliver_later: crash, block, then delay sample —
-    // blocked and dropped messages draw no randomness in either engine.
-    if (crashed(dst)) {
-      ++stats_.to_crashed;
-      return;
-    }
-    if (link_blocked(src, dst)) {
-      Frame f;
-      f.src = src;
-      f.dst = dst;
-      f.type = type;
-      f.key = key;
-      f.rpc_id = rpc_id;
-      f.payload = bytes;
-      hold_copy(f, sim_.now());
-      return;
-    }
-    enqueue_frame(src, dst, type, key, rpc_id, bytes, sim_.now(),
-                  arrival_time(src, dst));
+  Frame f;
+  f.src = src;
+  f.dst = dst;
+  f.type = type;
+  f.key = key;
+  f.rpc_id = rpc_id;
+  f.payload = bytes;
+  if (!opts_.coalesce) {
+    deliver_later(pooled_copy(f), sim_.now());
     return;
   }
-  Message m;
-  m.src = src;
-  m.dst = dst;
-  m.type = type;
-  m.key = key;
-  m.rpc_id = rpc_id;
-  if (!bytes.empty()) {
-    m.payload = pool_.acquire();
-    m.payload.assign(bytes.begin(), bytes.end());
+  // Same check order as deliver_later: crash, block, then delay sample —
+  // blocked and dropped messages draw no randomness in either engine.
+  if (crashed(dst)) {
+    ++stats_.to_crashed;
+    return;
   }
-  deliver_later(std::move(m), sim_.now());
+  if (link_blocked(src, dst)) {
+    hold_copy(f, sim_.now());
+    return;
+  }
+  route(f, sim_.now(), arrival_time(src, dst));
 }
 
 void Network::deliver_later(Message m, Time sent) {
@@ -154,57 +136,48 @@ void Network::deliver_later(Message m, Time sent) {
   }
   const Time at = arrival_time(m.src, m.dst);
   if (opts_.coalesce) {
-    enqueue_frame(m.src, m.dst, m.type, m.key, m.rpc_id, ByteSpan(m.payload),
-                  sent, at);
-    discard(std::move(m));  // bytes now live in the batch slab
+    route(frame_of(m), sent, at);
+    discard(std::move(m));  // the bytes now live in a slab or event record
     return;
   }
   // The capture (this + Message + Time) fits the simulator's inline event
   // storage, so a hop schedules without allocating.
   sim_.schedule_at(at, [this, m = std::move(m), sent]() mutable {
-    deliver_now(std::move(m), sent);
+    deliver_one(frame_of(m), sent, &m);
   });
 }
 
-void Network::deliver_now(Message m, Time sent) {
-  if (crashed(m.dst)) {
-    ++stats_.to_crashed;
-    discard(std::move(m));
-    return;
-  }
-  // A message can be scheduled before its link is blocked; honor the block
-  // at delivery time so block_link() acts as a clean cut.
-  if (link_blocked(m.src, m.dst)) {
-    held_.emplace_back(std::move(m), sent);
-    ++stats_.held;
-    return;
-  }
-  Process* p = static_cast<std::size_t>(m.dst) < procs_.size()
-                   ? procs_[static_cast<std::size_t>(m.dst)]
+void Network::deliver_one(const Frame& f, Time sent, Message* owner) {
+  Process* p = static_cast<std::size_t>(f.dst) < procs_.size()
+                   ? procs_[static_cast<std::size_t>(f.dst)]
                    : nullptr;
-  if (p == nullptr) {
+  if (crashed(f.dst)) {
+    ++stats_.to_crashed;
+  } else if (link_blocked(f.src, f.dst)) {
+    // A message can be scheduled before its link is blocked; honor the
+    // block at delivery time so block_link() acts as a clean cut.
+    if (owner == nullptr) {
+      hold_copy(f, sent);
+    } else {
+      held_.emplace_back(std::move(*owner), sent);
+      ++stats_.held;
+    }
+  } else if (p == nullptr) {
     // Counted explicitly (not as delivered) so the conservation invariant
     // holds even when traffic targets a node nothing ever attached to.
     ++stats_.dropped_unattached;
-    discard(std::move(m));
-    return;
+  } else {
+    ++stats_.delivered;
+    dispatching_ = true;
+    if (hook_) hook_(f, sent, sim_.now());
+    p->on_message(f);
+    dispatching_ = false;
   }
-  ++stats_.delivered;
-  Frame f;
-  f.src = m.src;
-  f.dst = m.dst;
-  f.type = m.type;
-  f.key = m.key;
-  f.rpc_id = m.rpc_id;
-  f.payload = ByteSpan(m.payload);
-  dispatching_ = true;
-  if (hook_) hook_(f, sent, sim_.now());
-  p->on_message(f);
-  dispatching_ = false;
-  discard(std::move(m));  // recycle the payload storage for the next hop
+  // Recycle the payload storage for the next hop (a no-op once parked).
+  if (owner != nullptr) discard(std::move(*owner));
 }
 
-void Network::hold_copy(const Frame& f, Time sent) {
+Message Network::pooled_copy(const Frame& f) {
   Message m;
   m.src = f.src;
   m.dst = f.dst;
@@ -215,8 +188,86 @@ void Network::hold_copy(const Frame& f, Time sent) {
     m.payload = pool_.acquire();
     m.payload.assign(f.payload.begin(), f.payload.end());
   }
-  held_.emplace_back(std::move(m), sent);
+  return m;
+}
+
+void Network::hold_copy(const Frame& f, Time sent) {
+  held_.emplace_back(pooled_copy(f), sent);
   ++stats_.held;
+}
+
+void Network::route(const Frame& f, Time sent, Time at) {
+  OpenEntry& oe = open_entry(at);
+  const bool joinable = oe.at == at;
+  if (!joinable) {
+    // The first frame of its tick, as far as the table knows. A colliding
+    // tick's entry is evicted; its frames stay scheduled.
+    if (oe.at < 0) ++open_live_;
+    oe.at = at;
+    oe.batch = kLone;
+  }
+  if (joinable || f.payload.size() > kLoneInlineBytes) {
+    // Join the tick's batch, or open it: for a second frame, or a first
+    // one too large to ride in an event record.
+    enqueue_frame(oe, f, sent);
+  } else {
+    // Ride alone: schedule the frame as the per-message engine would,
+    // consuming the sequence reserve_seq() would have, with its payload
+    // in the event record, so it holds no pooled buffer in flight
+    // (DESIGN.md section 8.5). A second frame for the tick opens a batch.
+    ++coalesce_stats_.lone;
+    sim_.schedule_at(at, [this, lf = LoneInline(f, sent)]() {
+      // Leave the table, so a same-tick send from the handler rides alone
+      // again instead of opening a batch behind a delivered frame.
+      close_entry(sim_.now(), kLone);
+      deliver_one(lf.frame(), lf.sent, nullptr);
+    });
+  }
+  if (!joinable && 4 * open_live_ > open_tab_.size()) grow_open_table();
+}
+
+Network::LoneInline::LoneInline(const Frame& f, Time sent_at)
+    : src(f.src),
+      dst(f.dst),
+      type(f.type),
+      key(f.key),
+      rpc_id(f.rpc_id),
+      sent(sent_at),
+      len(static_cast<std::uint32_t>(f.payload.size())) {
+  if (len > 0) std::memcpy(bytes, f.payload.data(), len);
+}
+
+Frame Network::LoneInline::frame() const {
+  Frame f;
+  f.src = src;
+  f.dst = dst;
+  f.type = type;
+  f.key = key;
+  f.rpc_id = rpc_id;
+  f.payload = ByteSpan(bytes, len);
+  return f;
+}
+
+Network::OpenEntry& Network::open_entry(Time at) {
+  return open_tab_[open_hash(at) & (open_tab_.size() - 1)];
+}
+
+void Network::close_entry(Time at, std::uint32_t batch) {
+  OpenEntry& oe = open_entry(at);
+  if (oe.at == at && oe.batch == batch) {
+    oe.at = -1;
+    --open_live_;
+  }
+}
+
+void Network::grow_open_table() {
+  // Doubling splits slot i into i and i + old size, so no two live
+  // entries collide on rehash.
+  std::vector<OpenEntry> old(2 * open_tab_.size());
+  old.swap(open_tab_);
+  for (const OpenEntry& e : old) {
+    if (e.at >= 0) open_entry(e.at) = e;
+  }
 }
 
 std::uint32_t Network::acquire_batch() {
@@ -235,58 +286,44 @@ std::uint32_t Network::acquire_batch() {
 
 void Network::recycle_batch(std::uint32_t bi) { free_batches_.push_back(bi); }
 
-void Network::enqueue_frame(NodeId src, NodeId dst, MsgType type,
-                            std::uint32_t key, std::uint64_t rpc_id,
-                            ByteSpan bytes, Time sent, Time at) {
+void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
   // One sequence number per frame — exactly what scheduling it as its own
   // event would consume — pins the global (time, seq) order of every frame
   // regardless of which batch it rides in.
   const std::uint64_t seq = sim_.reserve_seq();
   ++coalesce_stats_.enqueued;
-  OpenEntry& oe = open_tab_[open_hash(at) & (open_tab_.size() - 1)];
-  std::uint32_t bi;
-  if (oe.at == at) {
-    bi = oe.batch;  // join the open batch; its event is already scheduled
-  } else {
-    bi = acquire_batch();
-    Batch& nb = *batches_[bi];
-    nb.at = at;
-    nb.open_slot = static_cast<std::uint32_t>(&oe - open_tab_.data());
+  if (oe.batch == kLone) {
+    // The tick's second frame, or a first one too large to ride alone:
+    // open the batch at this frame's sequence. A lone frame keeps its own,
+    // lower-sequenced event.
+    const std::uint32_t nbi = acquire_batch();
+    Batch& nb = *batches_[nbi];
+    nb.at = oe.at;
     nb.sealed = false;
-    // Collision evicts the previous entry: that batch stays scheduled and
-    // simply stops being joinable — less coalescing, never wrong order.
-    oe.at = at;
-    oe.batch = bi;
-    sim_.schedule_at_seq(at, seq, [this, bi] { fire_batch(bi, 0); });
+    oe.batch = nbi;
+    sim_.schedule_at_seq(oe.at, seq, [this, nbi] { fire_batch(nbi, 0); });
   }
-  Batch& b = *batches_[bi];
+  Batch& b = *batches_[oe.batch];
   FrameMeta fm;
   fm.off = static_cast<std::uint32_t>(b.slab.size());
   fm.sent = sent;
   fm.seq = seq;
   b.meta.push_back(fm);
-  b.slab.insert(b.slab.end(), bytes.begin(), bytes.end());
-  Frame f;
-  f.src = src;
-  f.dst = dst;
-  f.type = type;
-  f.key = key;
-  f.rpc_id = rpc_id;
+  b.slab.insert(b.slab.end(), f.payload.begin(), f.payload.end());
+  b.frames.push_back(f);
   // Appends may still grow (and move) the slab; the pointer is fixed up at
   // seal time, the length is final now.
-  f.payload = ByteSpan(nullptr, bytes.size());
-  b.frames.push_back(f);
+  b.frames.back().payload.ptr = nullptr;
 }
 
 void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
   Batch& b = *batches_[bi];
   if (!b.sealed) {
     b.sealed = true;
-    // Leave the open table (if we still own our slot — eviction may have
-    // reused it), so same-tick sends from handlers open a fresh batch
-    // instead of appending to one that is already draining.
-    OpenEntry& oe = open_tab_[b.open_slot];
-    if (oe.batch == bi && oe.at == b.at) oe.at = -1;
+    // Leave the open table (if we still own our entry — eviction may have
+    // reused it), so same-tick sends from handlers ride alone or open a
+    // fresh batch instead of appending to one that is already draining.
+    close_entry(b.at, bi);
     const std::uint8_t* base = b.slab.data();
     for (std::size_t i = 0; i < b.frames.size(); ++i) {
       b.frames[i].payload.ptr = base + b.meta[i].off;
@@ -297,12 +334,12 @@ void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
   std::uint32_t i = from;
   while (i < n) {
     // Yield whenever an intermediate event — a timer, a fault-plan step, an
-    // evicted sibling batch — orders before the next frame's (time, seq);
-    // the remainder reschedules at that frame's reserved sequence,
-    // reproducing the per-message interleaving exactly. The tick's frame
-    // list is in ascending sequence order by construction, so no event
-    // enqueued during this drain (its sequence is above every frame here)
-    // can ever force a yield.
+    // evicted sibling batch or lone frame — orders before the next frame's
+    // (time, seq); the remainder reschedules at that frame's reserved
+    // sequence, reproducing the per-message interleaving exactly. The
+    // tick's frame list is in ascending sequence order by construction, so
+    // no event enqueued during this drain (its sequence is above every
+    // frame here) can ever force a yield.
     if (sim_.has_event_before(b.at, b.meta[i].seq)) {
       ++coalesce_stats_.continuations;
       sim_.schedule_at_seq(b.at, b.meta[i].seq,

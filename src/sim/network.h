@@ -15,20 +15,26 @@
 // Batched delivery (Options::coalesce). The per-message engine costs one
 // heap event + one dispatch + one pooled buffer per message; at quorum
 // fan-out most cycles are scheduler overhead. With coalescing on, the unit
-// of simulation becomes the delivery *tick*: send appends the encoded frame
-// into the open batch for its quantized arrival time (payload bytes
-// memcpy'd into a per-batch slab, header recorded as a Frame view) and at
-// most one delivery event is scheduled per open tick. Because every frame
-// consumes one simulator sequence number via Simulator::reserve_seq()
-// (exactly what scheduling it as its own event would have consumed) and
-// sequences are handed out monotonically, a tick's frame list is *already*
-// in exact global (time, seq) delivery order — no sorting, no merging. The
-// drain chops it into maximal same-destination runs and hands each run to
+// of simulation becomes the delivery *tick*, but a batch is opened only
+// when a tick has company. The first frame of a tick is scheduled exactly
+// as the per-message engine schedules it — its own event, consuming the
+// same sequence — with its header and payload copied into the event
+// record, and the open-tick table marks the tick as holding a lone frame.
+// A second frame for that tick opens a batch at its own reserved sequence
+// (Simulator::reserve_seq(), exactly what scheduling it as its own event
+// would have consumed); later frames append to it (payload bytes memcpy'd
+// into a per-batch slab, header recorded as a Frame view). A first frame
+// whose payload does not fit an event record opens the batch itself. The
+// lone frame's sequence is lower, so the heap delivers it first, exactly
+// where the per-message engine would. Because sequences are handed out
+// monotonically, a batch's frame list is *already* in exact global
+// (time, seq) delivery order — no sorting, no merging. The drain chops it
+// into maximal same-destination runs and hands each run to
 // Process::on_deliver_batch, yielding back to the event heap only when a
 // genuinely foreign event — a timer, a fault-plan step, an evicted sibling
-// batch — orders before the next frame's (time, seq). The observable
-// execution order is therefore identical to the per-message engine in
-// every case, including same-tick ties and crash/recover landing
+// batch or lone frame — orders before the next frame's (time, seq). The
+// observable execution order is therefore identical to the per-message
+// engine in every case, including same-tick ties and crash/recover landing
 // mid-batch; golden digests match bit-for-bit with coalescing on and off
 // (DESIGN.md section 8).
 //
@@ -82,8 +88,13 @@ struct NetworkStats {
 };
 
 /// Coalescing observables (all zero while Options::coalesce is false).
-/// bench_simcore_throughput reports them and scripts/bench_trend.py tracks
-/// the coalesced-vs-per-message ratio and the batch-size histogram.
+/// A lone frame — the only frame its tick has when it is sent — rides its
+/// own event and is counted in `lone` alone; every other counter covers
+/// batches only. So at quiescence
+///   executed − batches − continuations + enqueued
+/// is the event count the per-message engine would have executed.
+/// bench_simcore_throughput reports them and scripts/bench_trend.py gates
+/// the batch counts and the batch-size histogram.
 struct CoalesceStats {
   std::uint64_t batches = 0;        ///< batch delivery events fired
   std::uint64_t continuations = 0;  ///< mid-batch yields rescheduled
@@ -93,12 +104,15 @@ struct CoalesceStats {
   std::uint64_t dest_major = 0;
   /// Always 0; kept only because benchmark/driver/bench.cpp reads it.
   std::uint64_t staged = 0;
-  /// Dispatched span sizes, log2-bucketed: hist[b] counts spans of size
-  /// [2^b, 2^(b+1)). Buckets past the last saturate into it.
+  /// Frames scheduled as their own event: a tick's first frame, when its
+  /// payload fits the event record.
+  std::uint64_t lone = 0;
+  /// Dispatched batch span sizes, log2-bucketed: hist[b] counts spans of
+  /// size [2^b, 2^(b+1)). Buckets past the last saturate into it.
   static constexpr int kHistBuckets = 16;
   std::uint64_t hist[kHistBuckets] = {};
 
-  /// Mean dispatched-run length (frames per dispatched span); the
+  /// Mean dispatched-run length (frames per dispatched batch span); the
   /// run-length target the bench trend gate tracks.
   [[nodiscard]] double mean_run_len() const {
     std::uint64_t runs = 0;
@@ -138,16 +152,6 @@ class Network {
 
   [[nodiscard]] bool coalescing() const { return opts_.coalesce; }
 
-  /// Pre-size the coalescing engine: `expected_batches` concurrently open
-  /// delivery ticks (bounded by max-delay / tick) of `frames_per_batch`
-  /// frames averaging `bytes_per_frame` payload bytes, plus an open-batch
-  /// lookup table sized so distinct ticks rarely collide. Growth past these
-  /// shapes still works — every capacity ratchets — but then warmup (not
-  /// steady state) allocates. No-op when coalescing is off.
-  void reserve_coalescing(std::size_t expected_batches,
-                          std::size_t frames_per_batch,
-                          std::size_t bytes_per_frame);
-
   /// Register the handler for a node. Must be called before any message is
   /// delivered to `id`. The process must outlive the network run.
   void attach(NodeId id, Process& p);
@@ -157,10 +161,11 @@ class Network {
 
   /// Fan-out entry point: send one message whose payload is copied from
   /// `bytes` (the caller keeps ownership). With coalescing on the bytes go
-  /// straight into the destination batch's slab — no pooled buffer, no
-  /// Message materialization; with it off this acquires a pooled copy,
-  /// exactly what broadcast call sites used to do by hand. Empty payloads
-  /// skip the pool in both modes (capacity-0 buffers never recycle).
+  /// straight into the tick's batch slab, or into the event record of a
+  /// lone frame — no pooled buffer, no Message materialization; with it off
+  /// this acquires a pooled copy, exactly what broadcast call sites used to
+  /// do by hand. Empty payloads skip the pool in both modes (capacity-0
+  /// buffers never recycle).
   void send_bytes(NodeId src, NodeId dst, MsgType type, std::uint32_t key,
                   std::uint64_t rpc_id, ByteSpan bytes);
 
@@ -211,13 +216,14 @@ class Network {
   [[nodiscard]] std::size_t batch_pool_size() const { return batches_.size(); }
 
  private:
-  /// One coalesced delivery-tick batch: every frame arriving at time `at`,
-  /// appended in send order — which IS global (time, seq) delivery order,
-  /// because sequences are reserved monotonically at send time. Frames'
-  /// payload bytes live concatenated in `slab`; Frame::payload pointers are
-  /// fixed up at seal time (first fire), after which no append can move the
-  /// slab. All vectors keep their capacity across recycling, so a warmed
-  /// batch pool appends and drains without allocating.
+  /// One coalesced delivery-tick batch: every frame but a lone first one
+  /// that arrives at time `at` while the tick is joinable, appended in send
+  /// order — which IS global (time, seq) delivery order, because sequences
+  /// are reserved monotonically at send time. Frames' payload bytes live
+  /// concatenated in `slab`; Frame::payload pointers are fixed up at seal
+  /// time (first fire), after which no append can move the slab. All
+  /// vectors keep their capacity across recycling, so a warmed batch pool
+  /// appends and drains without allocating.
   struct FrameMeta {
     std::uint32_t off = 0;   ///< payload offset into slab
     Time sent = 0;           ///< original send time (delivery hooks)
@@ -225,24 +231,53 @@ class Network {
   };
   struct Batch {
     Time at = 0;
-    std::uint32_t open_slot = 0;  ///< open-table index while joinable
     bool sealed = false;
     std::vector<std::uint8_t> slab;
     std::vector<Frame> frames;
     std::vector<FrameMeta> meta;
   };
-  /// Direct-mapped open-batch lookup: deliver-time -> batch index.
-  /// Collisions simply evict — the evicted batch stays scheduled and is
-  /// merely no longer joinable, which costs a little coalescing but never
-  /// correctness: an evicted batch's sequences all precede those of any
-  /// batch opened later for the same tick, so it drains first, in order.
+  /// A lone frame carries its header and payload in its event record: the
+  /// capture (network pointer + LoneInline) fills the simulator's inline
+  /// closure storage exactly, which leaves this many payload bytes. A first
+  /// frame with a larger payload opens its tick's batch instead.
+  static constexpr std::size_t kLoneInlineBytes = 44;
+  struct LoneInline {
+    /// Copies f's header and payload; f.payload fits kLoneInlineBytes.
+    LoneInline(const Frame& f, Time sent_at);
+    /// The frame, viewing this record's own bytes.
+    [[nodiscard]] Frame frame() const;
+
+    NodeId src;
+    NodeId dst;
+    MsgType type;
+    std::uint32_t key;
+    std::uint64_t rpc_id;
+    Time sent;
+    std::uint32_t len;
+    std::uint8_t bytes[kLoneInlineBytes];
+  };
+  static_assert(sizeof(Network*) + sizeof(LoneInline) ==
+                    Simulator::kInlineEventBytes,
+                "a lone frame's capture must fill the inline event storage");
+  /// Open-tick table entry, direct-mapped by deliver-time: the tick holds
+  /// either a lone frame (its own event is scheduled) or a joinable batch.
+  /// Collisions simply evict — the evicted lone frame or batch stays
+  /// scheduled and is merely no longer joinable, which costs a little
+  /// coalescing but never correctness: its sequences all precede those of
+  /// any frame later sent for the same tick, so it delivers first, in
+  /// order.
+  static constexpr std::uint32_t kLone = 0xFFFFFFFFu;
   struct OpenEntry {
-    Time at = -1;
-    std::uint32_t batch = 0;
+    Time at = -1;                ///< -1: free
+    std::uint32_t batch = kLone; ///< batch index, or kLone
   };
 
   void deliver_later(Message m, Time sent);
-  void deliver_now(Message m, Time sent);
+  /// Per-message delivery of `f`: crash check, block check, then the hook
+  /// and handler. `owner` holds f's payload, parked as is on a blocked link
+  /// and recycled otherwise; null means the bytes live elsewhere, and a
+  /// blocked frame is parked as a pooled copy.
+  void deliver_one(const Frame& f, Time sent, Message* owner);
   /// Drop `m`, recycling its payload storage.
   void discard(Message&& m);
   /// Throw std::logic_error naming `call` and its node ids if a handler or
@@ -252,14 +287,26 @@ class Network {
   /// Delay sample + tick quantization + FIFO clamp, shared verbatim by the
   /// per-message and batched paths (identical RNG draws, identical times).
   Time arrival_time(NodeId src, NodeId dst);
-  /// Park a copy of a frame on a blocked link (batched slow path).
+  /// A Message holding a pooled copy of `f`'s header and payload.
+  Message pooled_copy(const Frame& f);
+  /// Park a copy of a frame on a blocked link (batched slow path, and a
+  /// lone frame whose bytes ride in its event record).
   void hold_copy(const Frame& f, Time sent);
 
   // ---- batched engine ----
+  /// Batched-lane delivery of a frame that passed the crash and block
+  /// checks: join or open its tick's batch, else ride alone. Copies the
+  /// payload; the caller keeps its buffer.
+  void route(const Frame& f, Time sent, Time at);
+  /// The table slot `at` maps to.
+  OpenEntry& open_entry(Time at);
+  /// Free `at`'s entry if it still holds `batch` (kLone: a lone frame).
+  void close_entry(Time at, std::uint32_t batch);
+  /// Double the open table; live entries rehash without colliding.
+  void grow_open_table();
   std::uint32_t acquire_batch();
   void recycle_batch(std::uint32_t bi);
-  void enqueue_frame(NodeId src, NodeId dst, MsgType type, std::uint32_t key,
-                     std::uint64_t rpc_id, ByteSpan bytes, Time sent, Time at);
+  void enqueue_frame(OpenEntry& oe, const Frame& f, Time sent);
   /// Seal (fix payload pointers, leave the open table) then drain frames
   /// [from, n) as maximal same-destination runs, yielding to the heap
   /// whenever an earlier event is due.
@@ -292,7 +339,10 @@ class Network {
 
   std::vector<std::unique_ptr<Batch>> batches_;
   std::vector<std::uint32_t> free_batches_;
-  std::vector<OpenEntry> open_tab_;  ///< power-of-two, direct-mapped
+  /// Power-of-two, direct-mapped; doubles when more than a quarter of its
+  /// slots hold an open tick, so its size follows the ticks actually open.
+  std::vector<OpenEntry> open_tab_;
+  std::size_t open_live_ = 0;  ///< entries with at >= 0
 };
 
 /// A protocol participant: owns a node id and reacts to delivered messages.

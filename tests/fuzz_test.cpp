@@ -89,6 +89,10 @@ TEST(Fuzzer, EngineParityAcrossFuzzedSchedules) {
   EXPECT_EQ(r.stream_verdict_parity, r.trials);
   EXPECT_GT(r.crash_trials, 0) << "seed produced no crash trials; crashes "
                                   "went unsoaked";
+  // Lane B ran lone frames, promoted batches and mid-batch yields.
+  EXPECT_GT(r.lone, 0u);
+  EXPECT_GT(r.batches, 0u);
+  EXPECT_GT(r.continuations, 0u);
 }
 
 TEST(Fuzzer, EngineParityHoldsForFastReadUnderCrashHeavySchedules) {
@@ -105,6 +109,9 @@ TEST(Fuzzer, EngineParityHoldsForFastReadUnderCrashHeavySchedules) {
   EXPECT_EQ(r.crash_trials, r.trials);
   EXPECT_EQ(r.frame_order_exact, r.trials);
   EXPECT_EQ(r.stream_verdict_parity, r.trials);
+  EXPECT_GT(r.lone, 0u);
+  EXPECT_GT(r.batches, 0u);
+  EXPECT_GT(r.continuations, 0u);
 }
 
 TEST(Fuzzer, UnknownProtocolReported) {

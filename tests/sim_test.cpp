@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/delay_model.h"
@@ -205,6 +206,12 @@ class Recorder final : public Process {
   std::vector<Time> times;
 
   void post(NodeId dst, MsgType type) { send(dst, type, 0, {}); }
+  /// Send `n` payload bytes 0, 1, 2, ... through the fan-out entry point.
+  void post_bytes(NodeId dst, MsgType type, std::size_t n) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<std::uint8_t>(i);
+    net().send_bytes(id(), dst, type, 0, 0, ByteSpan(bytes));
+  }
 };
 
 struct Rig {
@@ -386,7 +393,7 @@ TEST(Network, NonFifoCanReorder) {
 
 TEST(Network, FifoRedeliveryAfterUnblockPreservesSendOrder) {
   // Messages scheduled before block_link are parked at delivery time (the
-  // deliver_now re-hold path) and, in FIFO mode, redelivered in send order
+  // delivery-time re-hold path) and, in FIFO mode, redelivered in send order
   // after unblock_link.
   Rig rig(std::make_unique<UniformDelay>(1, 1000), /*fifo=*/true, /*seed=*/3);
   for (MsgType i = 0; i < 10; ++i) rig.a.post(1, i);
@@ -462,22 +469,38 @@ struct CoalescedRig {
   Recorder a, b;
 };
 
+/// The per-message event count the batched lane stands for (exp::Runner's
+/// trial event count).
+std::uint64_t logical_events(const Simulator& sim, const CoalesceStats& cs) {
+  return sim.executed() - cs.batches - cs.continuations + cs.enqueued;
+}
+
 TEST(NetworkCoalesce, TieBreakOrderInsideABatchIsSendOrder) {
-  // Four same-tick messages coalesce into one batch; their reserved
-  // sequences are the insertion order, so the batch replays exactly the
-  // per-message tie-break: send order.
-  CoalescedRig rig(std::make_unique<ConstantDelay>(100),
-                   Network::Options{false, true, 1});
-  for (MsgType i = 0; i < 4; ++i) rig.a.post(1, i);
-  rig.sim.run();
-  ASSERT_EQ(rig.b.received.size(), 4u);
-  for (MsgType i = 0; i < 4; ++i) {
-    EXPECT_EQ(rig.b.received[i].type, i);
-    EXPECT_EQ(rig.b.times[i], 100);
+  // n same-tick messages: the first rides alone, the second opens one batch
+  // and the rest join it. Their reserved sequences are the insertion
+  // order, so the deliveries replay exactly the per-message tie-break:
+  // send order, the lone frame first.
+  for (const MsgType n : {2u, 4u}) {
+    SCOPED_TRACE(n);
+    CoalescedRig rig(std::make_unique<ConstantDelay>(100),
+                     Network::Options{false, true, 1});
+    for (MsgType i = 0; i < n; ++i) rig.a.post(1, i);
+    rig.sim.run();
+    ASSERT_EQ(rig.b.received.size(), n);
+    for (MsgType i = 0; i < n; ++i) {
+      EXPECT_EQ(rig.b.received[i].type, i);
+      EXPECT_EQ(rig.b.times[i], 100);
+    }
+    const CoalesceStats& cs = rig.net.coalesce_stats();
+    EXPECT_EQ(cs.lone, 1u);
+    EXPECT_EQ(cs.batches, 1u);
+    EXPECT_EQ(cs.enqueued, n - 1);
+    EXPECT_EQ(cs.frames, n - 1);
+    EXPECT_EQ(cs.continuations, 0u);
+    EXPECT_EQ(rig.sim.executed(), 2u);  // the lone event and the batch
+    EXPECT_EQ(logical_events(rig.sim, cs), n);
+    expect_stats_invariant(rig.net.stats());
   }
-  EXPECT_EQ(rig.net.coalesce_stats().batches, 1u);
-  EXPECT_EQ(rig.net.coalesce_stats().frames, 4u);
-  expect_stats_invariant(rig.net.stats());
 }
 
 TEST(NetworkCoalesce, InterleavedEventOrderMatchesPerMessageEngine) {
@@ -591,19 +614,162 @@ TEST(NetworkCoalesce, FifoOrderSurvivesCoalescing) {
 }
 
 TEST(NetworkCoalesce, UnattachedDestinationRunIsDroppedAndConserves) {
-  // Two same-tick frames to a node with no attached process drain as one
-  // run and are discarded together; the conservation invariant balances.
+  // After the tick's lone first frame, two same-tick frames to a node with
+  // no attached process drain as one batch run and are discarded together;
+  // the conservation invariant balances.
   CoalescedRig rig(std::make_unique<ConstantDelay>(100),
                    Network::Options{false, true, 1});
-  rig.a.post(7, 1);  // node 7 has no process
+  rig.a.post(7, 1);  // node 7 has no process; rides alone
   rig.a.post(7, 2);
-  rig.a.post(1, 3);
+  rig.a.post(7, 3);
+  rig.a.post(1, 4);
   rig.sim.run();
   EXPECT_EQ(rig.net.coalesce_stats().batches, 1u);
+  EXPECT_EQ(rig.net.coalesce_stats().lone, 1u);
   EXPECT_EQ(rig.b.received.size(), 1u);
   EXPECT_EQ(rig.net.stats().delivered, 1u);
-  EXPECT_EQ(rig.net.stats().dropped_unattached, 2u);
+  EXPECT_EQ(rig.net.stats().dropped_unattached, 3u);
   expect_stats_invariant(rig.net.stats());
+}
+
+// ---------- Lone frames: a batch opens when a tick has company ----------
+
+TEST(NetworkCoalesce, LoneFrameMakesNoBatch) {
+  CoalescedRig rig(std::make_unique<ConstantDelay>(100),
+                   Network::Options{false, true, 1});
+  rig.a.post(1, 7);
+  rig.sim.run();
+  ASSERT_EQ(rig.b.received.size(), 1u);
+  EXPECT_EQ(rig.b.times[0], 100);
+  const CoalesceStats& cs = rig.net.coalesce_stats();
+  EXPECT_EQ(cs.lone, 1u);
+  EXPECT_EQ(cs.batches, 0u);
+  EXPECT_EQ(cs.enqueued, 0u);
+  EXPECT_EQ(cs.frames, 0u);
+  EXPECT_EQ(rig.net.batch_pool_size(), 0u);
+  EXPECT_EQ(rig.sim.executed(), 1u);
+  EXPECT_EQ(logical_events(rig.sim, cs), 1u);
+  expect_stats_invariant(rig.net.stats());
+}
+
+TEST(NetworkCoalesce, TimerBetweenLoneFrameAndBatchRunsBetweenThem) {
+  // The timer's sequence falls between the lone frame's and the batch's,
+  // so it runs after frame 0 and before frames 1 and 2, as in the
+  // per-message engine, and the batch never has to yield.
+  CoalescedRig rig(std::make_unique<ConstantDelay>(100),
+                   Network::Options{false, true, 1});
+  rig.a.post(1, 0);
+  std::size_t seen_at_timer = 99;
+  rig.sim.schedule_at(100, [&] { seen_at_timer = rig.b.received.size(); });
+  rig.a.post(1, 1);
+  rig.a.post(1, 2);
+  rig.sim.run();
+  EXPECT_EQ(seen_at_timer, 1u);
+  ASSERT_EQ(rig.b.received.size(), 3u);
+  for (MsgType i = 0; i < 3; ++i) EXPECT_EQ(rig.b.received[i].type, i);
+  EXPECT_EQ(rig.net.coalesce_stats().lone, 1u);
+  EXPECT_EQ(rig.net.coalesce_stats().batches, 1u);
+  EXPECT_EQ(rig.net.coalesce_stats().continuations, 0u);
+}
+
+TEST(NetworkCoalesce, CrashBetweenLoneFrameAndBatchDropsTheBatch) {
+  // The crash lands after the lone frame and before the batch: frame 0 is
+  // delivered, the batch's two frames are dropped at the per-frame check.
+  CoalescedRig rig(std::make_unique<ConstantDelay>(100),
+                   Network::Options{false, true, 1});
+  rig.a.post(1, 0);
+  rig.sim.schedule_at(100, [&] { rig.net.crash(1); });
+  rig.a.post(1, 1);
+  rig.a.post(1, 2);
+  rig.sim.run();
+  ASSERT_EQ(rig.b.received.size(), 1u);
+  EXPECT_EQ(rig.b.received[0].type, 0u);
+  EXPECT_EQ(rig.net.stats().to_crashed, 2u);
+  EXPECT_EQ(rig.net.coalesce_stats().lone, 1u);
+  EXPECT_EQ(rig.net.coalesce_stats().batches, 1u);
+  EXPECT_EQ(rig.net.coalesce_stats().frames, 0u);
+  expect_stats_invariant(rig.net.stats());
+}
+
+TEST(NetworkCoalesce, LoneFramePayloadRidesInItsEventAndALargerOneOpensABatch) {
+  // Tick 100's first frame fits an event record and rides alone; tick
+  // 200's first frame does not, so it opens the tick's batch itself and
+  // the next frame joins it. Every payload arrives intact, and no lone
+  // frame takes a pooled buffer.
+  constexpr std::size_t kFits = 44;
+  CoalescedRig rig(std::make_unique<ConstantDelay>(100),
+                   Network::Options{false, true, 1});
+  rig.a.post_bytes(1, 0, kFits);
+  rig.sim.schedule_at(100, [&] {
+    rig.a.post_bytes(1, 1, kFits + 1);
+    rig.a.post_bytes(1, 2, 3);
+  });
+  rig.sim.run();
+  ASSERT_EQ(rig.b.received.size(), 3u);
+  const std::size_t sizes[] = {kFits, kFits + 1, 3};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Message& m = rig.b.received[i];
+    EXPECT_EQ(m.type, static_cast<MsgType>(i));
+    ASSERT_EQ(m.payload.size(), sizes[i]);
+    for (std::size_t j = 0; j < sizes[i]; ++j) {
+      EXPECT_EQ(m.payload[j], static_cast<std::uint8_t>(j));
+    }
+  }
+  EXPECT_EQ(rig.b.times[0], 100);
+  EXPECT_EQ(rig.b.times[1], 200);
+  const CoalesceStats& cs = rig.net.coalesce_stats();
+  EXPECT_EQ(cs.lone, 1u);
+  EXPECT_EQ(cs.batches, 1u);
+  EXPECT_EQ(cs.frames, 2u);
+  EXPECT_EQ(rig.net.pool().stats().acquired, 0u);
+}
+
+/// Hands out a fixed list of delays in order.
+class ScriptedDelay final : public DelayModel {
+ public:
+  explicit ScriptedDelay(std::vector<Duration> d) : d_(std::move(d)) {}
+  Duration sample(NodeId, NodeId, Rng&) override { return d_.at(next_++); }
+
+ private:
+  std::vector<Duration> d_;
+  std::size_t next_ = 0;
+};
+
+TEST(NetworkCoalesce, EvictedLoneEntryLeavesALaterFrameOfItsTickLone) {
+  // Frames 0, 2 and 3 arrive at tick 100; frame 1 arrives at a tick whose
+  // open-table slot collides with 100's and evicts its lone entry. Frame 2
+  // then finds no entry for tick 100 and rides alone too; frame 3 opens a
+  // batch from frame 2's entry. Every frame still arrives in per-message
+  // order. The colliding tick is found through the stats, so the test does
+  // not depend on the table's size or hash.
+  auto run_once = [](Duration other, bool coalesce) {
+    CoalescedRig rig(
+        std::make_unique<ScriptedDelay>(std::vector<Duration>{
+            100, other, 100, 100}),
+        Network::Options{false, coalesce, 1});
+    for (MsgType i = 0; i < 4; ++i) rig.a.post(1, i);
+    rig.sim.run();
+    std::vector<std::pair<MsgType, Time>> log;
+    for (std::size_t i = 0; i < rig.b.received.size(); ++i) {
+      log.emplace_back(rig.b.received[i].type, rig.b.times[i]);
+    }
+    return std::make_pair(rig.net.coalesce_stats(), log);
+  };
+  Duration other = 101;
+  for (; other < 1'000'000; ++other) {
+    if (run_once(other, true).first.lone == 3) break;
+  }
+  ASSERT_LT(other, 1'000'000) << "no tick collided with tick 100";
+  const auto [cs, log] = run_once(other, true);
+  EXPECT_EQ(cs.lone, 3u);
+  EXPECT_EQ(cs.batches, 1u);
+  EXPECT_EQ(cs.frames, 1u);
+  EXPECT_EQ(log, run_once(other, false).second);
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0], std::make_pair(MsgType{0}, Time{100}));
+  EXPECT_EQ(log[1], std::make_pair(MsgType{2}, Time{100}));
+  EXPECT_EQ(log[2], std::make_pair(MsgType{3}, Time{100}));
+  EXPECT_EQ(log[3], std::make_pair(MsgType{1}, Time{other}));
 }
 
 // ---------- Fault-mutation contract ----------
@@ -641,46 +807,67 @@ void expect_refused(Simulator& sim, const std::string& refusal) {
   }
 }
 
-/// Applies one fault mutation from inside its message handler.
+/// Applies one fault mutation from inside its handler for the nth message.
 class Mutator final : public Process {
  public:
-  Mutator(NodeId id, Network& net, void (*apply)(Network&))
-      : Process(id, net), apply_(apply) {}
-  void on_message(const Frame&) override { apply_(net()); }
+  Mutator(NodeId id, Network& net, void (*apply)(Network&), int nth)
+      : Process(id, net), apply_(apply), left_(nth) {}
+  void on_message(const Frame&) override {
+    if (--left_ == 0) apply_(net());
+  }
 
  private:
   void (*apply_)(Network&);
+  int left_;
 };
+
+// Two same-tick frames: in the batched lane the first rides its own event
+// and the second a batch, so mutating on each covers both delivery paths
+// of every lane.
+constexpr int kNth[] = {1, 2};
 
 TEST(NetworkContract, HandlerFaultMutationsAreRefusedInEveryLane) {
   for (const Lane& lane : kLanes) {
-    for (const Mutation& m : kMutations) {
-      SCOPED_TRACE(std::string(lane.name) + ": " + m.refusal);
-      Simulator sim;
-      Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1), lane.opts);
-      Recorder src(0, net);
-      Mutator dst(2, net, m.apply);
-      src.post(2, 1);
-      src.post(2, 2);
-      expect_refused(sim, m.refusal);
+    for (const int nth : kNth) {
+      for (const Mutation& m : kMutations) {
+        SCOPED_TRACE(std::string(lane.name) + ", frame " +
+                     std::to_string(nth) + ": " + m.refusal);
+        Simulator sim;
+        Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1),
+                    lane.opts);
+        Recorder src(0, net);
+        Mutator dst(2, net, m.apply, nth);
+        src.post(2, 1);
+        src.post(2, 2);
+        expect_refused(sim, m.refusal);
+      }
     }
   }
 }
 
 TEST(NetworkContract, HookFaultMutationsAreRefusedInEveryLane) {
   for (const Lane& lane : kLanes) {
-    for (const Mutation& m : kMutations) {
-      SCOPED_TRACE(std::string(lane.name) + ": " + m.refusal);
-      Simulator sim;
-      Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1), lane.opts);
-      Recorder src(0, net);
-      Recorder dst(2, net);
-      net.set_delivery_hook(
-          [&net, apply = m.apply](const Frame&, Time, Time) { apply(net); });
-      src.post(2, 1);
-      src.post(2, 2);
-      expect_refused(sim, m.refusal);
-      EXPECT_TRUE(dst.received.empty());
+    for (const int nth : kNth) {
+      for (const Mutation& m : kMutations) {
+        SCOPED_TRACE(std::string(lane.name) + ", frame " +
+                     std::to_string(nth) + ": " + m.refusal);
+        Simulator sim;
+        Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1),
+                    lane.opts);
+        Recorder src(0, net);
+        Recorder dst(2, net);
+        int left = nth;
+        net.set_delivery_hook(
+            [&net, &left, apply = m.apply](const Frame&, Time, Time) {
+              if (--left == 0) apply(net);
+            });
+        src.post(2, 1);
+        src.post(2, 2);
+        expect_refused(sim, m.refusal);
+        // The hook runs before the handler, so the refused frame is never
+        // received.
+        EXPECT_EQ(dst.received.size(), static_cast<std::size_t>(nth - 1));
+      }
     }
   }
 }
