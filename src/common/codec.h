@@ -148,9 +148,11 @@ class ByteReader {
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
+  /// Mark the input malformed. Decoders that check content as well as
+  /// framing (an id outside its span) refuse through the same flag.
+  void fail() { ok_ = false; }
 
  private:
-  void fail() { ok_ = false; }
   std::uint64_t get_varint_wide();
 
   const std::uint8_t* data_;

@@ -44,7 +44,23 @@ ClientTable::ClientTable(Network& net, const ClusterConfig& global,
       }
       fr_[static_cast<std::size_t>(ri)] = std::move(st);
     }
-    for (const ClusterConfig& kc : key_cfgs_) picker_.reserve(kc);
+    for (const ClusterConfig& kc : key_cfgs_) {
+      picker_.reserve(kc);
+      // Each reader serves one key: its caches and reply arenas take that
+      // group's span.
+      const NodeId base = kc.first_client();
+      const int span = kc.id_end() - base;
+      for (int i = 0; i < kc.r(); ++i) {
+        const int ri = kc.reader_id(i) - global_.first_reader();
+        if (ri < 0 || ri >= r_) continue;
+        FrReaderState& st = *fr_[static_cast<std::size_t>(ri)];
+        if (reader_program_ == TableReaderProgram::kFrFull) {
+          st.arenas.assign(static_cast<std::size_t>(kc.quorum()),
+                           FrRows(base, span));
+        }
+        for (FrServerCache& c : st.caches) c.rows.reset(base, span);
+      }
+    }
   }
 }
 
@@ -52,7 +68,7 @@ std::uint64_t ClientTable::decode_arena_grows() const {
   std::uint64_t total = 0;
   for (const auto& st : fr_) {
     if (!st) continue;
-    for (const FrEntryArena& a : st->arenas) total += a.grows();
+    for (const FrRows& a : st->arenas) total += a.grows();
   }
   return total;
 }
@@ -256,9 +272,8 @@ void ClientTable::on_reader_reply(int slot, const Frame& m) {
       // Decode in place, one arena per reply index (arrival order), instead
       // of buffering pooled copies until quorum — same decoded views.
       const auto i = static_cast<std::size_t>(acks_[s]);
-      if (st.arenas.size() <= i) st.arenas.resize(i + 1);
       ByteReader br(m.payload);
-      const bool ok = decode_entries_into(br, st.arenas[i]);
+      const bool ok = decode_rows_into(br, st.arenas[i]);
       assert(ok && "malformed kFrReadAck");
       (void)ok;
       if (++acks_[s] < kc.quorum()) return;
@@ -269,8 +284,7 @@ void ClientTable::on_reader_reply(int slot, const Frame& m) {
     case TableReaderProgram::kFrDelta: {
       FrReaderState& st = *fr_[static_cast<std::size_t>(ri)];
       const auto si = static_cast<std::size_t>(m.src - kc.server_base);
-      const bool ok =
-          fr_apply_delta(st.caches[si], m.payload, st.entry_scratch);
+      const bool ok = fr_apply_delta(st.caches[si], m.payload);
       assert(ok && "malformed kFrReadAckDelta");
       (void)ok;
       st.round_servers.push_back(static_cast<int>(si));
@@ -287,25 +301,25 @@ void ClientTable::reader_decide_full(int slot) {
   FrReaderState& st = *fr_[static_cast<std::size_t>(slot - w_)];
   st.views.clear();
   for (std::int32_t i = 0; i < acks_[s]; ++i) {
-    st.views.push_back(st.arenas[static_cast<std::size_t>(i)].view());
+    st.views.push_back(&st.arenas[static_cast<std::size_t>(i)]);
   }
   // valQueue <- valQueue union everything received (kept sorted unique —
   // the contents of the paper's valQueue set). Each reply is sorted and
   // duplicate-free, so merge them in one at a time.
-  for (const FrView& v : st.views) {
+  for (const FrRows* v : st.views) {
     st.queue_merge.clear();
     auto q = st.val_queue.cbegin();
-    const FrEntry* e = v.begin();
-    while (q != st.val_queue.cend() && e != v.end()) {
-      if (e->value < *q) {
-        st.queue_merge.push_back((e++)->value);
+    std::size_t e = 0;
+    while (q != st.val_queue.cend() && e < v->size()) {
+      if (v->value(e) < *q) {
+        st.queue_merge.push_back(v->value(e++));
       } else {
-        if (e->value == *q) ++e;
+        if (v->value(e) == *q) ++e;
         st.queue_merge.push_back(*q++);
       }
     }
     st.queue_merge.insert(st.queue_merge.end(), q, st.val_queue.cend());
-    for (; e != v.end(); ++e) st.queue_merge.push_back(e->value);
+    for (; e < v->size(); ++e) st.queue_merge.push_back(v->value(e));
     st.val_queue.swap(st.queue_merge);
   }
   complete_read(slot, picker_.pick(st.views, key_cfgs_[key_[s]]));
@@ -316,15 +330,14 @@ void ClientTable::reader_decide_delta(int slot) {
   FrReaderState& st = *fr_[static_cast<std::size_t>(slot - w_)];
   st.views.clear();
   for (const int si : st.round_servers) {
-    const FrServerCache& c = st.caches[static_cast<std::size_t>(si)];
-    st.views.push_back(FrView{c.entries.data(), c.entries.size()});
+    st.views.push_back(&st.caches[static_cast<std::size_t>(si)].rows);
   }
   const TaggedValue v = picker_.pick(st.views, key_cfgs_[key_[s]]);
   // valQueue semantics, compressed: the watermark is the max of everything
   // ever received (>= the value returned).
-  for (const FrView& view : st.views) {
-    if (view.size > 0) {
-      st.watermark = std::max(st.watermark, view.data[view.size - 1].value);
+  for (const FrRows* view : st.views) {
+    if (!view->empty()) {
+      st.watermark = std::max(st.watermark, view->value(view->size() - 1));
     }
   }
   complete_read(slot, v);

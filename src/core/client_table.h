@@ -82,7 +82,7 @@ class ClientTable final : public Process {
   [[nodiscard]] int reader_count() const { return r_; }
   [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_done_; }
 
-  /// Decode-arena growth across all fr-full readers; pinned flat after
+  /// Decode-arena row growth across all fr-full readers; pinned flat after
   /// warmup by the allocation regression tests.
   [[nodiscard]] std::uint64_t decode_arena_grows() const;
 
@@ -98,7 +98,7 @@ class ClientTable final : public Process {
     const FrReaderState& st = *fr_[static_cast<std::size_t>(ri)];
     return st.caches.empty()
                ? 0
-               : st.caches[static_cast<std::size_t>(si)].entries.size();
+               : st.caches[static_cast<std::size_t>(si)].rows.size();
   }
 
  private:
@@ -107,16 +107,15 @@ class ClientTable final : public Process {
   /// zero per-slot overhead.
   struct FrReaderState {
     std::vector<TaggedValue> val_queue;  ///< sorted unique; starts {bottom}
-    std::vector<FrEntryArena> arenas;    ///< full mode: one per reply index
+    std::vector<FrRows> arenas;          ///< full mode: one per reply index
     std::vector<FrServerCache> caches;   ///< delta mode: per server index
     std::vector<int> round_servers;      ///< delta mode: arrival order
     TaggedValue watermark{};
     // reusable per-read scratch
-    std::vector<FrView> views;
+    std::vector<const FrRows*> views;
     std::vector<TaggedValue> queue_merge;
     std::vector<std::uint64_t> acked_scratch;
     std::vector<TaggedValue> queue_scratch;
-    FrEntry entry_scratch;
   };
 
   [[nodiscard]] NodeId slot_node(int slot) const {

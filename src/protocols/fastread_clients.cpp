@@ -1,7 +1,7 @@
 #include "protocols/fastread_clients.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace mwreg {
 
@@ -30,20 +30,29 @@ void FrPicker::fit(int span, std::size_t max_sets, int max_degree) {
   cursor_.reserve(sets_cap_);
 }
 
-void FrPicker::add_set(const std::vector<NodeId>& updated) {
+void FrPicker::adopt_span(NodeId base, int span,
+                          const std::vector<const FrRows*>& views) {
+  // Columns are the group's client ids: a row over another span would
+  // index past them. Checked before any set loads, so a refusal leaves the
+  // scratch clean.
+  for (const FrRows* v : views) {
+    if (v->base() != base || v->span() != span) {
+      throw std::invalid_argument("FrPicker: a view over another client span");
+    }
+  }
+  base_ = base;
+  span_ = span;
+}
+
+void FrPicker::add_set(const FrRows& rows, std::size_t i) {
   const std::size_t word = static_cast<std::size_t>(m_) / 64;
   const std::uint64_t bit = 1ULL << (m_ % 64);
   ++m_;
-  for (const NodeId id : updated) {
-    const NodeId c = id - base_;
-    assert(c >= 0 && c < span_ && "witness outside the group's client ids");
-    if (c < 0 || c >= span_) continue;  // not a client of this group
-    const auto col = static_cast<std::size_t>(c);
-    std::uint64_t& w = cols_[col * words_ + word];
-    if (w & bit) continue;  // a repeated id adds nothing to a set
-    w |= bit;
+  rows.for_each(i, [&](NodeId id) {
+    const auto col = static_cast<std::size_t>(id - base_);
+    cols_[col * words_ + word] |= bit;
     if (count_[col]++ == 0) touched_.push_back(col);
-  }
+  });
 }
 
 int FrPicker::count_verdict(int a, int need) const {
@@ -126,13 +135,12 @@ bool FrPicker::decide(int a_lo, int a_hi, int s, int t) {
   return ok;
 }
 
-TaggedValue FrPicker::pick(const std::vector<FrView>& views,
+TaggedValue FrPicker::pick(const std::vector<const FrRows*>& views,
                            const ClusterConfig& kc) {
-  base_ = kc.first_client();
-  span_ = kc.id_end() - base_;
+  adopt_span(kc.first_client(), kc.id_end() - kc.first_client(), views);
   fit(span_, views.size(), kc.r() + 1);
   cursor_.clear();
-  for (const FrView& v : views) cursor_.push_back(v.size);
+  for (const FrRows* v : views) cursor_.push_back(v->size());
   // Walk every received value from the largest down and return the first
   // admissible one. Lemma 3 guarantees a hit: the max of the valQueue the
   // reader sent is admissible with degree 1, since every server confirmed
@@ -141,7 +149,7 @@ TaggedValue FrPicker::pick(const std::vector<FrView>& views,
     const TaggedValue* top = nullptr;
     for (std::size_t i = 0; i < views.size(); ++i) {
       if (cursor_[i] == 0) continue;
-      const TaggedValue& v = views[i].data[cursor_[i] - 1].value;
+      const TaggedValue& v = views[i]->value(cursor_[i] - 1);
       if (top == nullptr || *top < v) top = &v;
     }
     // Unreachable in a correct configuration; return bottom defensively.
@@ -150,42 +158,28 @@ TaggedValue FrPicker::pick(const std::vector<FrView>& views,
     // A view holding v holds it next (views are sorted): load those sets
     // and step past v.
     for (std::size_t i = 0; i < views.size(); ++i) {
-      if (cursor_[i] == 0) continue;
-      const FrEntry& e = views[i].data[cursor_[i] - 1];
-      if (e.value != v) continue;
-      add_set(e.updated);
-      --cursor_[i];
+      if (cursor_[i] == 0 || views[i]->value(cursor_[i] - 1) != v) continue;
+      add_set(*views[i], --cursor_[i]);
     }
     if (decide(1, kc.r() + 1, kc.s(), kc.t())) return v;
   }
 }
 
 bool FrPicker::admissible(const TaggedValue& v,
-                          const std::vector<FrView>& views, int a,
+                          const std::vector<const FrRows*>& views, int a,
                           int num_servers, int max_faulty) {
-  auto entry_of = [&v](const FrView& view) -> const FrEntry* {
-    for (const FrEntry& e : view) {
-      if (e.value == v) return &e;
-    }
-    return nullptr;
-  };
-  NodeId lo = 0;
-  NodeId hi = -1;
-  bool any = false;
-  for (const FrView& view : views) {
-    const FrEntry* e = entry_of(view);
-    if (e == nullptr) continue;
-    for (const NodeId c : e->updated) {
-      lo = any ? std::min(lo, c) : c;
-      hi = any ? std::max(hi, c) : c;
-      any = true;
-    }
+  if (views.empty()) {
+    adopt_span(0, 0, views);
+  } else {
+    adopt_span(views.front()->base(), views.front()->span(), views);
   }
-  base_ = lo;
-  span_ = hi - lo + 1;
   fit(span_, views.size(), a);
-  for (const FrView& view : views) {
-    if (const FrEntry* e = entry_of(view)) add_set(e->updated);
+  for (const FrRows* view : views) {
+    for (std::size_t i = 0; i < view->size(); ++i) {
+      if (view->value(i) != v) continue;
+      add_set(*view, i);
+      break;
+    }
   }
   return decide(a, a, num_servers, max_faulty);
 }
@@ -193,51 +187,61 @@ bool FrPicker::admissible(const TaggedValue& v,
 bool admissible(const TaggedValue& v,
                 const std::vector<std::vector<FrEntry>>& msgs, int a,
                 int num_servers, int max_faulty) {
-  std::vector<FrView> views;
-  views.reserve(msgs.size());
+  // v's set in each message holding it (the first match counts), over the
+  // span of the ids they name.
+  std::vector<const FrEntry*> sets;
+  NodeId lo = 0;
+  NodeId hi = -1;
+  bool any = false;
   for (const std::vector<FrEntry>& m : msgs) {
-    views.push_back(FrView{m.data(), m.size()});
+    for (const FrEntry& e : m) {
+      if (e.value != v) continue;
+      for (const NodeId c : e.updated) {
+        lo = any ? std::min(lo, c) : c;
+        hi = any ? std::max(hi, c) : c;
+        any = true;
+      }
+      sets.push_back(&e);
+      break;
+    }
+  }
+  std::vector<FrRows> rows(sets.size(), FrRows(lo, hi - lo + 1));
+  std::vector<const FrRows*> views;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    rows[i].push_back(v);
+    for (const NodeId c : sets[i]->updated) rows[i].set(0, c);
+    views.push_back(&rows[i]);
   }
   return FrPicker().admissible(v, views, a, num_servers, max_faulty);
 }
 
-bool fr_apply_delta(FrServerCache& cache, ByteSpan payload,
-                    FrEntry& scratch) {
+bool fr_apply_delta(FrServerCache& cache, ByteSpan payload) {
   ByteReader r(payload);
   const FrDeltaHeader h = get_delta_ack_header(r);
   if (!r.ok()) return false;
-  // Drop cached entries the server has garbage-collected. They sit
-  // strictly below every reader's watermark, so this reader could never
-  // return them again anyway; dropping keeps the cache O(active values).
-  const auto floor_it = std::lower_bound(
-      cache.entries.begin(), cache.entries.end(), h.gc_floor,
-      [](const FrEntry& e, const Tag& t) { return e.value.tag < t; });
-  for (auto it = cache.entries.begin(); it != floor_it; ++it) {
-    it->updated.clear();
-    cache.spare.push_back(std::move(it->updated));
-  }
-  cache.entries.erase(cache.entries.begin(), floor_it);
-  // Upsert the changed entries (streamed in ascending tag order).
-  for (std::uint64_t i = 0; i < h.count && r.ok(); ++i) {
-    decode_fr_entry_into(r, scratch);
-    if (!r.ok()) break;
-    const auto it = std::lower_bound(
-        cache.entries.begin(), cache.entries.end(), scratch.value.tag,
-        [](const FrEntry& e, const Tag& t) { return e.value.tag < t; });
-    // Swap the decoded set in rather than copy it; the scratch keeps the
-    // displaced capacity (or a spare) for the next decode.
-    if (it != cache.entries.end() && it->value.tag == scratch.value.tag) {
-      it->value = scratch.value;
-      it->updated.swap(scratch.updated);
+  FrRows& rows = cache.rows;
+  // Drop cached rows the server has garbage-collected. They sit strictly
+  // below every reader's watermark, so this reader could never return them
+  // again anyway; dropping keeps the cache O(active values).
+  rows.erase_below(h.gc_floor);
+  // Upsert the changed entries in one forward merge. Each is decoded as a
+  // new last row; `pos` only moves forward, because entries are streamed
+  // in ascending tag order, and ends on the row the entry settles in.
+  std::size_t pos = 0;
+  for (std::uint64_t k = 0; k < h.count && rows.get(r); ++k) {
+    const std::size_t last = rows.size() - 1;
+    const Tag tag = rows.value(last).tag;
+    if (k > 0 && tag < rows.value(pos).tag) {  // out of order: refuse
+      rows.pop_back();
+      r.fail();
+      break;
+    }
+    while (pos < last && rows.value(pos).tag < tag) ++pos;
+    if (pos == last) continue;  // above every cached row: in place already
+    if (rows.value(pos).tag == tag) {
+      rows.replace_with_back(pos);
     } else {
-      FrEntry e;
-      e.value = scratch.value;
-      e.updated.swap(scratch.updated);
-      if (!cache.spare.empty()) {
-        scratch.updated.swap(cache.spare.back());
-        cache.spare.pop_back();
-      }
-      cache.entries.insert(it, std::move(e));
+      rows.move_back_to(pos);
     }
   }
   // Only ack a fully applied delta: on a truncated payload the loop above

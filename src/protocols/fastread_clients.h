@@ -7,9 +7,11 @@
 // the incremental protocol instead (kFrReadDeltaReq / kFrReadAckDelta): it
 // carries its confirmed watermark and per-server acked revisions,
 // reconstructs each server's valuevector in an FrServerCache, and runs the
-// same admissibility decision over the reconstructed views — observationally
-// identical to the full-ack protocol while keeping bytes-on-wire O(active
-// values) (DESIGN.md section 6).
+// same admissibility decision over the reconstructed valuevectors —
+// observationally identical to the full-ack protocol while keeping
+// bytes-on-wire O(active values) (DESIGN.md section 6). Every valuevector
+// here is an FrRows (protocols/messages.h): updated sets are bitsets over
+// the key group's client ids from the server to the decision.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +29,9 @@ namespace mwreg {
 /// updated set for v. Equivalently: some set T of `a` clients is contained
 /// in at least max(1, S - a*t) of v's updated sets.
 ///
-/// v's updated sets are loaded once per candidate as word-array bitsets,
-/// one column of bits over the sets per client id. One per-client count
+/// v's updated sets are loaded once per candidate by scanning their rows'
+/// set bits into word-array columns, one column of bits over the sets per
+/// client id. One per-client count
 /// pass then settles most degrees: too few clients in enough sets rules a
 /// degree out, and a top-`a` pigeonhole bound proves it (always, for
 /// a = 1). Only what the counts leave open goes to an exact subset search on
@@ -43,20 +46,27 @@ class FrPicker {
 
   /// The largest value admissible at some degree a in [1, R+1] over one
   /// round's replies (`kc`'s R, S and t). Each view is one server's
-  /// valuevector: sorted ascending with no value twice, updated sets within
-  /// `kc`'s client ids. Candidates come largest-first from a k-way merge of
-  /// the views from the top. Returns bottom if nothing is admissible
-  /// (unreachable in a correct configuration).
-  TaggedValue pick(const std::vector<FrView>& views, const ClusterConfig& kc);
+  /// valuevector: sorted ascending with no value twice, over `kc`'s client
+  /// span (std::invalid_argument otherwise). Candidates come largest-first
+  /// from a k-way merge of the views from the top. Returns bottom if
+  /// nothing is admissible (unreachable in a correct configuration).
+  TaggedValue pick(const std::vector<const FrRows*>& views,
+                   const ClusterConfig& kc);
 
-  /// admissible(v, views, a) at one degree, on views in any order (the
-  /// first entry equal to v in each counts). Sizes itself from v's sets.
-  bool admissible(const TaggedValue& v, const std::vector<FrView>& views,
-                  int a, int num_servers, int max_faulty);
+  /// admissible(v, views, a) at one degree, on rows in any order (the first
+  /// row equal to v in each view counts). The views share one span
+  /// (std::invalid_argument otherwise).
+  bool admissible(const TaggedValue& v,
+                  const std::vector<const FrRows*>& views, int a,
+                  int num_servers, int max_faulty);
 
  private:
   void fit(int span, std::size_t max_sets, int max_degree);
-  void add_set(const std::vector<NodeId>& updated);
+  /// Columns become [base, base + span); std::invalid_argument, with
+  /// nothing loaded, if a view covers another span.
+  void adopt_span(NodeId base, int span,
+                  const std::vector<const FrRows*>& views);
+  void add_set(const FrRows& rows, std::size_t i);
   /// Whether v is admissible at some degree in [a_lo, a_hi]; clears v's
   /// sets either way.
   bool decide(int a_lo, int a_hi, int s, int t);
@@ -90,27 +100,28 @@ class FrPicker {
   std::vector<std::size_t> cursor_;  ///< pick: entries left per view
 };
 
-/// Convenience form over owning nested vectors (tests, offline tools).
+/// Convenience form over sorted-list messages (tests, offline tools): the
+/// sets of v are converted into FrRows over the span of their ids, and
+/// FrPicker decides.
 bool admissible(const TaggedValue& v,
                 const std::vector<std::vector<FrEntry>>& msgs, int a,
                 int num_servers, int max_faulty);
 
-/// Reconstructed view of one server's valuevector (delta/gc mode): the
+/// Reconstructed copy of one server's valuevector (delta/gc mode): the
 /// entries the server held at its last reply, sorted by tag, plus the reply
-/// revision the reader acknowledges on its next request.
+/// revision the reader acknowledges on its next request. `rows` must carry
+/// the key group's client span before the first delta.
 struct FrServerCache {
   std::uint64_t rev = 0;
-  std::vector<FrEntry> entries;
-  /// Updated-set buffers of entries dropped below the GC floor, reused by
-  /// later inserts so a warmed cache stops allocating.
-  std::vector<std::vector<NodeId>> spare;
+  FrRows rows;
 };
 
-/// Apply one kFrReadAckDelta payload to `cache`: drop entries below the
-/// server's GC floor, upsert the streamed entries, and ack the revision only
-/// when the whole delta decoded. `scratch` is a caller-owned reusable decode
-/// buffer (its vectors keep their capacity across calls). Returns false on
-/// malformed input.
-bool fr_apply_delta(FrServerCache& cache, ByteSpan payload, FrEntry& scratch);
+/// Apply one kFrReadAckDelta payload to `cache`: drop rows below the
+/// server's GC floor, upsert the streamed entries in one forward merge
+/// (they arrive in ascending tag order), and ack the revision only when the
+/// whole delta decoded. Returns false on malformed input, which includes an
+/// id outside the cache's span and entries out of tag order; the cache then
+/// keeps its old revision.
+bool fr_apply_delta(FrServerCache& cache, ByteSpan payload);
 
 }  // namespace mwreg

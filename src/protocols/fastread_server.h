@@ -2,9 +2,10 @@
 //
 // State: the current max value `vali` and a `valuevector` mapping every value
 // ever received to the set of clients that updated/confirmed it. The
-// valuevector is a flat vector sorted by tag, each entry holding its updated
-// set as a sorted id vector: exactly the order and form both read-ack
-// encodings stream, so a reply is one pass over it.
+// valuevector is an FrRows sorted by tag: each entry's updated set is a
+// bitset over the group's client ids, and both read-ack encodings stream
+// the entries in that order, scanning the set bits, so a reply is one pass
+// over it.
 //
 // One deliberate clarification versus the printed pseudocode: on a READ the
 // server records the reader in the updated set of EVERY value it reports
@@ -27,7 +28,9 @@
 // only the entries whose revision is newer than the revision the reader
 // last acknowledged. DESIGN.md section 6 gives the safety argument against
 // Lemmas 5 and 8; with gc_enabled=false the server is bit-exact with the
-// pre-GC implementation (the ablation the benches compare against).
+// pre-GC implementation (the ablation the benches compare against). The
+// floor is kept incrementally: the minimum watermark over the reader slots
+// and how many slots hold it, rescanned only when that count drains.
 #pragma once
 
 #include <algorithm>
@@ -57,21 +60,27 @@ class FastReadServer final : public ServerBase {
 
   FastReadServer(NodeId id, Network& net, const ClusterConfig& cfg,
                  Options opts)
-      : ServerBase(id, net, cfg), opts_(opts) {
+      : ServerBase(id, net, cfg),
+        opts_(opts),
+        rows_(cfg.first_client(), cfg.id_end() - cfg.first_client()),
+        watermark_(static_cast<std::size_t>(cfg.r())),
+        at_floor_(cfg.r()) {
     // valuevector starts with the bottom value; under GC it carries
     // revision 1 so a reader that has acked nothing (rev 0) receives it.
-    entry_for(kBottomTag).rev = ++rev_seq_;
-    // Indexed by NodeId, so size to the end of the id space: in a re-based
-    // keyspace group the reader ids sit far above total_nodes().
-    watermark_.resize(static_cast<std::size_t>(cfg.id_end()));
+    revs_[entry_for(kBottomTag)] = ++rev_seq_;
   }
 
   [[nodiscard]] const TaggedValue& current() const { return vali_; }
-  [[nodiscard]] std::size_t valuevector_size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t valuevector_size() const { return rows_.size(); }
 
   /// GC observables (zero / bottom while gc_enabled is false).
   [[nodiscard]] const Tag& gc_floor() const { return gc_floor_; }
   [[nodiscard]] std::uint64_t entries_pruned() const { return pruned_; }
+  /// The highest confirmed watermark reader slot `i` (the group's i-th
+  /// reader) has carried on its requests.
+  [[nodiscard]] const Tag& slot_watermark(int i) const {
+    return watermark_[static_cast<std::size_t>(i)];
+  }
 
   /// Batched delivery: one virtual dispatch per span, then a non-virtual
   /// per-frame loop through the request switch.
@@ -102,10 +111,8 @@ class FastReadServer final : public ServerBase {
         note_watermark(req.src);
         // The whole valuevector, streamed straight out of it.
         ByteWriter w(pool().acquire());
-        w.put_span(entries_.data(), entries_.size(),
-                   [](ByteWriter& bw, const Entry& e) {
-                     put_fr_entry(bw, e.fr);
-                   });
+        w.put_varint(rows_.size());
+        for (std::size_t i = 0; i < rows_.size(); ++i) rows_.put(w, i);
         reply(req, kFrReadAck, w.take());
         break;
       }
@@ -118,55 +125,30 @@ class FastReadServer final : public ServerBase {
   }
 
  private:
-  struct Entry {
-    /// The value and its updated set (sorted), in wire form.
-    FrEntry fr;
-    /// Last server revision at which this entry changed (payload set,
-    /// updated-set grew, or entry created). Only meaningful under GC.
-    std::uint64_t rev = 0;
-  };
-
-  static bool tag_less(const Entry& e, const Tag& t) {
-    return e.fr.value.tag < t;
-  }
-
-  /// The entry for `tag`, inserted in tag order (rev 0) when absent. A
-  /// write's fresh tag is usually the largest, so it appends at the back. A
-  /// new entry adopts an updated-set buffer GC retired, so a warmed
-  /// valuevector stops allocating.
-  Entry& entry_for(const Tag& tag) {
-    auto it = entries_.end();
-    if (!entries_.empty() && !(entries_.back().fr.value.tag < tag)) {
-      it = std::lower_bound(entries_.begin(), entries_.end(), tag, tag_less);
-      if (it->fr.value.tag == tag) return *it;
+  /// The row for `tag`, inserted in tag order (rev 0) when absent. A
+  /// write's fresh tag is usually the largest, so it appends at the back.
+  std::size_t entry_for(const Tag& tag) {
+    std::size_t i = rows_.size();
+    if (i > 0 && !(rows_.value(i - 1).tag < tag)) {
+      i = rows_.lower_bound(tag);
+      if (rows_.value(i).tag == tag) return i;
     }
-    Entry e;
-    e.fr.value.tag = tag;
-    if (!spare_sets_.empty()) {
-      e.fr.updated = std::move(spare_sets_.back());
-      spare_sets_.pop_back();
-    }
-    return *entries_.insert(it, std::move(e));
-  }
-
-  /// Add `c` to a sorted updated set; false if it was already there.
-  static bool add_client(std::vector<NodeId>& updated, NodeId c) {
-    const auto it = std::lower_bound(updated.begin(), updated.end(), c);
-    if (it != updated.end() && *it == c) return false;
-    updated.insert(it, c);
-    return true;
+    rows_.insert(i, TaggedValue{tag, 0});
+    revs_.insert(revs_.begin() + static_cast<std::ptrdiff_t>(i), 0);
+    return i;
   }
 
   /// Algorithm 2's update(val, c).
   void update(const TaggedValue& val, NodeId c) {
-    Entry& e = entry_for(val.tag);
-    bool changed = e.rev == 0;  // freshly created (GC keeps revs >= 1)
-    if (e.fr.value.payload != val.payload) {
-      e.fr.value.payload = val.payload;
+    const std::size_t i = entry_for(val.tag);
+    bool changed = revs_[i] == 0;  // freshly created (GC keeps revs >= 1)
+    TaggedValue& v = rows_.value(i);
+    if (v.payload != val.payload) {
+      v.payload = val.payload;
       changed = true;
     }
-    changed |= add_client(e.fr.updated, c);
-    if (changed) e.rev = ++rev_seq_;
+    changed |= rows_.set(i, c);
+    if (changed) revs_[i] = ++rev_seq_;
     if (val.tag > vali_.tag) vali_ = val;
   }
 
@@ -174,8 +156,8 @@ class FastReadServer final : public ServerBase {
   /// header comment: required by Lemmas 5 and 8).
   void confirm_all(NodeId reader) {
     if (!opts_.confirm_reported) return;
-    for (Entry& e : entries_) {
-      if (add_client(e.fr.updated, reader)) e.rev = ++rev_seq_;
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (rows_.set(i, reader)) revs_[i] = ++rev_seq_;
     }
   }
 
@@ -208,67 +190,71 @@ class FastReadServer final : public ServerBase {
     FrDeltaHeader h;
     h.revision = rev_seq_;
     h.gc_floor = gc_floor_;
-    for (const Entry& e : entries_) h.count += e.rev > acked;
+    for (const std::uint64_t rev : revs_) h.count += rev > acked;
     ByteWriter w(pool().acquire());
     put_delta_ack_header(w, h);
-    for (const Entry& e : entries_) {
-      if (e.rev > acked) put_fr_entry(w, e.fr);
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (revs_[i] > acked) rows_.put(w, i);
     }
     reply(req, kFrReadAckDelta, w.take());
   }
 
-  /// Record the confirmed watermark a reader carried in `req_queue_` and
-  /// advance the GC floor. No-op unless GC is enabled and `src` is a
-  /// reader.
+  /// Record the confirmed watermark a reader carried in `req_queue_`,
+  /// advance the GC floor and prune below it. No-op unless GC is enabled
+  /// and `src` is a reader.
+  ///
+  /// The floor is the minimum watermark over the reader slots (DESIGN.md
+  /// section 6.2). Watermarks only rise, so only a slot at the minimum can
+  /// raise it, and only once every slot at the minimum has moved: the
+  /// count of slots holding it says when to rescan (O(R)); every other
+  /// read costs O(1).
   void note_watermark(NodeId src) {
     if (!opts_.gc_enabled || !cfg().is_reader(src)) return;
-    Tag wm = watermark_[static_cast<std::size_t>(src)];
+    Tag& wm = watermark_[static_cast<std::size_t>(src - cfg().first_reader())];
+    const Tag old = wm;
     for (const TaggedValue& v : req_queue_) wm = std::max(wm, v.tag);
-    watermark_[static_cast<std::size_t>(src)] = wm;
+    if (old < wm && old == gc_floor_ && --at_floor_ == 0) {
+      gc_floor_ = *std::min_element(watermark_.begin(), watermark_.end());
+      at_floor_ = static_cast<int>(
+          std::count(watermark_.begin(), watermark_.end(), gc_floor_));
+    }
     collect_garbage();
   }
 
-  /// Prune entries strictly below the minimum confirmed watermark across
-  /// all readers. Safety (DESIGN.md section 6.2): no reader can ever again
-  /// return a tag below its own watermark (Lemma 3 lower-bounds every read
-  /// by the max of the valQueue it sent), so nothing below the minimum is
-  /// returnable by anyone and Lemmas 5/8 hold vacuously for pruned tags.
+  /// Prune entries strictly below the GC floor. Safety (DESIGN.md section
+  /// 6.2): no reader can ever again return a tag below its own watermark
+  /// (Lemma 3 lower-bounds every read by the max of the valQueue it sent),
+  /// so nothing below the minimum is returnable by anyone and Lemmas 5/8
+  /// hold vacuously for pruned tags.
   void collect_garbage() {
-    Tag floor = watermark_[static_cast<std::size_t>(cfg().reader_id(0))];
-    for (int i = 1; i < cfg().r(); ++i) {
-      const auto slot = static_cast<std::size_t>(cfg().reader_id(i));
-      floor = std::min(floor, watermark_[slot]);
-    }
-    if (gc_floor_ < floor) gc_floor_ = floor;  // floors only advance
     // Prune below the floor even when it did not just advance: a full-ack
     // reader re-admits its whole valQueue via update(), and those stale
     // sub-floor entries must not survive into the reply built next. (In a
     // pure delta cluster requests only carry watermarks >= the floor, so
-    // this erase finds nothing.) The watermark carrier's value was just
-    // re-admitted, so the valuevector keeps at least the floor entry and vali_
-    // survives.
+    // the front row stops the scan.) The watermark carrier's value was just
+    // re-admitted, so the valuevector keeps at least the floor entry and
+    // vali_ survives.
     assert(gc_floor_ <= vali_.tag);
-    const auto end =
-        std::lower_bound(entries_.begin(), entries_.end(), gc_floor_, tag_less);
-    for (auto it = entries_.begin(); it != end; ++it) {
-      it->fr.updated.clear();
-      spare_sets_.push_back(std::move(it->fr.updated));
-    }
-    pruned_ += static_cast<std::uint64_t>(end - entries_.begin());
-    entries_.erase(entries_.begin(), end);
+    const std::size_t n = rows_.erase_below(gc_floor_);
+    revs_.erase(revs_.begin(), revs_.begin() + static_cast<std::ptrdiff_t>(n));
+    pruned_ += n;
   }
 
   Options opts_;
   TaggedValue vali_{};
   /// The valuevector, sorted by tag (unique).
-  std::vector<Entry> entries_;
-  /// Updated-set buffers of pruned entries, kept for reuse.
-  std::vector<std::vector<NodeId>> spare_sets_;
+  FrRows rows_;
+  /// Per row: last server revision at which it changed (payload set,
+  /// updated set grew, or row created). Only meaningful under GC.
+  std::vector<std::uint64_t> revs_;
   std::uint64_t rev_seq_ = 0;
   /// Highest confirmed watermark carried on each reader's requests,
-  /// indexed by NodeId (non-reader slots stay bottom).
+  /// indexed by reader slot (reader id - first_reader()).
   std::vector<Tag> watermark_;
+  /// The minimum over watermark_ (floors only advance), and how many
+  /// slots hold it.
   Tag gc_floor_{};
+  int at_floor_ = 0;
   std::uint64_t pruned_ = 0;
   /// Request decode scratch, reused across reads.
   std::vector<TaggedValue> req_queue_;

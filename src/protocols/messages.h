@@ -11,8 +11,14 @@
 // capacity; the pool-less overloads allocate fresh and remain for tests
 // and offline tooling. Decoders read through span ByteReaders and never
 // copy the payload bytes.
+//
+// Updated sets have one in-memory form from the server to the read
+// decision: FrRows, a word bitset per valuevector entry over the key
+// group's client ids. The wire keeps sorted id lists (FrEntry's form).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -70,51 +76,222 @@ inline TaggedValue decode_value(ByteSpan bytes) {
 
 // ---- Fast-read family payloads ----
 
-/// One valuevector entry: a value plus the set of clients in its updated set
-/// (Algorithm 2's valuevector[val].updated).
+/// One valuevector entry as a sorted id list: the wire's form of an entry,
+/// kept as the reference the bitset form (FrRows) is tested against and
+/// for offline encoders.
 struct FrEntry {
   TaggedValue value;
   std::vector<NodeId> updated;  // sorted
 };
 
-/// Non-owning view of a decoded valuevector message (one server's reply).
-/// The admissibility machinery works on views so callers can back them with
-/// reusable arenas or per-server caches instead of fresh nested vectors.
-struct FrView {
-  const FrEntry* data = nullptr;
-  std::size_t size = 0;
-
-  [[nodiscard]] const FrEntry* begin() const { return data; }
-  [[nodiscard]] const FrEntry* end() const { return data + size; }
-};
-
-/// Reusable arena of FrEntry slots. reset() rewinds without destroying the
-/// slots, so every slot's `updated` vector keeps its capacity; once a
-/// workload has warmed the arena, decoding a read ack allocates nothing.
-/// grows() is the observable the allocation regression test pins (it must
-/// stop moving after warmup).
-class FrEntryArena {
+/// Valuevector entries in the one in-memory witness form: rows of a value
+/// plus its updated set, each set a word bitset over the key group's
+/// client-id span [base, base + span), ceil(span / 64) words per row, all
+/// rows' words in one flat array. The server's valuevector, the reader's
+/// per-server caches and per-reply arenas, and FrPicker's input are FrRows.
+///
+/// On the wire an updated set stays a sorted zigzag id list, exactly
+/// put_fr_entry's bytes: put() scans the set bits in order, get() sets
+/// them in a new last row, which replace_with_back() / move_back_to() can
+/// then move into place. get() refuses an id outside the span by failing
+/// the reader; set() never stores one. A row costs ceil(span / 64) words
+/// whatever its set's size, so a key with W writers pays about W / 8 bytes
+/// per entry.
+class FrRows {
  public:
-  void reset() { used_ = 0; }
+  FrRows() = default;  // an empty span
+  FrRows(NodeId base, int span) { reset(base, span); }
 
-  FrEntry& append() {
-    if (used_ == slots_.size()) {
-      slots_.emplace_back();
-      ++grows_;
-    }
-    FrEntry& e = slots_[used_++];
-    e.updated.clear();  // keeps capacity
-    return e;
+  /// Drop every row and adopt the span [base, base + span). Capacity kept.
+  void reset(NodeId base, int span) {
+    base_ = base;
+    span_ = span;
+    const auto words = (static_cast<std::size_t>(span) + 63) / 64;
+    words_ = std::max<std::uint32_t>(1, static_cast<std::uint32_t>(words));
+    clear();
+  }
+  /// Drop every row; span and capacity kept.
+  void clear() {
+    values_.clear();
+    bits_.clear();
   }
 
-  [[nodiscard]] std::size_t size() const { return used_; }
-  [[nodiscard]] FrView view() const { return FrView{slots_.data(), used_}; }
+  [[nodiscard]] std::size_t size() const { return values_.size(); }
+  [[nodiscard]] bool empty() const { return values_.empty(); }
+  [[nodiscard]] NodeId base() const { return base_; }
+  [[nodiscard]] int span() const { return span_; }
+  [[nodiscard]] std::size_t words() const { return words_; }
+  [[nodiscard]] bool in_span(NodeId id) const {
+    return id >= base_ && static_cast<std::int64_t>(id) - base_ < span_;
+  }
+
+  [[nodiscard]] const TaggedValue& value(std::size_t i) const {
+    return values_[i];
+  }
+  [[nodiscard]] TaggedValue& value(std::size_t i) { return values_[i]; }
+
+  /// The first row whose tag is not below `t` (rows sorted by tag).
+  [[nodiscard]] std::size_t lower_bound(const Tag& t) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(values_.begin(), values_.end(), t,
+                         [](const TaggedValue& v, const Tag& x) {
+                           return v.tag < x;
+                         }) -
+        values_.begin());
+  }
+
+  /// Add `id` to row i's set; false if it was there already. An id outside
+  /// the span is not a client of the group and is never stored.
+  bool set(std::size_t i, NodeId id) {
+    assert(in_span(id) && "witness outside the group's client ids");
+    if (!in_span(id)) return false;
+    const auto c = static_cast<std::size_t>(id - base_);
+    std::uint64_t& w = bits_[i * words_ + c / 64];
+    const std::uint64_t bit = 1ULL << (c % 64);
+    if (w & bit) return false;
+    w |= bit;
+    return true;
+  }
+  [[nodiscard]] bool test(std::size_t i, NodeId id) const {
+    if (!in_span(id)) return false;
+    const auto c = static_cast<std::size_t>(id - base_);
+    return (bits(i)[c / 64] >> (c % 64)) & 1;
+  }
+  [[nodiscard]] std::size_t count(std::size_t i) const {
+    std::size_t n = 0;
+    for (std::size_t w = 0; w < words_; ++w) n += popcount(bits(i)[w]);
+    return n;
+  }
+  /// fn(id) for every id in row i's set, ascending.
+  template <typename Fn>
+  void for_each(std::size_t i, Fn&& fn) const {
+    const std::uint64_t* row = bits(i);
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t m = row[w]; m != 0; m &= m - 1) {
+        fn(base_ + static_cast<NodeId>(w * 64 + static_cast<std::size_t>(
+                                                     __builtin_ctzll(m))));
+      }
+    }
+  }
+
+  /// Append / insert a row with an empty set.
+  void push_back(const TaggedValue& v) {
+    note_growth();
+    values_.push_back(v);
+    for (std::size_t w = 0; w < words_; ++w) bits_.push_back(0);
+  }
+  void insert(std::size_t i, const TaggedValue& v) {
+    push_back(v);
+    move_back_to(i);
+  }
+  void pop_back() {
+    values_.pop_back();
+    bits_.resize(bits_.size() - words_);
+  }
+  /// Row i takes the last row's value and set; the last row goes.
+  void replace_with_back(std::size_t i) {
+    values_[i] = values_.back();
+    const std::uint64_t* from = bits(size() - 1);
+    std::uint64_t* to = bits_.data() + i * words_;
+    to[0] = from[0];  // inline: a one-word row should not cost a call
+    for (std::size_t w = 1; w < words_; ++w) to[w] = from[w];
+    pop_back();
+  }
+  /// The last row moves to position i; rows i.. shift up by one.
+  void move_back_to(std::size_t i) {
+    if (i + 1 == size()) return;
+    std::rotate(values_.begin() + static_cast<std::ptrdiff_t>(i),
+                values_.end() - 1, values_.end());
+    std::rotate(bits_.begin() + static_cast<std::ptrdiff_t>(i * words_),
+                bits_.end() - static_cast<std::ptrdiff_t>(words_),
+                bits_.end());
+  }
+  /// Drop the rows below the first whose tag is not below `floor` (rows
+  /// sorted by tag); returns how many went. Scans from the front: pruning
+  /// removes a few rows at a time.
+  std::size_t erase_below(const Tag& floor) {
+    std::size_t n = 0;
+    while (n < size() && values_[n].tag < floor) ++n;
+    if (n > 0) {
+      values_.erase(values_.begin(),
+                    values_.begin() + static_cast<std::ptrdiff_t>(n));
+      bits_.erase(bits_.begin(),
+                  bits_.begin() + static_cast<std::ptrdiff_t>(n * words_));
+    }
+    return n;
+  }
+
+  /// Row i on the wire: put_fr_entry's bytes for its value and sorted ids.
+  void put(ByteWriter& w, std::size_t i) const {
+    w.put_value(values_[i]);
+    w.put_varint(count(i));
+    for_each(i, [&w](NodeId id) { w.put_signed(id); });
+  }
+  /// Decode one wire entry as a new last row. On malformed input, or an id
+  /// outside the span, the reader fails and no row is added.
+  bool get(ByteReader& r) {
+    const TaggedValue v = r.get_value();
+    const std::uint64_t n = r.get_count();
+    if (!r.ok()) return false;
+    push_back(v);
+    // Offsets from the base in unsigned arithmetic: an id below it wraps
+    // past the span, and no wire value can overflow. Bits gather in one
+    // word while the ids stay in it (a sorted list changes word at most
+    // words_ - 1 times), then flush.
+    const auto base = static_cast<std::uint64_t>(base_);
+    const auto span = static_cast<std::uint64_t>(span_);
+    std::uint64_t* row = bits_.data() + (size() - 1) * words_;
+    std::size_t word = 0;
+    std::uint64_t acc = 0;
+    for (std::uint64_t k = 0; k < n && r.ok(); ++k) {
+      const std::uint64_t c = static_cast<std::uint64_t>(r.get_signed()) - base;
+      if (c >= span) {
+        r.fail();
+        break;
+      }
+      const auto w = static_cast<std::size_t>(c / 64);
+      if (w != word) {
+        row[word] |= acc;
+        word = w;
+        acc = 0;
+      }
+      acc |= 1ULL << (c % 64);
+    }
+    row[word] |= acc;
+    if (!r.ok()) pop_back();
+    return r.ok();
+  }
+
+  /// Times a row append found no spare capacity: flat once warm.
   [[nodiscard]] std::uint64_t grows() const { return grows_; }
 
  private:
-  std::vector<FrEntry> slots_;
-  std::size_t used_ = 0;
-  std::uint64_t grows_ = 0;
+  /// Row i's words; bit b of word w is client base + 64 w + b.
+  [[nodiscard]] const std::uint64_t* bits(std::size_t i) const {
+    return bits_.data() + i * words_;
+  }
+  void note_growth() {
+    if (values_.size() == values_.capacity() ||
+        bits_.size() + words_ > bits_.capacity()) {
+      ++grows_;
+    }
+  }
+  /// Set bits of one word, inline: without a popcount instruction in the
+  /// target flags, __builtin_popcountll is a library call.
+  static std::size_t popcount(std::uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+  }
+
+  // Kept to 64 bytes: a reader holds one cache per server.
+  NodeId base_ = 0;
+  int span_ = 0;
+  std::uint32_t words_ = 1;
+  std::uint32_t grows_ = 0;
+  std::vector<TaggedValue> values_;
+  std::vector<std::uint64_t> bits_;  ///< words_ per row, row-major
 };
 
 inline std::vector<std::uint8_t> encode_tag(BufferPool& pool, const Tag& t) {
@@ -172,34 +349,25 @@ inline std::vector<TaggedValue> decode_value_list(ByteSpan bytes) {
   return out;
 }
 
-/// One valuevector entry on the wire; the full and delta read acks share
-/// it, and servers stream their entries through it directly.
+/// One valuevector entry on the wire from its sorted-list form; the full
+/// and delta read acks share it. FrRows::put writes the same bytes.
 inline void put_fr_entry(ByteWriter& w, const FrEntry& e) {
   w.put_value(e.value);
   w.put_vector(e.updated,
                [](ByteWriter& bw, NodeId id) { bw.put_signed(id); });
 }
 
-inline void encode_entries_into(ByteWriter& w, FrView entries) {
-  w.put_span(entries.data, entries.size,
-             [](ByteWriter& bw, const FrEntry& e) { put_fr_entry(bw, e); });
-}
-
 inline void encode_entries_into(ByteWriter& w,
                                 const std::vector<FrEntry>& entries) {
-  encode_entries_into(w, FrView{entries.data(), entries.size()});
-}
-
-inline std::vector<std::uint8_t> encode_entries(BufferPool& pool,
-                                                FrView entries) {
-  ByteWriter w(pool.acquire());
-  encode_entries_into(w, entries);
-  return w.take();
+  w.put_vector(entries,
+               [](ByteWriter& bw, const FrEntry& e) { put_fr_entry(bw, e); });
 }
 
 inline std::vector<std::uint8_t> encode_entries(
     BufferPool& pool, const std::vector<FrEntry>& entries) {
-  return encode_entries(pool, FrView{entries.data(), entries.size()});
+  ByteWriter w(pool.acquire());
+  encode_entries_into(w, entries);
+  return w.take();
 }
 
 inline std::vector<std::uint8_t> encode_entries(
@@ -209,8 +377,7 @@ inline std::vector<std::uint8_t> encode_entries(
   return w.take();
 }
 
-/// Streaming per-entry decode into a caller-owned slot; shared by the full
-/// read-ack and delta read-ack decoders (identical per-entry wire format).
+/// Decode one wire entry into its sorted-list form (the reference decoder).
 inline void decode_fr_entry_into(ByteReader& r, FrEntry& e) {
   e.value = r.get_value();
   e.updated.clear();
@@ -221,15 +388,13 @@ inline void decode_fr_entry_into(ByteReader& r, FrEntry& e) {
   }
 }
 
-/// Decode a full read ack into a reusable arena (no fresh nested vectors).
-/// Returns reader.ok(); on malformed input the arena holds the prefix that
+/// Decode a full read ack into `out` (cleared; span and capacity kept).
+/// Returns reader.ok(); on malformed input `out` holds the rows that
 /// decoded cleanly.
-inline bool decode_entries_into(ByteReader& r, FrEntryArena& out) {
-  out.reset();
+inline bool decode_rows_into(ByteReader& r, FrRows& out) {
+  out.clear();
   const std::uint64_t n = r.get_count();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    decode_fr_entry_into(r, out.append());
-  }
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) out.get(r);
   return r.ok();
 }
 
@@ -275,9 +440,9 @@ inline bool decode_delta_read_req_into(ByteReader& r,
 /// kFrReadAckDelta header: the server's current revision (what the reader
 /// acks next time), its GC floor (the reader drops cached entries strictly
 /// below it), and the count of changed entries that follow. Entries are
-/// streamed with put_fr_entry / decode_fr_entry_into — the server encodes
-/// straight out of its valuevector, the reader applies straight into
-/// its per-server cache; neither side materializes an entry list.
+/// streamed with FrRows::put / FrRows::get: the server encodes straight
+/// out of its valuevector, the reader decodes straight into its per-server
+/// cache; neither side materializes an entry list.
 struct FrDeltaHeader {
   std::uint64_t revision = 0;
   Tag gc_floor{};

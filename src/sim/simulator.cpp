@@ -37,46 +37,39 @@ std::uint32_t Simulator::acquire_slot() {
   return slot;
 }
 
-// Both sifts move the displaced entry through a "hole" and write it once at
-// its final position instead of swapping entries at every level.
+// sift_up and pop_top move entries through a "hole" and write the displaced
+// entry once at its final position instead of swapping at every level.
 
 void Simulator::sift_up(std::size_t i) {
   const HeapEntry item = heap_[i];
+  const Rank r = rank(item);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!earlier(item, heap_[parent])) break;
+    if (!(r < rank(heap_[parent]))) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
   heap_[i] = item;
 }
 
-void Simulator::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const HeapEntry item = heap_[i];
-  for (;;) {
-    std::size_t best = i;
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    const HeapEntry* cur = &item;
-    if (l < n && earlier(heap_[l], *cur)) {
-      best = l;
-      cur = &heap_[l];
-    }
-    if (r < n && earlier(heap_[r], *cur)) {
-      best = r;
-    }
-    if (best == i) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = item;
-}
-
 void Simulator::pop_top() {
-  heap_.front() = heap_.back();
+  const std::size_t n = heap_.size() - 1;  // entries left after the pop
+  if (n == 0) {
+    heap_.pop_back();
+    return;
+  }
+  HeapEntry* h = heap_.data();
+  std::size_t i = 0;
+  // Walk the hole down to a leaf, raising the smaller child each level.
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    c += c + 1 < n && rank(h[c + 1]) < rank(h[c]);
+    h[i] = h[c];
+    i = c;
+  }
+  // The old last entry fills the hole and sifts up to its place.
+  h[i] = h[n];
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  sift_up(i);
 }
 
 bool Simulator::step() {

@@ -12,6 +12,14 @@
 // nothing once the slab and heap have warmed up. Closures larger than the
 // inline buffer spill to the heap and are counted in alloc_stats() — the
 // allocation-regression test keeps the steady state at zero.
+//
+// Heap order compares one unsigned 128-bit rank per entry: the time with
+// its sign bit flipped in the high half, the (seq << 24 | slot) key in the
+// low half, so (t, seq) order is one branch-free compare for every Time.
+// A pop walks the hole at the root down to a leaf along the smaller
+// children (one compare per level), then sifts the old last entry up from
+// there; it is usually near the bottom already, so this costs about half
+// the compares of a top-down sift.
 #pragma once
 
 #include <cstddef>
@@ -191,13 +199,16 @@ class Simulator {
 
   std::uint32_t acquire_slot();
   void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
   void pop_top();
 
-  /// Min-heap order: earliest (time, seq) at heap_[0]. Key comparison is
-  /// sequence comparison: seq occupies the high bits and is unique.
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    return a.t != b.t ? a.t < b.t : a.key < b.key;
+  /// Min-heap order: earliest (time, seq) at heap_[0]. The rank puts the
+  /// time, sign bit flipped so negative times order first, above the key;
+  /// key order is sequence order (seq occupies its high bits and is unique).
+  __extension__ using Rank = unsigned __int128;
+  static Rank rank(const HeapEntry& e) {
+    return (static_cast<Rank>(static_cast<std::uint64_t>(e.t) ^ (1ULL << 63))
+            << 64) |
+           e.key;
   }
 
   Time now_ = 0;

@@ -1,11 +1,14 @@
 // Property tests for Algorithm 1's read decision. FrPicker (count pass,
 // subset search, k-way candidate merge) must agree with two references on
 // random inputs: the per-degree DFS the read path used before it, and a
-// brute-force enumeration where inputs are small. The predicate must also
-// be monotone in the ways the correctness proofs rely on (Lemmas 8-10).
+// brute-force enumeration where inputs are small. The references read the
+// sorted-list form (FrEntry); the picker reads the same messages converted
+// into the bitset form (FrRows). The predicate must also be monotone in the
+// ways the correctness proofs rely on (Lemmas 8-10).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -16,11 +19,12 @@ namespace mwreg {
 namespace {
 
 using Sets = std::vector<std::vector<NodeId>>;  // each sorted
+using Msgs = std::vector<std::vector<FrEntry>>;
 
 /// v's updated set in every message holding it (first match per message).
-Sets sets_of(const TaggedValue& v, const std::vector<FrView>& msgs) {
+Sets sets_of(const TaggedValue& v, const Msgs& msgs) {
   Sets sets;
-  for (const FrView& m : msgs) {
+  for (const std::vector<FrEntry>& m : msgs) {
     for (const FrEntry& e : m) {
       if (e.value == v) {
         std::vector<NodeId> s = e.updated;
@@ -34,10 +38,27 @@ Sets sets_of(const TaggedValue& v, const std::vector<FrView>& msgs) {
   return sets;
 }
 
-std::vector<FrView> views_of(const std::vector<std::vector<FrEntry>>& msgs) {
-  std::vector<FrView> views;
-  for (const auto& m : msgs) views.push_back(FrView{m.data(), m.size()});
-  return views;
+/// The messages in the picker's form: one FrRows per message over `kc`'s
+/// client span, plus the pointers pick() takes.
+struct RowViews {
+  std::vector<FrRows> rows;
+  std::vector<const FrRows*> views;
+};
+
+RowViews rows_of(const Msgs& msgs, const ClusterConfig& kc) {
+  RowViews out;
+  out.rows.assign(msgs.size(),
+                  FrRows(kc.first_client(), kc.id_end() - kc.first_client()));
+  for (std::size_t m = 0; m < msgs.size(); ++m) {
+    for (const FrEntry& e : msgs[m]) {
+      out.rows[m].push_back(e.value);
+      for (const NodeId c : e.updated) {
+        out.rows[m].set(out.rows[m].size() - 1, c);
+      }
+    }
+    out.views.push_back(&out.rows[m]);
+  }
+  return out;
 }
 
 bool has(const std::vector<NodeId>& set, NodeId c) {
@@ -47,8 +68,8 @@ bool has(const std::vector<NodeId>& set, NodeId c) {
 /// The subset search the read path ran once per (candidate, degree) before
 /// FrPicker: clients pruned to those in >= need sets, then a DFS choosing
 /// `a` of them while keeping the list of sets that contain all chosen.
-bool dfs_admissible(const TaggedValue& v, const std::vector<FrView>& msgs,
-                    int a, int S, int t) {
+bool dfs_admissible(const TaggedValue& v, const Msgs& msgs, int a, int S,
+                    int t) {
   const int need = std::max(1, S - a * t);
   const Sets sets = sets_of(v, msgs);
   if (static_cast<int>(sets.size()) < need) return false;
@@ -91,8 +112,8 @@ bool dfs_admissible(const TaggedValue& v, const std::vector<FrView>& msgs,
 
 /// Brute force: enumerate ALL subsets mu of the messages holding v, and for
 /// each check |mu| >= max(1, S - a*t) and |intersection| >= a.
-bool brute_admissible(const TaggedValue& v, const std::vector<FrView>& msgs,
-                      int a, int S, int t) {
+bool brute_admissible(const TaggedValue& v, const Msgs& msgs, int a, int S,
+                      int t) {
   const Sets sets = sets_of(v, msgs);
   const int need = std::max(1, S - a * t);
   const std::size_t n = sets.size();
@@ -118,30 +139,28 @@ bool brute_admissible(const TaggedValue& v, const std::vector<FrView>& msgs,
   return false;
 }
 
-using Admissible = bool (*)(const TaggedValue&, const std::vector<FrView>&,
-                            int, int, int);
+using Admissible = bool (*)(const TaggedValue&, const Msgs&, int, int, int);
 
 /// The read decision as a sorted, deduplicated candidate list tried
 /// largest-first, each at degrees 1..R+1.
-TaggedValue reference_pick(const std::vector<FrView>& views, int R, int S,
-                           int t, Admissible admissible_at) {
+TaggedValue reference_pick(const Msgs& msgs, int R, int S, int t,
+                           Admissible admissible_at) {
   std::vector<TaggedValue> cands;
-  for (const FrView& v : views) {
-    for (const FrEntry& e : v) cands.push_back(e.value);
+  for (const std::vector<FrEntry>& m : msgs) {
+    for (const FrEntry& e : m) cands.push_back(e.value);
   }
   std::sort(cands.begin(), cands.end());
   cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
   for (auto it = cands.rbegin(); it != cands.rend(); ++it) {
     for (int a = 1; a <= R + 1; ++a) {
-      if (admissible_at(*it, views, a, S, t)) return *it;
+      if (admissible_at(*it, msgs, a, S, t)) return *it;
     }
   }
   return TaggedValue{};
 }
 
-std::vector<std::vector<FrEntry>> random_msgs(Rng& rng, const TaggedValue& v,
-                                              int n_msgs, int clients) {
-  std::vector<std::vector<FrEntry>> msgs;
+Msgs random_msgs(Rng& rng, const TaggedValue& v, int n_msgs, int clients) {
+  Msgs msgs;
   for (int m = 0; m < n_msgs; ++m) {
     std::vector<FrEntry> entries;
     if (rng.next_bool(0.8)) {  // message "has v"
@@ -177,7 +196,7 @@ TEST_P(AdmissibleProperty, MatchesBruteForceReference) {
     const auto msgs = random_msgs(rng, v, n_msgs, 6);
     for (int a = 1; a <= 4; ++a) {
       EXPECT_EQ(admissible(v, msgs, a, S, t),
-                brute_admissible(v, views_of(msgs), a, S, t))
+                brute_admissible(v, msgs, a, S, t))
           << "S=" << S << " t=" << t << " a=" << a << " msgs=" << n_msgs;
     }
   }
@@ -200,7 +219,7 @@ constexpr int kSpan = 130;
 /// so counts and the subset search both have work to do.
 struct Round {
   ClusterConfig kc;
-  std::vector<std::vector<FrEntry>> msgs;
+  Msgs msgs;
 };
 
 Round random_round(Rng& rng) {
@@ -274,31 +293,31 @@ TEST_P(PickerOracle, MatchesTheDfsAndBruteForceOnWideRandomRounds) {
   int rejected = 0;
   for (int iter = 0; iter < 150; ++iter) {
     const Round r = random_round(rng);
-    const std::vector<FrView> views = views_of(r.msgs);
+    const RowViews rows = rows_of(r.msgs, r.kc);
     const int R = r.kc.r(), S = r.kc.s(), t = r.kc.t();
     if (rng.next_bool(0.5)) picker.reserve(r.kc);
     // Brute force only where it stays cheap: at most 2^6 subsets.
-    const bool small = views.size() <= 6;
-    const TaggedValue got = picker.pick(views, r.kc);
-    EXPECT_EQ(got, reference_pick(views, R, S, t, dfs_admissible))
+    const bool small = r.msgs.size() <= 6;
+    const TaggedValue got = picker.pick(rows.views, r.kc);
+    EXPECT_EQ(got, reference_pick(r.msgs, R, S, t, dfs_admissible))
         << "iter " << iter;
     if (small) {
-      EXPECT_EQ(got, reference_pick(views, R, S, t, brute_admissible))
+      EXPECT_EQ(got, reference_pick(r.msgs, R, S, t, brute_admissible))
           << "iter " << iter;
     }
     std::vector<TaggedValue> values;
-    for (const FrView& view : views) {
-      for (const FrEntry& e : view) values.push_back(e.value);
+    for (const std::vector<FrEntry>& m : r.msgs) {
+      for (const FrEntry& e : m) values.push_back(e.value);
     }
     std::sort(values.begin(), values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());
     for (const TaggedValue& v : values) {
       for (int a = 1; a <= R + 1; ++a) {
-        const bool ok = picker.admissible(v, views, a, S, t);
-        EXPECT_EQ(ok, dfs_admissible(v, views, a, S, t))
+        const bool ok = picker.admissible(v, rows.views, a, S, t);
+        EXPECT_EQ(ok, dfs_admissible(v, r.msgs, a, S, t))
             << "iter " << iter << " v=" << v.to_string() << " a=" << a;
         if (small) {
-          EXPECT_EQ(ok, brute_admissible(v, views, a, S, t))
+          EXPECT_EQ(ok, brute_admissible(v, r.msgs, a, S, t))
               << "iter " << iter << " v=" << v.to_string() << " a=" << a;
         }
         (ok ? admissible_hits : rejected) += 1;
@@ -322,7 +341,7 @@ TEST(PickerCandidates, SameTagDifferentPayloadsStayDistinct) {
   ClusterConfig kc{5, kSpan - 1, 1, 1};
   kc.client_base = kBase;
   const Tag tag{7, 201};
-  std::vector<std::vector<FrEntry>> msgs;
+  Msgs msgs;
   for (int m = 0; m < 4; ++m) {
     FrEntry bottom;
     bottom.updated = {250};
@@ -331,19 +350,56 @@ TEST(PickerCandidates, SameTagDifferentPayloadsStayDistinct) {
     e.updated = {250};
     msgs.push_back({bottom, e});
   }
-  const std::vector<FrView> views = views_of(msgs);
   FrPicker picker;
   picker.reserve(kc);
-  EXPECT_EQ(picker.pick(views, kc), TaggedValue{});
-  EXPECT_EQ(reference_pick(views, 1, 5, 1, dfs_admissible), TaggedValue{});
+  EXPECT_EQ(picker.pick(rows_of(msgs, kc).views, kc), TaggedValue{});
+  EXPECT_EQ(reference_pick(msgs, 1, 5, 1, dfs_admissible), TaggedValue{});
   // Three replies agreeing on payload 2 with two common witnesses make it
   // admissible at degree 2.
   for (int m = 0; m < 2; ++m) msgs[m][1].updated = {250, 329};
   msgs[2][1] = FrEntry{TaggedValue{tag, 2}, {250, 329}};
-  const std::vector<FrView> views2 = views_of(msgs);
-  EXPECT_EQ(picker.pick(views2, kc), (TaggedValue{tag, 2}));
-  EXPECT_EQ(reference_pick(views2, 1, 5, 1, dfs_admissible),
+  EXPECT_EQ(picker.pick(rows_of(msgs, kc).views, kc), (TaggedValue{tag, 2}));
+  EXPECT_EQ(reference_pick(msgs, 1, 5, 1, dfs_admissible),
             (TaggedValue{tag, 2}));
+}
+
+TEST(PickerSpans, RefusesAViewOverAnotherClientSpan) {
+  // The picker's columns are the group's client ids, so pick() refuses a
+  // view over another base or span, and admissible() views that disagree
+  // on theirs. The refusal comes before any set loads: the same picker
+  // then decides the next round as the references do.
+  ClusterConfig kc{5, kSpan - 1, 1, 1};
+  kc.client_base = kBase;
+  const TaggedValue v{Tag{7, 201}, 2};
+  Msgs msgs;
+  for (int m = 0; m < 4; ++m) {
+    msgs.push_back({FrEntry{TaggedValue{}, {250}}, FrEntry{v, {250, 329}}});
+  }
+  ClusterConfig shifted = kc;  // same width, base one id up
+  shifted.client_base = kBase + 1;
+  ClusterConfig wider{5, kSpan, 1, 1};  // same base, one id wider
+  wider.client_base = kBase;
+  FrPicker picker;
+  picker.reserve(kc);
+  for (const ClusterConfig& other : {shifted, wider}) {
+    const RowViews odd = rows_of(msgs, other);
+    EXPECT_THROW(picker.pick(odd.views, kc), std::invalid_argument);
+    for (const std::size_t at : {std::size_t{0}, msgs.size() - 1}) {
+      RowViews mixed = rows_of(msgs, kc);
+      mixed.views[at] = odd.views[at];
+      EXPECT_THROW(picker.pick(mixed.views, kc), std::invalid_argument);
+      EXPECT_THROW(picker.admissible(v, mixed.views, 1, 5, 1),
+                   std::invalid_argument);
+    }
+    const RowViews rows = rows_of(msgs, kc);
+    EXPECT_EQ(picker.pick(rows.views, kc),
+              reference_pick(msgs, 1, 5, 1, dfs_admissible));
+    for (int a = 1; a <= 2; ++a) {
+      EXPECT_EQ(picker.admissible(v, rows.views, a, 5, 1),
+                dfs_admissible(v, msgs, a, 5, 1))
+          << "a=" << a;
+    }
+  }
 }
 
 // ---------- monotonicity (Lemmas 8-10) ----------
@@ -395,7 +451,7 @@ TEST(AdmissibleBounds, FeasibleRegionArithmetic) {
     for (int R = 2; R <= 5; ++R) {
       std::vector<NodeId> witnesses;
       for (NodeId c = 0; c <= R; ++c) witnesses.push_back(c);  // R+1 clients
-      std::vector<std::vector<FrEntry>> msgs;
+      Msgs msgs;
       for (int i = 0; i < t; ++i) {
         FrEntry e;
         e.value = v;

@@ -65,20 +65,27 @@ namespace mwreg {
 namespace {
 
 /// Drive `ops` further closed-loop operations (alternating write/read on
-/// client 0) against an already-warm harness. Everything is captured by
-/// reference: the locals outlive h.run(), which returns at quiescence.
-void run_closed_loop_burst(SimHarness& h, int ops) {
-  int remaining = ops;
-  std::function<void()> step;
-  step = [&h, &remaining, &step]() {
+/// client 0) against an already-warm harness. Each continuation captures
+/// one pointer, which a std::function stores inline, so the driver itself
+/// allocates nothing; the burst outlives h.run(), which returns at
+/// quiescence.
+struct ClosedLoopBurst {
+  SimHarness* h;
+  int remaining;
+
+  void step() {
     if (--remaining < 0) return;
     if (remaining % 2 == 0) {
-      h.async_write(0, 5'000'000 + remaining, [&step]() { step(); });
+      h->async_write(0, 5'000'000 + remaining, [this]() { step(); });
     } else {
-      h.async_read(0, [&step](TaggedValue) { step(); });
+      h->async_read(0, [this](TaggedValue) { step(); });
     }
-  };
-  step();
+  }
+};
+
+void run_closed_loop_burst(SimHarness& h, int ops) {
+  ClosedLoopBurst burst{&h, ops};
+  burst.step();
   h.run();
 }
 
@@ -112,6 +119,14 @@ TEST(AllocRegression, SteadyStateW2R1WorkloadAllocatesNothing) {
       << "a payload buffer was allocated fresh after warmup";
   // The burst really did run traffic through the pool.
   EXPECT_GT(h.net().pool().stats().acquired, pool_warm.acquired);
+
+  // Whole process: a second warm burst calls operator new not once. The
+  // server's valuevector and the reader's caches hold their sets as
+  // bitsets in flat arrays, so warm reads and writes allocate nothing.
+  const std::uint64_t news = g_operator_news.load();
+  run_closed_loop_burst(h, 80);
+  EXPECT_EQ(g_operator_news.load() - news, 0u)
+      << "operator new ran during a second warm burst";
 }
 
 TEST(AllocRegression, NoGcAblationSteadyStateAllocatesNothingFromEngineOrPool) {
@@ -144,15 +159,16 @@ TEST(AllocRegression, NoGcAblationSteadyStateAllocatesNothingFromEngineOrPool) {
 TEST(AllocRegression, ReadAckScratchArenasStopGrowingAfterWarmup) {
   // The reply paths must not rebuild nested vectors per read ack: the
   // server streams its valuevector straight into the reply and the reader
-  // decodes into reusable arenas. Arena grows() counts slot allocations;
-  // they can only stop moving when the entry count is bounded, so the
-  // cluster mixes GC servers with one full-ack (legacy-path) reader and one
-  // delta reader: the full-ack reader drives decode_entries_into over a
-  // GC-bounded valuevector, the delta reader keeps its side of the
-  // machinery warm, and both carry watermarks that advance the floor. A
-  // hand-wired cluster exposes the concrete servers; a ClientTable runs one
-  // reader program, so each reader gets its own table (one writer each, at
-  // the cluster's writer ids) in front of the shared servers.
+  // decodes into reusable FrRows arenas. Arena grows() counts row appends
+  // that found no spare capacity; they can only stop moving when the entry
+  // count is bounded, so the cluster mixes GC servers with one full-ack
+  // (legacy-path) reader and one delta reader: the full-ack reader drives
+  // decode_rows_into over a GC-bounded valuevector, the delta reader keeps
+  // its side of the machinery warm, and both carry watermarks that advance
+  // the floor. A hand-wired cluster exposes the concrete servers; a
+  // ClientTable runs one reader program, so each reader gets its own table
+  // (one writer each, at the cluster's writer ids) in front of the shared
+  // servers.
   const ClusterConfig cfg{5, 2, 2, 1};
   const std::vector<ClusterConfig> key_cfgs{cfg};
   Simulator sim;

@@ -4,10 +4,13 @@
 // behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/codec.h"
 #include "common/rng.h"
+#include "protocols/fastread_clients.h"
 #include "protocols/messages.h"
 
 namespace mwreg {
@@ -80,9 +83,6 @@ TEST_P(CodecFuzz, TruncationsOfValidPayloadsFailCleanly) {
   }
   SUCCEED();
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
-                         ::testing::Range<std::uint64_t>(1, 7));
 
 // Regression: a truncated buffer carrying a huge length prefix must fail
 // the size guard against the bytes *remaining*, not the total buffer size.
@@ -197,6 +197,199 @@ TEST(DeltaCodec, RandomBytesAndTruncationsFailCleanly) {
     // The entry-count prefix is validated against the bytes remaining, so
     // a hostile header cannot force an oversized loop downstream.
     EXPECT_LE(h.count, bytes.size() + 2);
+  }
+}
+
+// ---- the bitset witness form (FrRows) against the sorted-list reference ----
+
+/// A random witness set over [base, base + span): the word-boundary
+/// offsets 0, 63, 64, 127, 128 and span - 1 (those inside the span) are
+/// each in it with probability 0.7, the rest at a random density.
+std::vector<NodeId> random_witnesses(Rng& rng, NodeId base, int span) {
+  std::vector<NodeId> ids;
+  for (const int c : {0, 63, 64, 127, 128, span - 1}) {
+    if (c < span && rng.next_bool(0.7)) ids.push_back(base + c);
+  }
+  const double density = 0.3 * rng.next_double();
+  for (int c = 0; c < span; ++c) {
+    if (rng.next_bool(density)) ids.push_back(base + c);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+std::vector<NodeId> ids_of(const FrRows& rows, std::size_t i) {
+  std::vector<NodeId> ids;
+  rows.for_each(i, [&ids](NodeId id) { ids.push_back(id); });
+  return ids;
+}
+
+std::vector<std::uint8_t> encode_rows(const FrRows& rows) {
+  ByteWriter w;
+  w.put_varint(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows.put(w, i);
+  return w.take();
+}
+
+TEST_P(CodecFuzz, BitsetFormMatchesTheSortedListReference) {
+  Rng rng(GetParam() + 3000);
+  for (int iter = 0; iter < 200; ++iter) {
+    const int span = 1 + static_cast<int>(rng.next_below(200));
+    const NodeId base = static_cast<NodeId>(rng.next_below(1000));
+    FrRows rows(base, span);
+    ASSERT_EQ(rows.words(), static_cast<std::size_t>((span + 63) / 64));
+    std::vector<FrEntry> ref;
+    const int n = 1 + static_cast<int>(rng.next_below(6));
+    for (int i = 0; i < n; ++i) {
+      FrEntry e;
+      e.value = TaggedValue{Tag{rng.next_in(0, 1 << 20),
+                                static_cast<NodeId>(rng.next_in(-1, 300))},
+                            rng.next_in(-1000, 1000)};
+      e.updated = random_witnesses(rng, base, span);
+      // Set in shuffled order, each id twice: a set, not a list.
+      std::vector<NodeId> order = e.updated;
+      rng.shuffle(order);
+      rows.push_back(e.value);
+      for (const NodeId id : order) {
+        EXPECT_TRUE(rows.set(rows.size() - 1, id));
+        EXPECT_FALSE(rows.set(rows.size() - 1, id));
+      }
+      ref.push_back(std::move(e));
+    }
+    // Encoding from the bitsets is byte-identical to the sorted lists'.
+    const std::vector<std::uint8_t> bytes = encode_rows(rows);
+    ASSERT_EQ(bytes, encode_entries(ref)) << "span " << span;
+    // Decoding sets the same bits back; the reference decoder agrees.
+    FrRows back(base, span);
+    ByteReader r(bytes);
+    ASSERT_TRUE(decode_rows_into(r, back));
+    EXPECT_TRUE(r.exhausted());
+    ASSERT_EQ(back.size(), ref.size());
+    const std::vector<FrEntry> listed = decode_entries(bytes);
+    ASSERT_EQ(listed.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(back.value(i), ref[i].value);
+      EXPECT_EQ(ids_of(back, i), ref[i].updated);
+      EXPECT_EQ(back.count(i), ref[i].updated.size());
+      EXPECT_EQ(listed[i].updated, ref[i].updated);
+      for (int c = 0; c < span; ++c) {
+        EXPECT_EQ(back.test(i, base + c),
+                  std::binary_search(ref[i].updated.begin(),
+                                     ref[i].updated.end(), base + c));
+      }
+      EXPECT_FALSE(back.test(i, base - 1));
+      EXPECT_FALSE(back.test(i, base + span));
+    }
+    // Every strict prefix fails cleanly.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      FrRows t(base, span);
+      ByteReader tr(bytes.data(), cut);
+      EXPECT_FALSE(decode_rows_into(tr, t)) << "cut " << cut;
+      EXPECT_LT(t.size(), ref.size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
+                         ::testing::Range<std::uint64_t>(1, 7));
+
+TEST(BitsetCodec, IdOutsideTheSpanOrCountPastTheBytesFailsCleanly) {
+  const NodeId base = 100;
+  const int span = 70;  // two words
+  auto decode = [&](const FrEntry& e) {
+    ByteWriter w;
+    put_fr_entry(w, e);
+    const std::vector<std::uint8_t> bytes = w.take();
+    FrRows rows(base, span);
+    ByteReader r(bytes);
+    const bool ok = rows.get(r);
+    EXPECT_EQ(ok, r.ok());
+    return ok;
+  };
+  const TaggedValue v{Tag{3, 101}, 7};
+  EXPECT_TRUE(decode(FrEntry{v, {base, base + 64, base + span - 1}}));
+  EXPECT_FALSE(decode(FrEntry{v, {base - 1}}));
+  EXPECT_FALSE(decode(FrEntry{v, {base, base + span}}));
+  // Far outside: a shift this wide would leave the row's words.
+  EXPECT_FALSE(decode(FrEntry{v, {base + 64 * 1000}}));
+  EXPECT_FALSE(decode(FrEntry{v, {-5}}));
+  // Ids at the ends of the wire's range: refused, with no overflow on the
+  // way (UBSan builds check).
+  for (const std::int64_t id : {std::numeric_limits<std::int64_t>::min(),
+                                std::numeric_limits<std::int64_t>::max()}) {
+    ByteWriter w;
+    w.put_value(v);
+    w.put_varint(1);
+    w.put_signed(id);
+    const std::vector<std::uint8_t> bytes = w.take();
+    FrRows rows(base, span);
+    ByteReader r(bytes);
+    EXPECT_FALSE(rows.get(r)) << id;
+  }
+  // A count past the bytes that remain.
+  ByteWriter w;
+  w.put_value(v);
+  w.put_varint(1000);
+  w.put_signed(base);
+  const std::vector<std::uint8_t> bytes = w.take();
+  FrRows rows(base, span);
+  ByteReader r(bytes);
+  EXPECT_FALSE(rows.get(r));
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(BitsetCodec, DeltaRefusalKeepsTheCachedRevision) {
+  const NodeId base = 10;
+  const int span = 40;
+  FrServerCache cache;
+  cache.rows.reset(base, span);
+  auto delta = [](std::uint64_t rev, Tag floor,
+                  const std::vector<FrEntry>& entries) {
+    ByteWriter w;
+    put_delta_ack_header(w, FrDeltaHeader{rev, floor, entries.size()});
+    for (const FrEntry& e : entries) put_fr_entry(w, e);
+    return w.take();
+  };
+  const FrEntry a{TaggedValue{Tag{1, 10}, 1}, {10, 11}};
+  const FrEntry b{TaggedValue{Tag{2, 11}, 2}, {11, 49}};
+  const FrEntry c{TaggedValue{Tag{3, 10}, 3}, {12}};
+  ASSERT_TRUE(fr_apply_delta(cache, delta(5, Tag{}, {a, b})));
+  ASSERT_EQ(cache.rev, 5u);
+  ASSERT_EQ(cache.rows.size(), 2u);
+
+  // An id outside the span: refused, revision kept, nothing shifted out of
+  // range (sanitizer builds check the last).
+  const FrEntry wide{TaggedValue{Tag{4, 11}, 4}, {12, base + span}};
+  EXPECT_FALSE(fr_apply_delta(cache, delta(9, Tag{}, {c, wide})));
+  EXPECT_EQ(cache.rev, 5u);
+  const FrEntry far{TaggedValue{Tag{4, 11}, 4}, {base + 64 * 4096}};
+  EXPECT_FALSE(fr_apply_delta(cache, delta(9, Tag{}, {far})));
+  EXPECT_EQ(cache.rev, 5u);
+  // Entries out of tag order: refused too.
+  EXPECT_FALSE(fr_apply_delta(cache, delta(9, Tag{}, {b, a})));
+  EXPECT_EQ(cache.rev, 5u);
+  // A good delta still applies: the floor drops a, b is updated in place,
+  // c lands after it.
+  const FrEntry b2{TaggedValue{Tag{2, 11}, 2}, {11, 12, 49}};
+  ASSERT_TRUE(fr_apply_delta(cache, delta(12, Tag{2, 11}, {b2, c})));
+  EXPECT_EQ(cache.rev, 12u);
+  ASSERT_EQ(cache.rows.size(), 2u);
+  EXPECT_EQ(cache.rows.value(0), b2.value);
+  EXPECT_EQ(ids_of(cache.rows, 0), b2.updated);
+  EXPECT_EQ(cache.rows.value(1), c.value);
+  EXPECT_EQ(ids_of(cache.rows, 1), c.updated);
+
+  // Random bytes never crash the apply, and never ack a revision they did
+  // not fully decode.
+  Rng rng(99);
+  for (int iter = 0; iter < 500; ++iter) {
+    const auto bytes = random_bytes(rng, rng.next_below(64));
+    FrServerCache scratch;
+    scratch.rows.reset(base, span);
+    if (!fr_apply_delta(scratch, bytes)) {
+      EXPECT_EQ(scratch.rev, 0u);
+    }
   }
 }
 

@@ -193,11 +193,32 @@ TEST(GcCollection, ValuevectorStaysBoundedWhileAblationGrows) {
 
 TEST(GcCollection, FloorNeverPassesTheMinimumReaderWatermark) {
   ManualCluster gc(true);
+  // The floor is kept incrementally; after every read it must equal the
+  // running maximum, over the reads so far, of the minimum watermark over
+  // each server's reader slots (the rescan the server used to make).
+  std::vector<Tag> running(gc.servers.size());
+  int ties = 0;
+  int rescans = 0;
+  auto read = [&](int ri) {
+    gc.read(ri);
+    for (std::size_t k = 0; k < gc.servers.size(); ++k) {
+      const FastReadServer& s = *gc.servers[k];
+      Tag min_slot = s.slot_watermark(0);
+      for (int i = 1; i < gc.cfg.r(); ++i) {
+        min_slot = std::min(min_slot, s.slot_watermark(i));
+      }
+      ties += s.slot_watermark(0) == s.slot_watermark(1);
+      rescans += running[k] < min_slot;
+      running[k] = std::max(running[k], min_slot);
+      EXPECT_EQ(s.gc_floor(), running[k]) << "server " << k;
+    }
+  };
   for (int i = 1; i <= 40; ++i) {
     gc.write(i % 2, i);
-    gc.read(0);
-    // Reader 1 lags, then stops reading entirely: its watermark is older.
-    if (i % 4 == 0 && i <= 30) gc.read(1);
+    read(0);
+    // Reader 1 lags, then stops reading entirely: its watermark is older,
+    // and it is the argmin reader whenever it advances.
+    if (i % 4 == 0 && i <= 30) read(1);
   }
   const Tag w0 = gc.clients->reader_watermark(0).tag;
   const Tag w1 = gc.clients->reader_watermark(1).tag;
@@ -207,6 +228,33 @@ TEST(GcCollection, FloorNeverPassesTheMinimumReaderWatermark) {
     EXPECT_LE(s->gc_floor(), min_wm)
         << "a server pruned above the minimum confirmed watermark";
   }
+  // Reader 1 was frozen for the last ten rounds: the floor held.
+  const int rescans_frozen = rescans;
+  for (int i = 0; i < 3; ++i) {
+    gc.write(0, 100 + i);
+    read(0);
+  }
+  EXPECT_EQ(rescans, rescans_frozen) << "the floor moved past a frozen reader";
+  // Both readers catch up with no write between: they carry one watermark,
+  // tied at the floor. Then each advances in turn; the floor moves only
+  // when the last of the two has moved.
+  const int ties_before = ties;
+  read(1);
+  read(0);
+  read(1);
+  EXPECT_GT(ties, ties_before) << "the readers never tied at the floor";
+  gc.write(1, 200);
+  read(0);  // carries the tied watermark, learns the new value
+  const int rescans_tied = rescans;
+  read(0);  // carries it: one of the two tied slots moves, the floor holds
+  EXPECT_EQ(rescans, rescans_tied);
+  for (const auto& s : gc.servers) {
+    EXPECT_LT(s->slot_watermark(1), s->slot_watermark(0));
+  }
+  read(1);
+  EXPECT_EQ(rescans, rescans_tied) << "reader 1 carried its old watermark";
+  read(1);
+  EXPECT_GT(rescans, rescans_tied) << "the argmin reader's advance was lost";
 }
 
 TEST(GcCollection, CrashedThenRecoveredReaderKeepsItsReturnableValues) {

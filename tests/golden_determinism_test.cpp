@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/harness.h"
+#include "core/workload.h"
 #include "exp/aggregator.h"
 #include "exp/runner.h"
 #include "protocols/protocols.h"
@@ -150,6 +153,90 @@ TEST(GoldenDeterminism, FaultFreeCellDigestsUnchanged) {
             kGoldenCellDigestMwAbd521);
   EXPECT_EQ(cell_digest("fast-read-mw(W2R1)", ClusterConfig{3, 2, 2, 1}),
             kGoldenCellDigestFastRead321);
+}
+
+// ---------- read values and wire bytes of the fast-read paths ----------
+//
+// digest_results mixes counts, verdicts and latencies, but neither the
+// values reads return nor the bytes sent, so a picker or codec change that
+// still yields atomic histories would pass every digest above. These pin
+// both, on one harness run each: every key history's ops (client, kind,
+// invoke, response, value tag and payload), the network's sent, bytes_sent
+// and delivered counts, and the executed events. Keys are uniform, which
+// keeps std::pow out of the digests.
+
+struct FastReadPin {
+  const char* protocol;
+  ClusterConfig cfg;
+  KeyspaceConfig keyspace;
+  Duration tick;
+  int ops_per_client;
+};
+
+std::uint64_t digest_fast_read_run(const FastReadPin& pin) {
+  SimHarness::Options o;
+  o.cfg = pin.cfg;
+  o.keyspace = pin.keyspace;
+  o.seed = 1;
+  o.tick = pin.tick;
+  SimHarness h(*protocol_by_name(pin.protocol), std::move(o));
+  WorkloadOptions w;
+  w.ops_per_writer = pin.ops_per_client;
+  w.ops_per_reader = pin.ops_per_client;
+  run_random_workload(h, w);
+  Fnv f;
+  for (int k = 0; k < h.num_keys(); ++k) {
+    for (const OpRecord& op : h.key_history(k).ops()) {
+      f.mix(static_cast<std::uint64_t>(op.client));
+      f.mix(op.kind == OpKind::kRead ? 1 : 0);
+      f.mix(static_cast<std::uint64_t>(op.invoke));
+      f.mix(static_cast<std::uint64_t>(op.resp));
+      f.mix(static_cast<std::uint64_t>(op.value.tag.ts));
+      f.mix(static_cast<std::uint64_t>(op.value.tag.wid));
+      f.mix(static_cast<std::uint64_t>(op.value.payload));
+    }
+  }
+  const NetworkStats& ns = h.net().stats();
+  f.mix(ns.sent);
+  f.mix(ns.bytes_sent);
+  f.mix(ns.delivered);
+  f.mix(h.sim().executed());
+  return f.h;
+}
+
+/// The fastread_keyspace shape at uniform keys: every key's client-id span
+/// (all writers, then the key's reader block) is 34 to 64 ids.
+const FastReadPin kFastReadKeyspacePin{"fast-read-mw(W2R1)",
+                                       ClusterConfig{13, 24, 40, 1},
+                                       KeyspaceConfig{4, 2, 0.0},
+                                       10 * kMicrosecond, 30};
+/// The same protocol with 60 writers: spans of 70 to 100 ids.
+const FastReadPin kWideFastReadPin{"fast-read-mw(W2R1)",
+                                   ClusterConfig{13, 60, 40, 1},
+                                   KeyspaceConfig{4, 2, 0.0},
+                                   10 * kMicrosecond, 20};
+/// The full-ack (no GC) path on the classic layout.
+const FastReadPin kFullAckPin{"fast-read-mw-nogc(W2R1)",
+                              ClusterConfig{5, 2, 2, 1}, KeyspaceConfig{}, 1,
+                              60};
+
+// Recorded on the sorted-list witness form, before the bitset form replaced
+// it.
+constexpr std::uint64_t kGoldenFastReadKeyspaceRun = 2099915376497738224ULL;
+constexpr std::uint64_t kGoldenWideFastReadRun = 6964908922433394945ULL;
+constexpr std::uint64_t kGoldenFullAckRun = 1712108911764753879ULL;
+
+TEST(GoldenDeterminism, FastReadKeyspaceReadValuesAndBytesArePinned) {
+  EXPECT_EQ(digest_fast_read_run(kFastReadKeyspacePin),
+            kGoldenFastReadKeyspaceRun);
+}
+
+TEST(GoldenDeterminism, WideFastReadReadValuesAndBytesArePinned) {
+  EXPECT_EQ(digest_fast_read_run(kWideFastReadPin), kGoldenWideFastReadRun);
+}
+
+TEST(GoldenDeterminism, FullAckFastReadReadValuesAndBytesArePinned) {
+  EXPECT_EQ(digest_fast_read_run(kFullAckPin), kGoldenFullAckRun);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Unit tests for the discrete-event simulator and network substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/delay_model.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -184,6 +187,159 @@ TEST(Simulator, DestroysUnexecutedEventsCleanly) {
     EXPECT_EQ(token.use_count(), 3);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// ---------- heap order oracle ----------
+//
+// The pop order must be exactly (time, seq), whatever the heap does inside.
+// A seeded mix of schedule_at, reserve_seq + schedule_at_seq, schedules
+// made from inside events, equal times, t = 0, past times (clamped) and
+// times near 2^62 runs against a std::set reference, checked pop by pop,
+// with has_event_before probed against the reference at every step. Three
+// pending-set sizes: a sweep trial's (~10), fastread_keyspace's (~400) and
+// keyspace_soak's (~10,000).
+
+struct HeapOracle {
+  using Key = std::pair<Time, std::uint64_t>;  // (clamped time, seq)
+
+  Simulator sim;
+  Rng rng;
+  std::size_t target;
+  std::set<Key> ref;
+  std::vector<std::uint64_t> reserved;  ///< reserved, not yet scheduled
+  std::uint64_t next_seq = 0;           ///< mirrors the engine's counter
+  std::uint64_t pops = 0;
+  std::uint64_t bad_pops = 0;
+  std::uint64_t bad_probes = 0;
+  std::uint64_t inside = 0;  ///< schedules made from inside events
+  std::uint64_t far = 0;     ///< pops at times near 2^62
+  std::size_t peak = 0;      ///< most events pending at once
+  Time last_t = 0;
+
+  HeapOracle(std::uint64_t seed, std::size_t pending)
+      : rng(seed), target(pending) {}
+
+  Time pick_time() {
+    const Time now = sim.now();
+    switch (rng.next_below(6)) {
+      case 0:
+        return last_t;  // equal to an earlier pick
+      case 1:
+        return 0;  // bottom of time: clamped once now > 0
+      case 2:
+        return now - static_cast<Time>(rng.next_below(1000));  // past
+      case 3:
+        if (rng.next_bool(0.1)) {
+          return (Time{1} << 62) - static_cast<Time>(rng.next_below(64));
+        }
+        [[fallthrough]];
+      default:
+        return now + static_cast<Time>(rng.next_below(5000));
+    }
+  }
+
+  void schedule_one() {
+    Time t = pick_time();
+    last_t = t;
+    const Time at = t < sim.now() ? sim.now() : t;
+    if (!reserved.empty() && rng.next_bool(0.3)) {
+      const std::size_t i = rng.next_below(reserved.size());
+      const std::uint64_t seq = reserved[i];
+      reserved[i] = reserved.back();
+      reserved.pop_back();
+      ref.insert({at, seq});
+      sim.schedule_at_seq(t, seq, [this, at, seq] { on_pop(at, seq); });
+      return;
+    }
+    if (rng.next_bool(0.2)) {
+      const std::uint64_t seq = sim.reserve_seq();
+      EXPECT_EQ(seq, next_seq);
+      ++next_seq;
+      reserved.push_back(seq);
+      return;
+    }
+    const std::uint64_t seq = next_seq++;
+    ref.insert({at, seq});
+    sim.schedule_at(t, [this, at, seq] { on_pop(at, seq); });
+  }
+
+  void on_pop(Time at, std::uint64_t seq) {
+    ++pops;
+    if (ref.empty() || *ref.begin() != Key{at, seq} || sim.now() != at) {
+      ++bad_pops;
+    }
+    ref.erase({at, seq});
+    if (at >= Time{1} << 61) ++far;
+    // Schedules from inside an event, as handlers and the network make them
+    // (none while draining).
+    const int n = target == 0                           ? 0
+                  : ref.size() + reserved.size() < target ? 2
+                  : static_cast<int>(rng.next_below(2));
+    for (int i = 0; i < n; ++i) {
+      schedule_one();
+      ++inside;
+    }
+  }
+
+  void probe() {
+    auto before = [this](Time t, std::uint64_t seq) {
+      return !ref.empty() && *ref.begin() < Key{t, seq};
+    };
+    std::vector<Key> probes = {
+        {sim.now(), next_seq}, {0, 0}, {Time{1} << 62, 0}};
+    if (!ref.empty()) {
+      const Key front = *ref.begin();
+      probes.push_back(front);
+      probes.push_back({front.first, front.second + 1});
+      probes.push_back({front.first + 1, 0});
+      if (front.second > 0) probes.push_back({front.first, front.second - 1});
+    }
+    for (const Key& k : probes) {
+      const bool got = sim.has_event_before(k.first, k.second);
+      if (got != before(k.first, k.second)) ++bad_probes;
+    }
+  }
+
+  void run(std::uint64_t total_pops) {
+    while (sim.pending() < target) schedule_one();
+    while (pops < total_pops) {
+      peak = std::max(peak, sim.pending());
+      probe();
+      // Driver-side schedules between steps keep the set near its target.
+      if (sim.pending() < target && rng.next_bool(0.5)) schedule_one();
+      if (!sim.step()) break;
+    }
+    for (const std::uint64_t seq : reserved) {  // land every reservation
+      const Time at = sim.now() + static_cast<Time>(rng.next_below(100));
+      ref.insert({at, seq});
+      sim.schedule_at_seq(at, seq, [this, at, seq] { on_pop(at, seq); });
+    }
+    reserved.clear();
+    target = 0;  // drain: events stop scheduling more
+    while (!sim.idle()) {
+      probe();
+      sim.step();
+    }
+    probe();
+  }
+};
+
+TEST(SimulatorHeap, PopOrderMatchesTheReferenceAtThreeHeapSizes) {
+  for (const std::size_t pending : {std::size_t{10}, std::size_t{400},
+                                    std::size_t{10'000}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      HeapOracle o(seed * 1000 + pending, pending);
+      o.run(pending * 6 + 2000);
+      EXPECT_EQ(o.bad_pops, 0u) << "pending " << pending << " seed " << seed;
+      EXPECT_EQ(o.bad_probes, 0u) << "pending " << pending << " seed " << seed;
+      EXPECT_TRUE(o.ref.empty());
+      EXPECT_GT(o.pops, pending * 6);
+      EXPECT_GT(o.inside, 0u);
+      EXPECT_GT(o.far, 0u);
+      EXPECT_GE(o.peak, pending);
+      EXPECT_EQ(o.sim.executed(), o.pops);
+    }
+  }
 }
 
 // ---------- Network ----------
