@@ -351,6 +351,7 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
   for (std::uint32_t s : sizes) max_sz = std::max(max_sz, s);
   std::uint64_t frames = 0;
   CoalesceStats stats, exact;
+  BatchStorageStats storage;
   Row steady;
 
   // Counters are deterministic across reps: the first rep captures them
@@ -388,9 +389,10 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
     const std::uint64_t delivered = net.stats().delivered;
     if (counters != nullptr) *counters = net.coalesce_stats();
     if (probe) {
+      storage = net.storage_stats();
       frames = delivered;
       // Steady-state probe: one more trace round on the warm network —
-      // batch rings, slabs, and the event slab must all be ratcheted.
+      // batch rings, batch chunks, and the event slab must all be warm.
       const std::uint64_t a0 = sim.allocations();
       const std::uint64_t m0 = net.pool().stats().misses;
       d.remaining = sizes.size();
@@ -435,7 +437,10 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
              col("exact_ns_coalesced_events_per_sec", exact_coalesced),
              col("exact_ns_speedup", ratio(exact_coalesced, exact_per_message)),
              col("exact_ns_batches", exact.batches),
-             col("exact_ns_lone", exact.lone)};
+             col("exact_ns_lone", exact.lone),
+             col("created_batches", storage.batches),
+             col("created_chunks", storage.chunks),
+             col("created_blocks", storage.blocks)};
   row.insert(row.end(), steady.begin(), steady.end());
   return row;
 }

@@ -73,7 +73,8 @@ SPEC = Section(None, dict(
         batch_size_hist=Section(("ge",), dict(count=EXACT)),
         exact_ns_per_message_events_per_sec=HOST,
         exact_ns_coalesced_events_per_sec=HOST, exact_ns_speedup=REPORT,
-        exact_ns_batches=EXACT, exact_ns_lone=EXACT, **STEADY)),
+        exact_ns_batches=EXACT, exact_ns_lone=EXACT, created_batches=EXACT,
+        created_chunks=EXACT, created_blocks=EXACT, **STEADY)),
     workloads=Section(("protocol", "cluster"), dict(
         ops_per_client=EXACT, events=EXACT, msgs=EXACT, bytes_on_wire=EXACT,
         wall_ms=REPORT, events_per_sec=HOST, msgs_per_sec=REPORT,
@@ -444,6 +445,8 @@ CASES = MALFORMED + [
      "coalescing.exact_ns_coalesced_events_per_sec:"),
     ("exact-ns-lone-moved", 1, edit("coalescing.exact_ns_lone", 2),
      "coalescing.exact_ns_lone: 2 != baseline 1"),
+    ("created-chunks-moved", 1, edit("coalescing.created_chunks", 2),
+     "coalescing.created_chunks: 2 != baseline 1"),
     ("coalesced-million-drop", 1,
      edit("million_client.1.events_per_sec", x(0.5)),
      "million_client/mw/100000/10/true.events_per_sec:"),

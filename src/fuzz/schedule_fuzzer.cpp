@@ -90,6 +90,7 @@ struct LaneResult {
   bool atomic = false;
   bool stream_atomic = false;  ///< live streaming checker, same history
   CoalesceStats coalesce;
+  BatchStorageStats storage;
 };
 
 /// One fuzzed schedule under one engine configuration. Lanes sharing a
@@ -127,6 +128,7 @@ LaneResult run_parity_lane(const ParityOptions& opts, const Protocol& proto,
   r.atomic = check_tag_witness(h.history()).atomic;
   r.stream_atomic = h.stream_checker(0)->finish().atomic;
   r.coalesce = h.net().coalesce_stats();
+  r.storage = h.net().storage_stats();
   return r;
 }
 
@@ -199,6 +201,7 @@ ParityReport run_engine_parity_fuzzer(const ParityOptions& opts) {
     report.lone += frame_order.coalesce.lone;
     report.batches += frame_order.coalesce.batches;
     report.continuations += frame_order.coalesce.continuations;
+    report.spills += frame_order.storage.spills;
 
     auto note = [&report, trial](const std::string& what) {
       ++report.mismatches;

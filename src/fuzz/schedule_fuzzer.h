@@ -85,6 +85,9 @@ struct ParityReport {
   std::uint64_t lone = 0;
   std::uint64_t batches = 0;
   std::uint64_t continuations = 0;
+  /// Lane B's BatchStorageStats::spills summed: > 0 shows some batch
+  /// spanned at least two chunks.
+  std::uint64_t spills = 0;
   int mismatches = 0;
   std::string first_mismatch;
 };

@@ -166,26 +166,24 @@ class FastReadServer final : public ServerBase {
   /// advance the GC floor, then reply with only the entries newer than the
   /// revision the reader acknowledged.
   void handle_delta_read(const Frame& req) {
-    ByteReader r(req.payload);
-    const bool ok = decode_delta_read_req_into(r, req_queue_, req_acks_);
-    assert(ok && "malformed kFrReadDeltaReq");
-    if (!ok) {
-      // Never reached in the simulator (payloads are self-produced), but
-      // dropping the request would deadlock the reader's round: discard
-      // the garbled queue and answer as if nothing were acked, which
-      // resends the full state — always safe.
-      req_queue_.clear();
-      req_acks_.clear();
-    }
-    for (const TaggedValue& v : req_queue_) update(v, req.src);
-    confirm_all(req.src);
-    note_watermark(req.src);
     // Readers order the ack array by server index within the group, so a
     // re-based group (multi-key shards) must subtract its base; the classic
     // layout has server_base == 0 and is unchanged.
     const std::size_t self = static_cast<std::size_t>(id() - cfg().server_base);
-    const std::uint64_t acked =
-        self < req_acks_.size() ? req_acks_[self] : 0;
+    std::uint64_t acked = 0;
+    ByteReader r(req.payload);
+    const bool ok = decode_delta_read_req_for(r, req_queue_, self, acked);
+    assert(ok && "malformed kFrReadDeltaReq");
+    if (!ok) {
+      // Never reached in the simulator (payloads are self-produced), but
+      // dropping the request would deadlock the reader's round: discard
+      // the garbled queue and answer as if nothing were acked (the decoder
+      // leaves acked at 0), which resends the full state — always safe.
+      req_queue_.clear();
+    }
+    for (const TaggedValue& v : req_queue_) update(v, req.src);
+    confirm_all(req.src);
+    note_watermark(req.src);
 
     FrDeltaHeader h;
     h.revision = rev_seq_;
@@ -258,7 +256,6 @@ class FastReadServer final : public ServerBase {
   std::uint64_t pruned_ = 0;
   /// Request decode scratch, reused across reads.
   std::vector<TaggedValue> req_queue_;
-  std::vector<std::uint64_t> req_acks_;
 };
 
 }  // namespace mwreg

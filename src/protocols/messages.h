@@ -423,17 +423,22 @@ inline void encode_delta_read_req_into(ByteWriter& w,
              [](ByteWriter& bw, std::uint64_t rev) { bw.put_varint(rev); });
 }
 
-/// Decode into reusable buffers (cleared, capacity kept).
-inline bool decode_delta_read_req_into(ByteReader& r,
-                                       std::vector<TaggedValue>& queue,
-                                       std::vector<std::uint64_t>& acked_revs) {
+/// Server `self`'s view of a kFrReadDeltaReq: the queue into a reusable
+/// buffer (cleared, capacity kept) and only acked_revs[self] into `acked`,
+/// 0 when the array is shorter. The other entries are read past, not
+/// stored, but the whole array is still validated; on malformed input
+/// `acked` is 0, as if nothing were acked.
+inline bool decode_delta_read_req_for(ByteReader& r,
+                                      std::vector<TaggedValue>& queue,
+                                      std::size_t self, std::uint64_t& acked) {
   decode_value_list_into(r, queue);
-  acked_revs.clear();
+  acked = 0;
   const std::uint64_t na = r.get_count();
-  acked_revs.reserve(na);
   for (std::uint64_t i = 0; i < na && r.ok(); ++i) {
-    acked_revs.push_back(r.get_varint());
+    const std::uint64_t rev = r.get_varint();
+    if (i == self) acked = rev;
   }
+  if (!r.ok()) acked = 0;
   return r.ok();
 }
 

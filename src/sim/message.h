@@ -29,8 +29,9 @@ struct Message {
 
 /// The delivery-side view of one message: same header fields as Message but
 /// the payload is a non-owning span. In the batched pipeline frames point
-/// into a per-tick slab; in the per-message path they view the Message's
-/// own buffer. Valid only for the duration of the handler call.
+/// into their batch's chunks (or a lone frame's event record); in the
+/// per-message path they view the Message's own buffer. Valid only for the
+/// duration of the handler call.
 struct Frame {
   NodeId src = kNoNode;
   NodeId dst = kNoNode;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +31,13 @@ Frame frame_of(const Message& m) {
   f.rpc_id = m.rpc_id;
   f.payload = ByteSpan(m.payload);
   return f;
+}
+
+/// Bytes a record of an `len`-byte payload takes: header, then the
+/// payload padded so the next record's header stays 8-byte aligned.
+std::uint32_t record_bytes(std::size_t len) {
+  return static_cast<std::uint32_t>(Network::kRecordHeaderBytes +
+                                    ((len + 7) & ~std::size_t{7}));
 }
 
 int span_bucket(std::size_t n) {
@@ -137,7 +145,7 @@ void Network::deliver_later(Message m, Time sent) {
   const Time at = arrival_time(m.src, m.dst);
   if (opts_.coalesce) {
     route(frame_of(m), sent, at);
-    discard(std::move(m));  // the bytes now live in a slab or event record
+    discard(std::move(m));  // the bytes now live in a chunk or event record
     return;
   }
   // The capture (this + Message + Time) fits the simulator's inline event
@@ -201,8 +209,13 @@ void Network::route(const Frame& f, Time sent, Time at) {
   const bool joinable = oe.at == at;
   if (!joinable) {
     // The first frame of its tick, as far as the table knows. A colliding
-    // tick's entry is evicted; its frames stay scheduled.
-    if (oe.at < 0) ++open_live_;
+    // tick's entry is evicted; its frames stay scheduled, and a batch's
+    // cursor is saved for its drain.
+    if (oe.at < 0) {
+      ++open_live_;
+    } else if (oe.batch != kLone) {
+      oe.tail->used = oe.off;
+    }
     oe.at = at;
     oe.batch = kLone;
   }
@@ -248,6 +261,19 @@ Frame Network::LoneInline::frame() const {
   return f;
 }
 
+Frame Network::Record::frame() const {
+  Frame f;
+  f.src = src;
+  f.dst = dst;
+  f.type = type;
+  f.key = key;
+  f.rpc_id = rpc_id;
+  f.payload = ByteSpan(reinterpret_cast<const std::uint8_t*>(this) +
+                           sizeof(Record),
+                       len);
+  return f;
+}
+
 Network::OpenEntry& Network::open_entry(Time at) {
   return open_tab_[open_hash(at) & (open_tab_.size() - 1)];
 }
@@ -255,6 +281,7 @@ Network::OpenEntry& Network::open_entry(Time at) {
 void Network::close_entry(Time at, std::uint32_t batch) {
   OpenEntry& oe = open_entry(at);
   if (oe.at == at && oe.batch == batch) {
+    if (batch != kLone) oe.tail->used = oe.off;
     oe.at = -1;
     --open_live_;
   }
@@ -274,17 +301,41 @@ std::uint32_t Network::acquire_batch() {
   if (!free_batches_.empty()) {
     const std::uint32_t bi = free_batches_.back();
     free_batches_.pop_back();
-    Batch& b = *batches_[bi];
-    b.slab.clear();   // capacities ratchet: a warmed batch pool
-    b.frames.clear(); // appends and drains without allocating
-    b.meta.clear();
     return bi;
   }
-  batches_.push_back(std::make_unique<Batch>());
+  batches_.emplace_back();
+  ++storage_.batches;
   return static_cast<std::uint32_t>(batches_.size() - 1);
 }
 
-void Network::recycle_batch(std::uint32_t bi) { free_batches_.push_back(bi); }
+Network::Chunk* Network::acquire_chunk(std::size_t need) {
+  std::uint32_t cls = 0;
+  std::size_t bytes = kChunkBytes;
+  if (need > kChunkRecordBytes) {
+    // Oversized: a block of the next power of two, pooled by that size.
+    for (cls = 1, bytes = 2; bytes < sizeof(Chunk) + need; bytes <<= 1) ++cls;
+  }
+  Chunk* c = free_[cls];
+  if (c == nullptr) {
+    chunk_mem_.emplace_back(new std::uint8_t[bytes]);
+    ++(cls == 0 ? storage_.chunks : storage_.blocks);
+    return ::new (static_cast<void*>(chunk_mem_.back().get()))
+        Chunk{nullptr, 0, cls};
+  }
+  free_[cls] = c->next;
+  c->next = nullptr;
+  c->used = 0;
+  return c;
+}
+
+void Network::release_chunks(Chunk* from, Chunk* to) {
+  while (from != to) {
+    Chunk* next = from->next;
+    from->next = free_[from->cls];
+    free_[from->cls] = from;
+    from = next;
+  }
+}
 
 void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
   // One sequence number per frame — exactly what scheduling it as its own
@@ -292,92 +343,122 @@ void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
   // regardless of which batch it rides in.
   const std::uint64_t seq = sim_.reserve_seq();
   ++coalesce_stats_.enqueued;
+  const std::uint32_t need = record_bytes(f.payload.size());
   if (oe.batch == kLone) {
     // The tick's second frame, or a first one too large to ride alone:
     // open the batch at this frame's sequence. A lone frame keeps its own,
     // lower-sequenced event.
     const std::uint32_t nbi = acquire_batch();
-    Batch& nb = *batches_[nbi];
+    Chunk* c = acquire_chunk(need);
+    Batch& nb = batches_[nbi];
     nb.at = oe.at;
+    nb.rd = c;
+    nb.rd_off = 0;
     nb.sealed = false;
     oe.batch = nbi;
-    sim_.schedule_at_seq(oe.at, seq, [this, nbi] { fire_batch(nbi, 0); });
+    oe.tail = c;
+    oe.off = 0;
+    sim_.schedule_at_seq(oe.at, seq, [this, nbi] { fire_batch(nbi); });
+  } else if (oe.off + need > kChunkRecordBytes) {
+    // The record does not fit the tail: continue in a fresh chunk (or a
+    // block). A block tail's offset already exceeds kChunkRecordBytes, so
+    // the record after an oversized one always starts a fresh chunk.
+    Chunk* c = acquire_chunk(need);
+    oe.tail->used = oe.off;
+    oe.tail->next = c;
+    oe.tail = c;
+    oe.off = 0;
+    ++storage_.spills;
   }
-  Batch& b = *batches_[oe.batch];
-  FrameMeta fm;
-  fm.off = static_cast<std::uint32_t>(b.slab.size());
-  fm.sent = sent;
-  fm.seq = seq;
-  b.meta.push_back(fm);
-  b.slab.insert(b.slab.end(), f.payload.begin(), f.payload.end());
-  b.frames.push_back(f);
-  // Appends may still grow (and move) the slab; the pointer is fixed up at
-  // seal time, the length is final now.
-  b.frames.back().payload.ptr = nullptr;
+  std::uint8_t* w = oe.tail->data() + oe.off;
+  const auto len = static_cast<std::uint32_t>(f.payload.size());
+  ::new (static_cast<void*>(w))
+      Record{seq, sent, f.rpc_id, f.src, f.dst, f.type, f.key, len};
+  if (len > 0) std::memcpy(w + sizeof(Record), f.payload.data(), len);
+  oe.off += need;
 }
 
-void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
-  Batch& b = *batches_[bi];
+void Network::fire_batch(std::uint32_t bi) {
+  Batch& b = batches_[bi];
   if (!b.sealed) {
     b.sealed = true;
     // Leave the open table (if we still own our entry — eviction may have
     // reused it), so same-tick sends from handlers ride alone or open a
     // fresh batch instead of appending to one that is already draining.
     close_entry(b.at, bi);
-    const std::uint8_t* base = b.slab.data();
-    for (std::size_t i = 0; i < b.frames.size(); ++i) {
-      b.frames[i].payload.ptr = base + b.meta[i].off;
-    }
     ++coalesce_stats_.batches;
   }
-  const auto n = static_cast<std::uint32_t>(b.frames.size());
-  std::uint32_t i = from;
-  while (i < n) {
+  // b may move once a handler opens a batch; keep what the drain needs.
+  const Time at = b.at;
+  // Read cursor. Past a record it steps into the next chunk when its own
+  // is done, so off < c->used until the batch is drained.
+  Chunk* c = b.rd;
+  std::uint32_t off = b.rd_off;
+  // The first chunk a frame still to be dispatched can point into; the
+  // chunks before it go back to the pool.
+  Chunk* keep = c;
+  auto record = [&c, &off] {
+    return std::launder(reinterpret_cast<const Record*>(c->data() + off));
+  };
+  auto advance = [&c, &off](const Record* r) {
+    off += record_bytes(r->len);
+    if (off == c->used && c->next != nullptr) {
+      c = c->next;
+      off = 0;
+    }
+  };
+  while (off < c->used) {
+    const Record* r = record();
     // Yield whenever an intermediate event — a timer, a fault-plan step, an
     // evicted sibling batch or lone frame — orders before the next frame's
     // (time, seq); the remainder reschedules at that frame's reserved
     // sequence, reproducing the per-message interleaving exactly. The
-    // tick's frame list is in ascending sequence order by construction, so
+    // tick's records are in ascending sequence order by construction, so
     // no event enqueued during this drain (its sequence is above every
     // frame here) can ever force a yield.
-    if (sim_.has_event_before(b.at, b.meta[i].seq)) {
+    if (sim_.has_event_before(at, r->seq)) {
       ++coalesce_stats_.continuations;
-      sim_.schedule_at_seq(b.at, b.meta[i].seq,
-                           [this, bi, i] { fire_batch(bi, i); });
+      Batch& rb = batches_[bi];
+      rb.rd = c;
+      rb.rd_off = off;
+      sim_.schedule_at_seq(at, r->seq, [this, bi] { fire_batch(bi); });
       return;
     }
-    const NodeId dst = b.frames[i].dst;
+    const NodeId dst = r->dst;
     Process* p = static_cast<std::size_t>(dst) < procs_.size()
                      ? procs_[static_cast<std::size_t>(dst)]
                      : nullptr;
     if (num_crashed_ == 0 && num_blocked_ == 0 && !hook_) {
       // Fast path: no fault is active, so every frame up to the next
       // destination switch or intermediate event delivers as one run.
-      std::uint32_t j = i + 1;
-      while (j < n && b.frames[j].dst == dst &&
-             !sim_.has_event_before(b.at, b.meta[j].seq)) {
-        ++j;
-      }
-      const std::uint32_t len = j - i;
+      run_.clear();
+      do {
+        run_.push_back(r->frame());
+        advance(r);
+        r = off < c->used ? record() : nullptr;
+      } while (r != nullptr && r->dst == dst &&
+               !sim_.has_event_before(at, r->seq));
+      const std::size_t len = run_.size();
       if (p != nullptr) {
         stats_.delivered += len;
         coalesce_stats_.frames += len;
         ++coalesce_stats_.hist[span_bucket(len)];
         dispatching_ = true;
-        p->on_deliver_batch(FrameSpan{b.frames.data() + i, len});
+        p->on_deliver_batch(FrameSpan{run_.data(), len});
         dispatching_ = false;
       } else {
         stats_.dropped_unattached += len;
       }
-      i = j;
     } else {
       // Slow path: re-check fault state frame by frame, same order as the
       // per-message engine (crash check, then block check, then delivery).
-      const Frame& f = b.frames[i];
+      const Frame f = r->frame();
+      const Time sent = r->sent;
+      advance(r);
       if (crashed(dst)) {
         ++stats_.to_crashed;
       } else if (link_blocked(f.src, dst)) {
-        hold_copy(f, b.meta[i].sent);
+        hold_copy(f, sent);
       } else if (p == nullptr) {
         ++stats_.dropped_unattached;
       } else {
@@ -385,14 +466,16 @@ void Network::fire_batch(std::uint32_t bi, std::uint32_t from) {
         ++coalesce_stats_.frames;
         ++coalesce_stats_.hist[0];
         dispatching_ = true;
-        if (hook_) hook_(f, b.meta[i].sent, sim_.now());
+        if (hook_) hook_(f, sent, sim_.now());
         p->on_deliver_batch(FrameSpan{&f, 1});
         dispatching_ = false;
       }
-      ++i;
     }
+    release_chunks(keep, c);
+    keep = c;
   }
-  recycle_batch(bi);
+  release_chunks(keep, nullptr);
+  free_batches_.push_back(bi);
 }
 
 void Network::refuse_while_dispatching(const char* call, NodeId a,

@@ -22,11 +22,10 @@
 // record, and the open-tick table marks the tick as holding a lone frame.
 // A second frame for that tick opens a batch at its own reserved sequence
 // (Simulator::reserve_seq(), exactly what scheduling it as its own event
-// would have consumed); later frames append to it (payload bytes memcpy'd
-// into a per-batch slab, header recorded as a Frame view). A first frame
-// whose payload does not fit an event record opens the batch itself. The
-// lone frame's sequence is lower, so the heap delivers it first, exactly
-// where the per-message engine would. Because sequences are handed out
+// would have consumed); later frames append to it. A first frame whose
+// payload does not fit an event record opens the batch itself. The lone
+// frame's sequence is lower, so the heap delivers it first, exactly where
+// the per-message engine would. Because sequences are handed out
 // monotonically, a batch's frame list is *already* in exact global
 // (time, seq) delivery order — no sorting, no merging. The drain chops it
 // into maximal same-destination runs and hands each run to
@@ -37,6 +36,19 @@
 // engine in every case, including same-tick ties and crash/recover landing
 // mid-batch; golden digests match bit-for-bit with coalescing on and off
 // (DESIGN.md section 8).
+//
+// Batch storage. A batched frame is one record (sequence, send time,
+// header, length, payload) appended to its batch's list of fixed-size
+// chunks (kChunkBytes). A record never crosses a chunk boundary; one too
+// large for a chunk gets a block of its own. Chunks and blocks come from
+// one per-network pool and go back to it LIFO as soon as the drain has
+// dispatched every frame they hold, so the next batch to grow usually
+// writes into memory a drain has just read. The open-tick entry holds
+// the append cursor (tail chunk, offset), so a join touches only the entry
+// and the chunk tail. The drain decodes each run into a per-network
+// scratch array of Frame views, which is what on_deliver_batch receives.
+// Storage changes where bytes live, never which run a frame rides in or
+// in what order (DESIGN.md section 8.3).
 //
 // Contract: crash/recover/block/unblock transitions originate from simulator
 // events (fault plans, scheduled test steps) or between runs — never from
@@ -122,6 +134,17 @@ struct CoalesceStats {
   }
 };
 
+/// Batch-layer storage counters (all zero while Options::coalesce is
+/// false): what the network has ever created, and how often a batch grew
+/// past a chunk. alloc_regression_test pins chunk creation flat after
+/// warm-up; bench_simcore_throughput reports the created counts.
+struct BatchStorageStats {
+  std::uint64_t batches = 0;  ///< Batch objects created
+  std::uint64_t chunks = 0;   ///< kChunkBytes chunks created
+  std::uint64_t blocks = 0;   ///< blocks created for oversized records
+  std::uint64_t spills = 0;   ///< appends that continued a batch in a new chunk
+};
+
 class Network {
  public:
   struct Options {
@@ -161,7 +184,7 @@ class Network {
 
   /// Fan-out entry point: send one message whose payload is copied from
   /// `bytes` (the caller keeps ownership). With coalescing on the bytes go
-  /// straight into the tick's batch slab, or into the event record of a
+  /// straight into the tick's batch chunk, or into the event record of a
   /// lone frame — no pooled buffer, no Message materialization; with it off
   /// this acquires a pooled copy, exactly what broadcast call sites used to
   /// do by hand. Empty payloads skip the pool in both modes (capacity-0
@@ -211,30 +234,65 @@ class Network {
   [[nodiscard]] const CoalesceStats& coalesce_stats() const {
     return coalesce_stats_;
   }
-  /// Batches ever created (live + free). Ratchets during warmup, then must
-  /// stay flat — the coalescing analogue of Simulator::allocations().
-  [[nodiscard]] std::size_t batch_pool_size() const { return batches_.size(); }
+  /// Batch-layer storage the network has created. Each count ratchets
+  /// during warm-up and must then stay flat — the coalescing analogue of
+  /// Simulator::allocations().
+  [[nodiscard]] const BatchStorageStats& storage_stats() const {
+    return storage_;
+  }
+
+  /// Batch storage geometry. A pooled chunk is kChunkBytes: a 16-byte
+  /// header, then kChunkRecordBytes of records. A record is a
+  /// kRecordHeaderBytes header, then its payload padded to 8 bytes.
+  static constexpr std::size_t kChunkBytes = 1024;
+  static constexpr std::size_t kChunkRecordBytes = kChunkBytes - 16;
+  static constexpr std::size_t kRecordHeaderBytes = 48;
+  /// Largest payload whose record fits a chunk; a larger one gets a block.
+  static constexpr std::size_t kChunkPayloadBytes =
+      kChunkRecordBytes - kRecordHeaderBytes;
 
  private:
+  /// A pooled chunk or an oversized block: this header, then records.
+  /// `next` links a batch's chunks in drain order (a free list's while
+  /// pooled). `used` is valid once the chunk is no open entry's tail.
+  struct Chunk {
+    Chunk* next = nullptr;
+    std::uint32_t used = 0;  ///< record bytes after the header
+    std::uint32_t cls = 0;   ///< 0: a kChunkBytes chunk; else log2 block bytes
+    [[nodiscard]] std::uint8_t* data() {
+      return reinterpret_cast<std::uint8_t*>(this) + sizeof(Chunk);
+    }
+  };
+  static_assert(sizeof(Chunk) + kChunkRecordBytes == kChunkBytes,
+                "a chunk's header is 16 bytes");
+  /// One batched frame, followed by `len` payload bytes padded to 8.
+  struct Record {
+    /// The frame, viewing the payload bytes that follow this header.
+    [[nodiscard]] Frame frame() const;
+
+    std::uint64_t seq;  ///< reserved simulator sequence of this frame
+    Time sent;          ///< original send time (delivery hooks)
+    std::uint64_t rpc_id;
+    NodeId src;
+    NodeId dst;
+    MsgType type;
+    std::uint32_t key;
+    std::uint32_t len;
+  };
+  static_assert(sizeof(Record) == kRecordHeaderBytes,
+                "a record header is kRecordHeaderBytes");
   /// One coalesced delivery-tick batch: every frame but a lone first one
   /// that arrives at time `at` while the tick is joinable, appended in send
   /// order — which IS global (time, seq) delivery order, because sequences
-  /// are reserved monotonically at send time. Frames' payload bytes live
-  /// concatenated in `slab`; Frame::payload pointers are fixed up at seal
-  /// time (first fire), after which no append can move the slab. All
-  /// vectors keep their capacity across recycling, so a warmed batch pool
-  /// appends and drains without allocating.
-  struct FrameMeta {
-    std::uint32_t off = 0;   ///< payload offset into slab
-    Time sent = 0;           ///< original send time (delivery hooks)
-    std::uint64_t seq = 0;   ///< reserved simulator sequence of this frame
-  };
+  /// are reserved monotonically at send time. The records live in a chunk
+  /// list starting at (rd, rd_off), the next record to drain: the head
+  /// until the first fire, then wherever a continuation resumes. The
+  /// append cursor lives in the batch's open-tick entry.
   struct Batch {
     Time at = 0;
+    Chunk* rd = nullptr;
+    std::uint32_t rd_off = 0;
     bool sealed = false;
-    std::vector<std::uint8_t> slab;
-    std::vector<Frame> frames;
-    std::vector<FrameMeta> meta;
   };
   /// A lone frame carries its header and payload in its event record: the
   /// capture (network pointer + LoneInline) fills the simulator's inline
@@ -265,11 +323,14 @@ class Network {
   /// scheduled and is merely no longer joinable, which costs a little
   /// coalescing but never correctness: its sequences all precede those of
   /// any frame later sent for the same tick, so it delivers first, in
-  /// order.
+  /// order. A batch's entry holds its append cursor (tail, off) and saves
+  /// it into tail->used when it leaves the table, by seal or eviction.
   static constexpr std::uint32_t kLone = 0xFFFFFFFFu;
   struct OpenEntry {
     Time at = -1;                ///< -1: free
     std::uint32_t batch = kLone; ///< batch index, or kLone
+    std::uint32_t off = 0;       ///< append offset into tail
+    Chunk* tail = nullptr;       ///< the batch's last chunk
   };
 
   void deliver_later(Message m, Time sent);
@@ -300,17 +361,21 @@ class Network {
   void route(const Frame& f, Time sent, Time at);
   /// The table slot `at` maps to.
   OpenEntry& open_entry(Time at);
-  /// Free `at`'s entry if it still holds `batch` (kLone: a lone frame).
+  /// Free `at`'s entry if it still holds `batch` (kLone: a lone frame),
+  /// saving a batch's cursor.
   void close_entry(Time at, std::uint32_t batch);
   /// Double the open table; live entries rehash without colliding.
   void grow_open_table();
   std::uint32_t acquire_batch();
-  void recycle_batch(std::uint32_t bi);
+  /// A pooled chunk, or a block when a `need`-byte record overflows one.
+  Chunk* acquire_chunk(std::size_t need);
+  /// Return chunks [from, to) of a chain to their free lists, LIFO.
+  void release_chunks(Chunk* from, Chunk* to);
   void enqueue_frame(OpenEntry& oe, const Frame& f, Time sent);
-  /// Seal (fix payload pointers, leave the open table) then drain frames
-  /// [from, n) as maximal same-destination runs, yielding to the heap
-  /// whenever an earlier event is due.
-  void fire_batch(std::uint32_t bi, std::uint32_t from);
+  /// Seal (leave the open table) on the first fire, then drain from the
+  /// batch's read position as maximal same-destination runs, yielding to
+  /// the heap whenever an earlier event is due.
+  void fire_batch(std::uint32_t bi);
 
   Simulator& sim_;
   std::unique_ptr<DelayModel> delay_;
@@ -337,8 +402,15 @@ class Network {
   NetworkStats stats_;
   CoalesceStats coalesce_stats_;
 
-  std::vector<std::unique_ptr<Batch>> batches_;
+  std::vector<Batch> batches_;
   std::vector<std::uint32_t> free_batches_;
+  /// Owns every chunk and block; the free lists thread through them.
+  std::vector<std::unique_ptr<std::uint8_t[]>> chunk_mem_;
+  /// Free lists by Chunk::cls: [0] the pooled chunks, [k] 2^k-byte blocks.
+  Chunk* free_[64] = {};
+  /// The run being dispatched: Frame views into its records' chunks.
+  std::vector<Frame> run_;
+  BatchStorageStats storage_;
   /// Power-of-two, direct-mapped; doubles when more than a quarter of its
   /// slots hold an open tick, so its size follows the ticks actually open.
   std::vector<OpenEntry> open_tab_;

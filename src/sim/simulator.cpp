@@ -40,6 +40,11 @@ std::uint32_t Simulator::acquire_slot() {
 // sift_up and pop_top move entries through a "hole" and write the displaced
 // entry once at its final position instead of swapping at every level.
 
+void Simulator::push_entry(Time t, std::uint64_t key) {
+  heap_.emplace_back(t, key);
+  sift_up(heap_.size() - 1);
+}
+
 void Simulator::sift_up(std::size_t i) {
   const HeapEntry item = heap_[i];
   const Rank r = rank(item);

@@ -50,8 +50,7 @@ class Simulator {
   void schedule_at(Time t, Fn&& fn) {
     if (t < now_) t = now_;
     const std::uint32_t slot = emplace_closure(std::forward<Fn>(fn));
-    heap_.push_back(HeapEntry{t, (next_seq_++ << kSlotBits) | slot});
-    sift_up(heap_.size() - 1);
+    push_entry(t, (next_seq_++ << kSlotBits) | slot);
   }
 
   /// Schedule `fn` after `d` simulated nanoseconds.
@@ -82,8 +81,7 @@ class Simulator {
   void schedule_at_seq(Time t, std::uint64_t seq, Fn&& fn) {
     if (t < now_) t = now_;
     const std::uint32_t slot = emplace_closure(std::forward<Fn>(fn));
-    heap_.push_back(HeapEntry{t, (seq << kSlotBits) | slot});
-    sift_up(heap_.size() - 1);
+    push_entry(t, (seq << kSlotBits) | slot);
   }
 
   /// True when the earliest pending event orders strictly before (t, seq)
@@ -136,6 +134,10 @@ class Simulator {
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
 
   struct HeapEntry {
+    /// Built in place (push_entry): a temporary would be stored as two
+    /// 8-byte words and copied with one 16-byte load, which cannot be
+    /// forwarded from those stores and so waits for them to retire.
+    HeapEntry(Time at, std::uint64_t k) : t(at), key(k) {}
     Time t;
     std::uint64_t key;  ///< (seq << kSlotBits) | slot
     [[nodiscard]] std::uint32_t slot() const {
@@ -198,6 +200,8 @@ class Simulator {
   }
 
   std::uint32_t acquire_slot();
+  /// Append (t, key) to the heap and sift it up to its place.
+  void push_entry(Time t, std::uint64_t key);
   void sift_up(std::size_t i);
   void pop_top();
 

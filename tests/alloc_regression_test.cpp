@@ -286,10 +286,12 @@ TEST(AllocRegression, HundredThousandTableClientsSteadyStateAllocatesNothing) {
 
 TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing) {
   // Same 10^5-client workload with the batched delivery engine: batches,
-  // frame slabs, and the open-batch table all ratchet their capacity during
-  // warmup, after which coalesced steady-state traffic allocates nothing —
-  // no engine slabs, no pool misses, and no new Batch objects (the batch
-  // ring stops growing once the peak per-tick fan-in has been seen).
+  // batch chunks, and the open-batch table all grow during warmup, after
+  // which coalesced steady-state traffic allocates nothing — no engine
+  // slabs, no pool misses, no new Batch objects (the batch ring stops
+  // growing once the peak count of scheduled batches has been seen) and no
+  // new chunks or blocks (the chunk pool stops once the peak bytes held in
+  // scheduled batches have been seen).
   const Protocol* proto = protocol_by_name("mw-abd(W2R2)");
   ASSERT_NE(proto, nullptr);
   SimHarness::Options o;
@@ -307,9 +309,10 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
 
   const std::uint64_t engine_allocs = h.sim().allocations();
   const BufferPool::Stats pool_warm = h.net().pool().stats();
-  const std::size_t batch_ring = h.net().batch_pool_size();
+  const BatchStorageStats storage = h.net().storage_stats();
   const CoalesceStats& cs = h.net().coalesce_stats();
   EXPECT_GT(cs.frames, cs.batches) << "no multi-frame batch formed";
+  EXPECT_GT(storage.spills, 0u) << "no batch outgrew its first chunk";
 
   WorkloadOptions w2;
   w2.ops_per_writer = 1;
@@ -320,9 +323,24 @@ TEST(AllocRegression, CoalescedHundredThousandClientsSteadyStateAllocatesNothing
       << "slab chunks or closure heap-spills grew after warmup";
   EXPECT_EQ(h.net().pool().stats().misses - pool_warm.misses, 0u)
       << "a payload buffer was allocated fresh after warmup";
-  EXPECT_EQ(h.net().batch_pool_size(), batch_ring)
+  EXPECT_EQ(h.net().storage_stats().batches, storage.batches)
       << "a Batch was created after warmup: ring growth must be warmup-only";
   EXPECT_EQ(h.sim().alloc_stats().heap_spills, 0u);
+
+  // Chunks hold exactly the bytes in flight, with no capacity slack. The
+  // warmup's opening burst reads registers still at their initial value,
+  // whose replies are 3 payload bytes where a written value's take 8-10,
+  // so the chunk pool peaks in the first burst that carries written
+  // values: the probe above. No further chunk or block may be created.
+  const BatchStorageStats settled = h.net().storage_stats();
+  run_random_workload(h, w2);
+  EXPECT_EQ(h.net().storage_stats().chunks, settled.chunks)
+      << "a batch chunk was created after warmup";
+  EXPECT_EQ(h.net().storage_stats().blocks, settled.blocks)
+      << "an oversized-record block was created after warmup";
+  EXPECT_EQ(h.net().storage_stats().batches, settled.batches);
+  EXPECT_EQ(h.sim().allocations() - engine_allocs, 0u);
+  EXPECT_EQ(h.net().pool().stats().misses - pool_warm.misses, 0u);
 }
 
 /// Forwards every hook to a checker and counts the operator new calls made

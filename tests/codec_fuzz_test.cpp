@@ -130,23 +130,52 @@ TEST(CodecGuard, NestedListLengthCappedByRemainingBytes) {
 
 TEST(DeltaCodec, ReadReqRoundTripsThroughReusableBuffers) {
   const std::vector<TaggedValue> queue = {TaggedValue{Tag{7, 1}, 70}};
-  const std::uint64_t acked[] = {3, 0, 12, 5, 1};
+  const std::uint64_t acked[] = {3, 0, 12, 5, 300};
   ByteWriter w;
   encode_delta_read_req_into(w, queue, acked, 5);
   const std::vector<std::uint8_t> bytes = w.bytes();
 
-  // Decode twice into the same scratch buffers (capacity reuse path).
+  // Each server decodes its own entry into the same scratch queue
+  // (capacity reuse path); an index past the array reads as nothing acked.
   std::vector<TaggedValue> out_queue{TaggedValue{Tag{99, 9}, 1}};
-  std::vector<std::uint64_t> out_acked{42};
-  for (int round = 0; round < 2; ++round) {
+  for (std::size_t self = 0; self < 7; ++self) {
     ByteReader r(bytes);
-    ASSERT_TRUE(decode_delta_read_req_into(r, out_queue, out_acked));
+    std::uint64_t own = 42;
+    ASSERT_TRUE(decode_delta_read_req_for(r, out_queue, self, own));
     EXPECT_TRUE(r.exhausted());
     ASSERT_EQ(out_queue.size(), 1u);
     EXPECT_EQ(out_queue[0], queue[0]);
-    ASSERT_EQ(out_acked.size(), 5u);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(out_acked[i], acked[i]);
+    EXPECT_EQ(own, self < 5 ? acked[self] : 0u) << "self " << self;
   }
+}
+
+TEST(DeltaCodec, ReadReqCutOffBeforeTheOwnIndexReadsAsNothingAcked) {
+  // The ack array claims five entries, but the payload ends before server
+  // 3's: the decode fails, and the server answers as if nothing were
+  // acked. Cutting inside the entries after it fails the same way, even
+  // though the own entry was read.
+  const std::vector<TaggedValue> queue = {TaggedValue{Tag{7, 1}, 70}};
+  const std::uint64_t acked[] = {3, 200, 12, 5000, 1};
+  ByteWriter w;
+  encode_delta_read_req_into(w, queue, acked, 5);
+  const std::vector<std::uint8_t> bytes = w.bytes();
+  ByteWriter head;
+  encode_value_list_into(head, queue);
+  const std::size_t array_start = head.bytes().size();
+  std::vector<TaggedValue> out_queue;
+  for (std::size_t cut = array_start + 1; cut < bytes.size(); ++cut) {
+    ByteReader r(bytes.data(), cut);
+    std::uint64_t own = 42;
+    EXPECT_FALSE(decode_delta_read_req_for(r, out_queue, 3, own)) << cut;
+    EXPECT_EQ(own, 0u) << "cut " << cut;
+  }
+  // An honest count shorter than the index is well formed: nothing acked.
+  ByteWriter shorter;
+  encode_delta_read_req_into(shorter, queue, acked, 3);
+  ByteReader r(shorter.bytes());
+  std::uint64_t own = 42;
+  EXPECT_TRUE(decode_delta_read_req_for(r, out_queue, 3, own));
+  EXPECT_EQ(own, 0u);
 }
 
 TEST(DeltaCodec, AckHeaderAndStreamedEntriesRoundTrip) {
@@ -185,13 +214,14 @@ TEST(DeltaCodec, AckHeaderAndStreamedEntriesRoundTrip) {
 TEST(DeltaCodec, RandomBytesAndTruncationsFailCleanly) {
   Rng rng(77);
   std::vector<TaggedValue> queue;
-  std::vector<std::uint64_t> acked;
   for (int iter = 0; iter < 300; ++iter) {
     const auto bytes = random_bytes(rng, rng.next_below(96));
     ByteReader r1(bytes);
-    (void)decode_delta_read_req_into(r1, queue, acked);
+    std::uint64_t acked = 42;
+    if (!decode_delta_read_req_for(r1, queue, iter % 8, acked)) {
+      EXPECT_EQ(acked, 0u);
+    }
     EXPECT_LE(queue.size(), bytes.size() + 2);
-    EXPECT_LE(acked.size(), bytes.size() + 2);
     ByteReader r2(bytes);
     const FrDeltaHeader h = get_delta_ack_header(r2);
     // The entry-count prefix is validated against the bytes remaining, so

@@ -114,6 +114,26 @@ TEST(Fuzzer, EngineParityHoldsForFastReadUnderCrashHeavySchedules) {
   EXPECT_GT(r.continuations, 0u);
 }
 
+TEST(Fuzzer, EngineParityHoldsWhenBatchesSpanChunks) {
+  // Sixteen writers and four readers on seven servers put enough fast-read
+  // traffic on a tick that some batches outgrow their first chunk (the two
+  // suites above never do): lane B's drain then walks and resumes records
+  // across chunk boundaries, and must still match lane A on every trial.
+  ParityOptions o;
+  o.protocol = "fast-read-mw(W2R1)";
+  o.cfg = ClusterConfig{7, 16, 4, 1};  // R = 4 < S/t - 2
+  o.trials = 10;
+  o.crash_probability = 0.5;
+  o.seed = 41;
+  const ParityReport r = run_engine_parity_fuzzer(o);
+  EXPECT_EQ(r.mismatches, 0) << r.first_mismatch;
+  EXPECT_EQ(r.frame_order_exact, r.trials);
+  EXPECT_EQ(r.stream_verdict_parity, r.trials);
+  EXPECT_GT(r.crash_trials, 0);
+  EXPECT_GT(r.continuations, 0u);
+  EXPECT_GT(r.spills, 0u) << "no batch spanned two chunks";
+}
+
 TEST(Fuzzer, UnknownProtocolReported) {
   FuzzOptions o;
   o.protocol = "no-such-protocol";

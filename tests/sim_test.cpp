@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -802,7 +803,8 @@ TEST(NetworkCoalesce, LoneFrameMakesNoBatch) {
   EXPECT_EQ(cs.batches, 0u);
   EXPECT_EQ(cs.enqueued, 0u);
   EXPECT_EQ(cs.frames, 0u);
-  EXPECT_EQ(rig.net.batch_pool_size(), 0u);
+  EXPECT_EQ(rig.net.storage_stats().batches, 0u);
+  EXPECT_EQ(rig.net.storage_stats().chunks, 0u);
   EXPECT_EQ(rig.sim.executed(), 1u);
   EXPECT_EQ(logical_events(rig.sim, cs), 1u);
   expect_stats_invariant(rig.net.stats());
@@ -926,6 +928,321 @@ TEST(NetworkCoalesce, EvictedLoneEntryLeavesALaterFrameOfItsTickLone) {
   EXPECT_EQ(log[1], std::make_pair(MsgType{2}, Time{100}));
   EXPECT_EQ(log[2], std::make_pair(MsgType{3}, Time{100}));
   EXPECT_EQ(log[3], std::make_pair(MsgType{1}, Time{other}));
+}
+
+// ---------- Batch storage: records in pooled chunks ----------
+
+/// Sends `n` payload bytes that depend on `type` as well as their index, so
+/// a record decoded from the wrong offset cannot pass for another.
+void send_pattern(Network& net, NodeId src, NodeId dst, MsgType type,
+                  std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + type * 31);
+  }
+  net.send_bytes(src, dst, type, 0, 0, ByteSpan(bytes));
+}
+
+void post_pattern(CoalescedRig& rig, MsgType type, std::size_t n) {
+  send_pattern(rig.net, 0, 1, type, n);
+}
+
+/// Payload bytes whose record takes exactly `record` bytes of a chunk.
+std::size_t payload_for_record(std::size_t record) {
+  return record - Network::kRecordHeaderBytes;
+}
+
+/// One lane's run: what node 1 received (type, time, payload) and, when
+/// a hook is set, what it saw (type, sent, delivered), plus the counters.
+struct LaneRun {
+  std::vector<std::tuple<MsgType, Time, std::vector<std::uint8_t>>> got;
+  std::vector<std::tuple<MsgType, Time, Time>> hooked;
+  NetworkStats stats;
+  CoalesceStats coalesce;
+  BatchStorageStats storage;
+};
+
+using Script = std::function<void(CoalescedRig&)>;
+
+LaneRun run_lane(bool coalesce, std::unique_ptr<DelayModel> delay,
+                 const Script& script, bool hook = false) {
+  CoalescedRig rig(std::move(delay), Network::Options{false, coalesce, 1});
+  LaneRun out;
+  if (hook) {
+    rig.net.set_delivery_hook([&out](const Frame& f, Time sent, Time at) {
+      if (f.dst == 1) out.hooked.emplace_back(f.type, sent, at);
+    });
+  }
+  script(rig);
+  rig.sim.run();
+  for (std::size_t i = 0; i < rig.b.received.size(); ++i) {
+    out.got.emplace_back(rig.b.received[i].type, rig.b.times[i],
+                         rig.b.received[i].payload);
+  }
+  out.stats = rig.net.stats();
+  out.coalesce = rig.net.coalesce_stats();
+  out.storage = rig.net.storage_stats();
+  return out;
+}
+
+auto stats_fields(const NetworkStats& s) {
+  return std::make_tuple(s.sent, s.bytes_sent, s.delivered, s.held,
+                         s.to_crashed, s.from_crashed, s.dropped_unattached);
+}
+
+/// Runs `script` in both lanes, requires identical deliveries, hook calls
+/// and counters, and returns the batched lane's run.
+LaneRun expect_lanes_agree(const std::function<std::unique_ptr<DelayModel>()>&
+                               make_delay,
+                           const Script& script, bool hook = false) {
+  const LaneRun per_message = run_lane(false, make_delay(), script, hook);
+  LaneRun batched = run_lane(true, make_delay(), script, hook);
+  EXPECT_EQ(batched.got, per_message.got);
+  EXPECT_EQ(batched.hooked, per_message.hooked);
+  EXPECT_EQ(stats_fields(batched.stats), stats_fields(per_message.stats));
+  expect_stats_invariant(batched.stats);
+  EXPECT_EQ(per_message.storage.chunks, 0u);
+  return batched;
+}
+
+auto constant_100 = [] { return std::make_unique<ConstantDelay>(100); };
+
+TEST(NetworkChunks, RecordThatExactlyFillsAChunkTakesNoSecond) {
+  // After the lone frame, two records of half a chunk each fill the
+  // batch's first chunk to its last byte.
+  const std::size_t half = Network::kChunkRecordBytes / 2;
+  const LaneRun r = expect_lanes_agree(constant_100, [half](CoalescedRig& g) {
+    g.a.post(1, 0);
+    post_pattern(g, 1, payload_for_record(half));
+    post_pattern(g, 2, payload_for_record(half));
+  });
+  ASSERT_EQ(r.got.size(), 3u);
+  EXPECT_EQ(r.coalesce.frames, 2u);
+  EXPECT_EQ(r.storage.chunks, 1u);
+  EXPECT_EQ(r.storage.spills, 0u);
+  EXPECT_EQ(r.storage.blocks, 0u);
+
+  // The largest payload a chunk holds, alone in its batch, fills it too.
+  const LaneRun one = expect_lanes_agree(constant_100, [](CoalescedRig& g) {
+    post_pattern(g, 0, Network::kChunkPayloadBytes);
+  });
+  EXPECT_EQ(one.coalesce.frames, 1u);
+  EXPECT_EQ(one.storage.chunks, 1u);
+  EXPECT_EQ(one.storage.blocks, 0u);
+}
+
+TEST(NetworkChunks, RecordThatDoesNotFitTheTailSpillsIntoTheNextChunk) {
+  // The second record is 8 bytes too long for what the first left, so it
+  // opens the batch's second chunk; a third, small, joins it there.
+  const std::size_t half = Network::kChunkRecordBytes / 2;
+  const LaneRun r = expect_lanes_agree(constant_100, [half](CoalescedRig& g) {
+    g.a.post(1, 0);
+    post_pattern(g, 1, payload_for_record(half));
+    post_pattern(g, 2, payload_for_record(half + 8));
+    post_pattern(g, 3, 5);
+  });
+  ASSERT_EQ(r.got.size(), 4u);
+  EXPECT_EQ(r.coalesce.frames, 3u);
+  EXPECT_EQ(r.coalesce.batches, 1u);
+  EXPECT_EQ(r.storage.chunks, 2u);
+  EXPECT_EQ(r.storage.spills, 1u);
+  // One same-destination run, across the chunk boundary.
+  EXPECT_EQ(r.coalesce.hist[1], 1u);
+}
+
+TEST(NetworkChunks, PayloadLargerThanAChunkGetsABlock) {
+  // A first frame too large for a chunk opens its batch in a block; the
+  // next record goes to a fresh chunk, never into the block's slack, and a
+  // larger payload takes a block of a larger size class. A later tick,
+  // sent after the first batch drained, reuses its pooled block and chunk.
+  const std::size_t big = Network::kChunkPayloadBytes + 1;
+  const LaneRun r = expect_lanes_agree(constant_100, [big](CoalescedRig& g) {
+    post_pattern(g, 0, big);
+    post_pattern(g, 1, 3);
+    post_pattern(g, 2, 4 * Network::kChunkBytes);
+    g.sim.schedule_at(150, [&g, big] {
+      post_pattern(g, 3, big);
+      post_pattern(g, 4, 0);
+    });
+  });
+  ASSERT_EQ(r.got.size(), 5u);
+  EXPECT_EQ(r.coalesce.lone, 0u);
+  EXPECT_EQ(r.coalesce.batches, 2u);
+  EXPECT_EQ(r.storage.blocks, 2u);
+  EXPECT_EQ(r.storage.chunks, 1u);
+  EXPECT_EQ(r.storage.spills, 3u);
+}
+
+/// Three records that fill one chunk, then two in the next.
+void fill_then_spill(CoalescedRig& g, const std::function<void()>& between) {
+  const std::size_t third = Network::kChunkRecordBytes / 3;
+  g.a.post(1, 0);
+  for (MsgType i = 1; i <= 3; ++i) {
+    post_pattern(g, i, payload_for_record(third));
+  }
+  post_pattern(g, 4, 100);
+  between();
+  post_pattern(g, 5, 100);
+  post_pattern(g, 6, 0);
+}
+
+TEST(NetworkChunks, TimerMidBatchResumesInsideALaterChunk) {
+  // The timer's sequence falls between frames 4 and 5, both in the
+  // batch's second chunk: the drain yields there and its continuation
+  // resumes past frame 4's record, inside that chunk.
+  std::vector<std::size_t> seen;
+  const LaneRun r = expect_lanes_agree(constant_100, [&seen](CoalescedRig& g) {
+    fill_then_spill(g, [&g, &seen] {
+      g.sim.schedule_at(100, [&g, &seen] { seen.push_back(g.b.received.size()); });
+    });
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{5, 5}));
+  ASSERT_EQ(r.got.size(), 7u);
+  EXPECT_EQ(r.coalesce.continuations, 1u);
+  EXPECT_EQ(r.storage.chunks, 2u);
+  EXPECT_EQ(r.storage.spills, 1u);
+}
+
+TEST(NetworkChunks, CrashMidBatchDropsTheRestOfALaterChunk) {
+  const LaneRun r = expect_lanes_agree(constant_100, [](CoalescedRig& g) {
+    fill_then_spill(g, [&g] {
+      g.sim.schedule_at(100, [&g] { g.net.crash(1); });
+    });
+  });
+  ASSERT_EQ(r.got.size(), 5u);
+  EXPECT_EQ(r.stats.to_crashed, 2u);
+  EXPECT_EQ(r.coalesce.continuations, 1u);
+}
+
+TEST(NetworkChunks, EvictedBatchKeepsTheRecordsOfItsCursor) {
+  // Tick 100's batch spans two chunks when frame 4, for a tick whose
+  // open-table slot collides with 100's, evicts it. The batch must still
+  // drain every record up to the evicted cursor; frame 5 finds no entry
+  // for tick 100 and rides alone, and frame 6 opens a second batch. The
+  // colliding tick is found through the stats, as in the lone-entry case.
+  const std::size_t third = Network::kChunkRecordBytes / 3;
+  auto script = [third](CoalescedRig& g) {
+    g.a.post(1, 0);
+    post_pattern(g, 1, payload_for_record(third));
+    post_pattern(g, 2, payload_for_record(third));
+    post_pattern(g, 3, payload_for_record(2 * third));
+    g.a.post(1, 4);
+    g.a.post(1, 5);
+    post_pattern(g, 6, 9);
+  };
+  auto delays = [](Duration other) {
+    return [other] {
+      return std::make_unique<ScriptedDelay>(
+          std::vector<Duration>{100, 100, 100, 100, other, 100, 100});
+    };
+  };
+  Duration other = 101;
+  for (; other < 1'000'000; ++other) {
+    if (run_lane(true, delays(other)(), script).coalesce.lone == 3) break;
+  }
+  ASSERT_LT(other, 1'000'000) << "no tick collided with tick 100";
+  const LaneRun r = expect_lanes_agree(delays(other), script);
+  ASSERT_EQ(r.got.size(), 7u);
+  EXPECT_EQ(std::get<0>(r.got[3]), 3u);
+  EXPECT_EQ(std::get<0>(r.got[6]), 4u);
+  EXPECT_EQ(r.coalesce.batches, 2u);
+  EXPECT_EQ(r.coalesce.lone, 3u);
+  EXPECT_EQ(r.storage.spills, 1u);
+}
+
+TEST(NetworkChunks, SlowPathWalksAMultiChunkBatch) {
+  // A blocked link elsewhere keeps the drain on its per-frame path for a
+  // batch of two full chunks and a block. Mid-batch, a block on 0 -> 1 parks the rest;
+  // unblocking redelivers it. A crash variant drops the rest instead, and
+  // a hook variant sees every record's send time.
+  const std::size_t third = Network::kChunkRecordBytes / 3;
+  auto batch = [third](CoalescedRig& g, const std::function<void()>& mid) {
+    g.a.post(1, 0);
+    for (MsgType i = 1; i <= 6; ++i) {
+      post_pattern(g, i, payload_for_record(third));
+      if (i == 4) mid();
+    }
+    post_pattern(g, 7, 2 * Network::kChunkBytes);
+  };
+  const LaneRun parked =
+      expect_lanes_agree(constant_100, [batch](CoalescedRig& g) {
+        g.net.block_link(1, 0);
+        batch(g, [&g] { g.sim.schedule_at(100, [&g] { g.net.block_link(0, 1); }); });
+        g.sim.schedule_at(200, [&g] { g.net.unblock_link(0, 1); });
+      });
+  ASSERT_EQ(parked.got.size(), 8u);
+  EXPECT_EQ(std::get<1>(parked.got[4]), 100);
+  EXPECT_EQ(std::get<1>(parked.got[5]), 300);
+  // The redelivered tail forms a batch of its own from the pooled chunk
+  // and block, and spills into the block again.
+  EXPECT_EQ(parked.storage.chunks, 2u);
+  EXPECT_EQ(parked.storage.blocks, 1u);
+  EXPECT_EQ(parked.storage.spills, 3u);
+  EXPECT_EQ(parked.coalesce.continuations, 1u);
+
+  const LaneRun dropped =
+      expect_lanes_agree(constant_100, [batch](CoalescedRig& g) {
+        g.net.crash(7);
+        batch(g, [&g] { g.sim.schedule_at(100, [&g] { g.net.crash(1); }); });
+      });
+  ASSERT_EQ(dropped.got.size(), 5u);
+  EXPECT_EQ(dropped.stats.to_crashed, 3u);
+
+  const LaneRun hooked = expect_lanes_agree(
+      constant_100,
+      [batch](CoalescedRig& g) {
+        g.sim.schedule_at(10, [&g, batch] { batch(g, [] {}); });
+      },
+      /*hook=*/true);
+  ASSERT_EQ(hooked.hooked.size(), 8u);
+  for (const auto& h : hooked.hooked) {
+    EXPECT_EQ(std::get<1>(h), 10);
+    EXPECT_EQ(std::get<2>(h), 110);
+  }
+}
+
+/// Records each frame it receives and answers it at once with a copy of
+/// its payload, so every answer is appended while the run carrying the
+/// frame is still being dispatched.
+class Echo final : public Process {
+ public:
+  Echo(NodeId id, Network& net) : Process(id, net) {}
+  void on_message(const Frame& m) override {
+    got.emplace_back(m.type,
+                     std::vector<std::uint8_t>(m.payload.begin(),
+                                               m.payload.end()));
+    net().send_bytes(id(), m.src, m.type, 0, 0, m.payload);
+  }
+  std::vector<std::pair<MsgType, std::vector<std::uint8_t>>> got;
+};
+
+TEST(NetworkChunks, SendsFromARunNeverReuseAChunkTheRunStillViews) {
+  // One same-destination run spans three chunks. Its handler's answers
+  // open a batch of their own while the run is dispatched; the chunks
+  // they take must not be ones the run's later frames still point into.
+  const std::size_t third = Network::kChunkRecordBytes / 3;
+  auto run = [third](bool coalesce) {
+    Simulator sim;
+    Network net(sim, std::make_unique<ConstantDelay>(100), Rng(1),
+                Network::Options{false, coalesce, 1});
+    Recorder a(0, net);
+    Echo b(1, net);
+    a.post(1, 0);
+    for (MsgType i = 1; i <= 9; ++i) {
+      send_pattern(net, 0, 1, i, payload_for_record(third));
+    }
+    sim.run();
+    std::vector<std::vector<std::uint8_t>> back;
+    for (const Message& m : a.received) back.push_back(m.payload);
+    return std::make_tuple(b.got, back, net.coalesce_stats().hist[3],
+                           net.storage_stats().chunks);
+  };
+  const auto per_message = run(false);
+  const auto batched = run(true);
+  EXPECT_EQ(std::get<0>(batched), std::get<0>(per_message));
+  EXPECT_EQ(std::get<1>(batched), std::get<1>(per_message));
+  EXPECT_EQ(std::get<2>(batched), 2u);  // both runs of 9 frames
+  EXPECT_EQ(std::get<3>(batched), 6u);
 }
 
 // ---------- Fault-mutation contract ----------
