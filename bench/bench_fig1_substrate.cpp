@@ -15,7 +15,7 @@ class Sink final : public Process {
   Sink(NodeId id, Network& net) : Process(id, net) {}
   void on_message(const Frame& m) override {
     ++received;
-    if (echo && m.type == 1) send(m.src, 2, m.rpc_id, {});
+    if (echo && m.type == 1) net().send_bytes(id(), m.src, 2, 0, m.rpc_id, {});
   }
   bool echo = false;
   std::uint64_t received = 0;
@@ -37,12 +37,7 @@ void report() {
       digest = digest * 1315423911u + static_cast<std::uint64_t>(d) + m.type;
     });
     for (int i = 0; i < 200; ++i) {
-      Message m;
-      m.src = 0;
-      m.dst = 1;
-      m.type = 1;
-      m.rpc_id = static_cast<std::uint64_t>(i);
-      net.send(std::move(m));
+      net.send_bytes(0, 1, 1, 0, static_cast<std::uint64_t>(i), {});
     }
     sim.run();
     return digest;
@@ -57,13 +52,7 @@ void report() {
   Simulator sim;
   Network net(sim, std::make_unique<ConstantDelay>(10), Rng(1));
   Sink a(0, net), b(1, net);
-  for (int i = 0; i < 100000; ++i) {
-    Message m;
-    m.src = 0;
-    m.dst = 1;
-    m.type = 3;
-    net.send(std::move(m));
-  }
+  for (int i = 0; i < 100000; ++i) net.send_bytes(0, 1, 3, 0, 0, {});
   sim.run();
   row({"delivered", std::to_string(b.received) + " messages in one burst"},
       {18, 50});
@@ -88,13 +77,7 @@ void BM_MessageDelivery(benchmark::State& state) {
     Simulator sim;
     Network net(sim, std::make_unique<UniformDelay>(1, 100), Rng(1));
     Sink a(0, net), b(1, net);
-    for (int i = 0; i < 1000; ++i) {
-      Message m;
-      m.src = 0;
-      m.dst = 1;
-      m.type = 1;
-      net.send(std::move(m));
-    }
+    for (int i = 0; i < 1000; ++i) net.send_bytes(0, 1, 1, 0, 0, {});
     sim.run();
     benchmark::DoNotOptimize(b.received);
   }
@@ -109,12 +92,7 @@ void BM_RequestReplyRoundTrip(benchmark::State& state) {
     Sink client(0, net), server(1, net);
     server.echo = true;
     for (int i = 0; i < 500; ++i) {
-      Message m;
-      m.src = 0;
-      m.dst = 1;
-      m.type = 1;
-      m.rpc_id = static_cast<std::uint64_t>(i);
-      net.send(std::move(m));
+      net.send_bytes(0, 1, 1, 0, static_cast<std::uint64_t>(i), {});
     }
     sim.run();
     benchmark::DoNotOptimize(client.received);

@@ -139,7 +139,7 @@ struct Replayer {
 /// memcpys its payload into the open slab of its quantized arrival tick,
 /// and rides the single event scheduled when that tick opened; the drain
 /// pays one fault check per run and one heap-top compare per frame — the
-/// exact per-frame work Network::fire_batch does with no fault active.
+/// exact per-frame work Network::drain does with no fault active.
 struct BatchedReplayer {
   static constexpr Duration kTick = kMillisecond;
   /// Direct-mapped per-tick batch. 32 slots cover the 10ms delay horizon
@@ -298,7 +298,7 @@ Row compare_engines(const std::vector<std::uint32_t>& sizes) {
 // per-message scheduling vs. batched per-tick delivery — at the same
 // tick, so the measured difference is coalescing itself: one heap event
 // and one dispatch per batch instead of per message, frames appended to
-// per-batch slabs instead of pooled per-message buffers. It replays at two
+// batch chunks instead of pooled per-message buffers. It replays at two
 // ticks: 1 ms, where ~85 frames share a tick and batching always wins, and
 // exact-ns, where nearly every frame is alone on its tick and rides its own
 // event, the regime every sweep runs in.
@@ -392,7 +392,7 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
       storage = net.storage_stats();
       frames = delivered;
       // Steady-state probe: one more trace round on the warm network —
-      // batch rings, batch chunks, and the event slab must all be warm.
+      // batch chunks and the event slab must both be warm.
       const std::uint64_t a0 = sim.allocations();
       const std::uint64_t m0 = net.pool().stats().misses;
       d.remaining = sizes.size();
@@ -438,7 +438,6 @@ Row measure_coalesced_delivery(const std::vector<std::uint32_t>& sizes) {
              col("exact_ns_speedup", ratio(exact_coalesced, exact_per_message)),
              col("exact_ns_batches", exact.batches),
              col("exact_ns_lone", exact.lone),
-             col("created_batches", storage.batches),
              col("created_chunks", storage.chunks),
              col("created_blocks", storage.blocks)};
   row.insert(row.end(), steady.begin(), steady.end());

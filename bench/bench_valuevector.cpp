@@ -86,11 +86,11 @@ std::vector<FrEntry> synthetic_valuevector(int n) {
 
 void BM_full_read_ack_encode(benchmark::State& state) {
   const auto entries = synthetic_valuevector(static_cast<int>(state.range(0)));
-  BufferPool pool;
+  ByteWriter w;  // reused, like the network's scratch writer
   for (auto _ : state) {
-    auto bytes = encode_entries(pool, entries);
-    benchmark::DoNotOptimize(bytes.data());
-    pool.release(std::move(bytes));
+    w.clear();
+    encode_entries_into(w, entries);
+    benchmark::DoNotOptimize(w.bytes().data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -101,20 +101,18 @@ void BM_delta_read_ack_encode(benchmark::State& state) {
   // the same synthetic vector the full encode serializes wholesale.
   const auto entries = synthetic_valuevector(static_cast<int>(state.range(0)));
   constexpr std::size_t kChanged = 4;
-  BufferPool pool;
+  ByteWriter w;
   FrDeltaHeader h;
   h.revision = 12345;
   h.gc_floor = entries.back().value.tag;
   h.count = kChanged;
   for (auto _ : state) {
-    ByteWriter w(pool.acquire());
+    w.clear();
     put_delta_ack_header(w, h);
     for (std::size_t i = entries.size() - kChanged; i < entries.size(); ++i) {
       put_fr_entry(w, entries[i]);
     }
-    auto bytes = w.take();
-    benchmark::DoNotOptimize(bytes.data());
-    pool.release(std::move(bytes));
+    benchmark::DoNotOptimize(w.bytes().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kChanged));

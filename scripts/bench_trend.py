@@ -73,8 +73,8 @@ SPEC = Section(None, dict(
         batch_size_hist=Section(("ge",), dict(count=EXACT)),
         exact_ns_per_message_events_per_sec=HOST,
         exact_ns_coalesced_events_per_sec=HOST, exact_ns_speedup=REPORT,
-        exact_ns_batches=EXACT, exact_ns_lone=EXACT, created_batches=EXACT,
-        created_chunks=EXACT, created_blocks=EXACT, **STEADY)),
+        exact_ns_batches=EXACT, exact_ns_lone=EXACT, created_chunks=EXACT,
+        created_blocks=EXACT, **STEADY)),
     workloads=Section(("protocol", "cluster"), dict(
         ops_per_client=EXACT, events=EXACT, msgs=EXACT, bytes_on_wire=EXACT,
         wall_ms=REPORT, events_per_sec=HOST, msgs_per_sec=REPORT,

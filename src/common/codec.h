@@ -6,10 +6,10 @@
 // content (relevant to the full-info vs. optimized implementation gap the
 // paper discusses in Section 4.1).
 //
-// Hot-path contract: a ByteWriter adopts a caller-supplied buffer (usually
-// from a BufferPool) so encoding reuses capacity instead of allocating, and
-// a ByteReader is a non-owning (pointer, length) span so decoding never
-// copies the payload.
+// Hot-path contract: senders encode into one reused ByteWriter (the
+// network's, through Process::out()) whose clear() keeps its capacity, so
+// encoding allocates nothing once warm, and a ByteReader is a non-owning
+// (pointer, length) span so decoding never copies the payload.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +25,10 @@ namespace mwreg {
 class ByteWriter {
  public:
   ByteWriter() = default;
-  /// Adopt `buf` as the output buffer: contents are cleared, capacity is
-  /// kept. Pass a pooled buffer here to encode without allocating.
-  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {
-    buf_.clear();
-  }
+
+  /// Drop the encoded bytes and keep the capacity, so one writer encodes
+  /// message after message without allocating.
+  void clear() { buf_.clear(); }
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
   /// LEB128. The 1- and 2-byte cases (every count and most ids here) are
@@ -54,7 +53,7 @@ class ByteWriter {
   void put_value(const TaggedValue& v);
 
   /// Length-prefixed sequence over a raw (pointer, count) span: the
-  /// pool-aware encode paths hand slices of reusable arenas here so no
+  /// streaming encode paths hand slices of reusable arenas here so no
   /// intermediate std::vector is materialized.
   template <typename T, typename Fn>
   void put_span(const T* data, std::size_t n, Fn&& put_one) {

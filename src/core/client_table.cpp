@@ -74,23 +74,17 @@ std::uint64_t ClientTable::decode_arena_grows() const {
 }
 
 void ClientTable::broadcast(int slot, std::uint32_t key, MsgType type,
-                            std::vector<std::uint8_t> payload) {
+                            ByteSpan payload) {
   const ClusterConfig& kc = key_cfgs_[key];
   const NodeId src = slot_node(slot);
   const std::uint64_t rpc = next_rpc_[static_cast<std::size_t>(slot)]++;
   rpc_[static_cast<std::size_t>(slot)] = rpc;
   acks_[static_cast<std::size_t>(slot)] = 0;
-  // Fan out through the byte-span path in server order, original released
-  // afterwards (the order every golden digest was recorded with).
-  // The per-message engine makes one pooled copy per server (empty requests
-  // skip the pool: a capacity-0 vector costs no allocation, and draining
-  // the free list for them would starve the capacity-carrying payloads at
-  // 10^5-client bursts); the batched engine copies the bytes straight into
-  // each destination's slab. Pool stats are not part of any digest.
+  // Fan out in server order (the order every golden digest was recorded
+  // with). Each send copies the bytes, so all of them read one encoding.
   for (int i = 0; i < kc.s(); ++i) {
-    net().send_bytes(src, kc.server_id(i), type, key, rpc, ByteSpan(payload));
+    net().send_bytes(src, kc.server_id(i), type, key, rpc, payload);
   }
-  pool().release(std::move(payload));
 }
 
 void ClientTable::check_start(bool writer, int index, std::uint32_t key) const {
@@ -130,12 +124,12 @@ OpId ClientTable::start_write(int wi, std::uint32_t key, std::int64_t payload) {
     case TableWriterProgram::kAbdTwoRound:
       acc_tag_[s] = kBottomTag;
       phase_[s] = 1;
-      broadcast(slot, key, kAbdReadReq, {});
+      broadcast(slot, key, kAbdReadReq);
       break;
     case TableWriterProgram::kFrQueryThenWrite:
       acc_tag_[s] = kBottomTag;
       phase_[s] = 1;
-      broadcast(slot, key, kFrQueryReq, {});
+      broadcast(slot, key, kFrQueryReq);
       break;
     case TableWriterProgram::kAbdLocalTs:
       begin_write_round2(slot, Tag{++local_ts_[s], node});
@@ -153,8 +147,9 @@ void ClientTable::begin_write_round2(int slot, Tag tag) {
   phase_[s] = 2;
   const bool fr = writer_program_ == TableWriterProgram::kFrQueryThenWrite ||
                   writer_program_ == TableWriterProgram::kFrLocalTs;
-  broadcast(slot, key_[s], fr ? kFrWriteReq : kAbdWriteReq,
-            encode_value(pool(), TaggedValue{tag, wr_payload_[s]}));
+  ByteWriter& w = out();
+  w.put_value(TaggedValue{tag, wr_payload_[s]});
+  broadcast(slot, key_[s], fr ? kFrWriteReq : kAbdWriteReq, w.bytes());
 }
 
 OpId ClientTable::start_read(int ri, std::uint32_t key) {
@@ -170,13 +165,14 @@ OpId ClientTable::start_read(int ri, std::uint32_t key) {
     case TableReaderProgram::kAbdOneRoundMax:
       acc_val_[s] = TaggedValue{};
       phase_[s] = 1;
-      broadcast(slot, key, kAbdReadReq, {});
+      broadcast(slot, key, kAbdReadReq);
       break;
     case TableReaderProgram::kFrFull: {
       FrReaderState& st = *fr_[static_cast<std::size_t>(ri)];
+      ByteWriter& w = out();
+      encode_value_list_into(w, st.val_queue);
       phase_[s] = 1;
-      broadcast(slot, key, kFrReadReq,
-                encode_value_list(pool(), st.val_queue));
+      broadcast(slot, key, kFrReadReq, w.bytes());
       break;
     }
     case TableReaderProgram::kFrDelta: {
@@ -190,13 +186,12 @@ OpId ClientTable::start_read(int ri, std::uint32_t key) {
       for (const FrServerCache& c : st.caches) {
         st.acked_scratch.push_back(c.rev);
       }
-      ByteWriter wtr(pool().acquire());
-      encode_delta_read_req_into(wtr, st.queue_scratch,
-                                 st.acked_scratch.data(),
+      ByteWriter& w = out();
+      encode_delta_read_req_into(w, st.queue_scratch, st.acked_scratch.data(),
                                  st.acked_scratch.size());
       st.round_servers.clear();
       phase_[s] = 1;
-      broadcast(slot, key, kFrReadDeltaReq, wtr.take());
+      broadcast(slot, key, kFrReadDeltaReq, w.bytes());
       break;
     }
   }
@@ -258,8 +253,9 @@ void ClientTable::on_reader_reply(int slot, const Frame& m) {
         }
         // RT 2: write back ("atomic reads must write").
         phase_[s] = 2;
-        broadcast(slot, key_[s], kAbdWriteReq,
-                  encode_value(pool(), acc_val_[s]));
+        ByteWriter& w = out();
+        w.put_value(acc_val_[s]);
+        broadcast(slot, key_[s], kAbdWriteReq, w.bytes());
         return;
       }
       if (++acks_[s] < kc.quorum()) return;

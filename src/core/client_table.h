@@ -17,7 +17,7 @@
 // tests/client_table_test.cpp) are the oracle the table is pinned against.
 //
 // Keys. Every operation addresses a key of a keyspace (core/keyspace.h);
-// requests carry Message::key so KeyRouters can dispatch to per-key
+// requests carry Frame::key so KeyRouters can dispatch to per-key
 // replicas. The classic single-register harness is the 1-key special case.
 #pragma once
 
@@ -127,10 +127,10 @@ class ClientTable final : public Process {
     return -1;
   }
 
-  /// Open a new round for `slot`: broadcast one pooled copy of `payload`
-  /// per server of `key`'s group, in server order.
+  /// Open a new round for `slot`: send `payload` (usually out()) to every
+  /// server of `key`'s group, in server order.
   void broadcast(int slot, std::uint32_t key, MsgType type,
-                 std::vector<std::uint8_t> payload);
+                 ByteSpan payload = {});
 
   /// start_write / start_read's refusals.
   void check_start(bool writer, int index, std::uint32_t key) const;

@@ -1,6 +1,7 @@
 #include "core/harness.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mwreg {
@@ -141,6 +142,12 @@ void SimHarness::install_fault_plan(const FaultPlan& plan) {
 }
 
 std::vector<NodeId> SimHarness::crash_random_servers(int count) {
+  if (count < 0 || count > cfg_.s()) {
+    throw std::invalid_argument(
+        "crash_random_servers: count " + std::to_string(count) +
+        " outside [0, " + std::to_string(cfg_.s()) + "] for " +
+        cfg_.to_string());
+  }
   std::vector<NodeId> ids = cfg_.server_ids();
   rng_.shuffle(ids);
   ids.resize(static_cast<std::size_t>(count));

@@ -97,7 +97,9 @@ class SimHarness {
                       std::function<void(TaggedValue)> done = nullptr);
 
   /// Crash `count` distinct servers chosen with the harness Rng. In
-  /// multi-key mode the ids drawn are shard 0's physical servers.
+  /// multi-key mode the ids drawn are shard 0's physical servers. Throws
+  /// std::invalid_argument, before crashing any, for a count outside
+  /// [0, S].
   std::vector<NodeId> crash_random_servers(int count);
 
   /// Schedule every step of `plan` as simulator events (resolved against

@@ -10,7 +10,7 @@
 //                                 blocks for reader-affine protocols
 // Key k maps to shard k % shards; its per-key ClusterConfig re-bases the
 // server range onto that shard (cluster.h base offsets). A KeyRouter sits
-// at each physical server id and dispatches on Message::key to the per-key
+// at each physical server id and dispatches on Frame::key to the per-key
 // replica it owns — server implementations stay single-register and
 // completely unaware of the keyspace.
 //
@@ -87,7 +87,7 @@ class ZipfSampler {
                                                       bool reader_affine);
 
 /// One physical server slot of a shard: owns the per-key replicas of every
-/// key on its shard and dispatches incoming requests on Message::key.
+/// key on its shard and dispatches incoming requests on Frame::key.
 /// Replicas are constructed with this router's node id (their replies carry
 /// the right src); the router re-claims the network slot after each one so
 /// deliveries land here first.

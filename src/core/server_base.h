@@ -2,8 +2,6 @@
 // handler and offers a reply helper that mirrors rpc_id back to the caller.
 #pragma once
 
-#include <vector>
-
 #include "common/cluster.h"
 #include "sim/network.h"
 
@@ -21,10 +19,10 @@ class ServerBase : public Process {
 
   virtual void handle_request(const Frame& req) = 0;
 
-  /// Ack/reply to `req`, mirroring its rpc_id.
-  void reply(const Frame& req, MsgType type,
-             std::vector<std::uint8_t> payload) {
-    send(req.src, type, req.rpc_id, std::move(payload));
+  /// Ack/reply to `req`, mirroring its rpc_id; replies carry key 0. The
+  /// network copies `payload`, usually out(), before this returns.
+  void reply(const Frame& req, MsgType type, ByteSpan payload = {}) {
+    net().send_bytes(id(), req.src, type, /*key=*/0, req.rpc_id, payload);
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mwreg {
@@ -78,6 +80,13 @@ struct Driver {
 void run_random_workload(SimHarness& h, const WorkloadOptions& opts) {
   const int w = h.cfg().w();
   const int r = h.cfg().r();
+  if (opts.crash_servers < 0 || opts.crash_servers > h.cfg().s()) {
+    // Refused before the run, not from inside the crash event.
+    throw std::invalid_argument(
+        "run_random_workload: crash_servers " +
+        std::to_string(opts.crash_servers) + " outside [0, " +
+        std::to_string(h.cfg().s()) + "] for " + h.cfg().to_string());
+  }
   Driver d;
   d.h = &h;
   d.opts = &opts;

@@ -15,7 +15,8 @@ struct WorkloadOptions {
   Duration think_lo = 0;
   Duration think_hi = 5 * kMillisecond;
   /// Crash this many random servers once `crash_after_ops` operations
-  /// completed cluster-wide (0 = never crash).
+  /// completed cluster-wide (0 = never crash). Must lie in [0, S]:
+  /// run_random_workload throws std::invalid_argument otherwise.
   int crash_servers = 0;
   int crash_after_ops = 0;
 };

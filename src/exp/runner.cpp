@@ -6,6 +6,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -44,6 +45,11 @@ std::string ExperimentSpec::validate() const {
   }
   for (const ClusterConfig& c : clusters) {
     if (!c.valid()) return "invalid cluster: " + c.to_string();
+    if (workload.crash_servers < 0 || workload.crash_servers > c.s()) {
+      return "workload.crash_servers " +
+             std::to_string(workload.crash_servers) + " outside [0, S] for " +
+             c.to_string();
+    }
   }
   std::set<std::string> plan_names;
   for (const FaultPlan& plan : fault_plans) {

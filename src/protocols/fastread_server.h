@@ -91,13 +91,16 @@ class FastReadServer final : public ServerBase {
  protected:
   void handle_request(const Frame& req) final {
     switch (req.type) {
-      case kFrQueryReq:
-        reply(req, kFrQueryAck, encode_tag(pool(), vali_.tag));
+      case kFrQueryReq: {
+        ByteWriter& w = out();
+        w.put_tag(vali_.tag);
+        reply(req, kFrQueryAck, w.bytes());
         break;
+      }
       case kFrWriteReq: {
         const TaggedValue v = decode_value(req.payload);
         update(v, req.src);
-        reply(req, kFrWriteAck, {});
+        reply(req, kFrWriteAck);
         break;
       }
       case kFrReadReq: {
@@ -110,10 +113,10 @@ class FastReadServer final : public ServerBase {
         // delta and full-ack readers.
         note_watermark(req.src);
         // The whole valuevector, streamed straight out of it.
-        ByteWriter w(pool().acquire());
+        ByteWriter& w = out();
         w.put_varint(rows_.size());
         for (std::size_t i = 0; i < rows_.size(); ++i) rows_.put(w, i);
-        reply(req, kFrReadAck, w.take());
+        reply(req, kFrReadAck, w.bytes());
         break;
       }
       case kFrReadDeltaReq:
@@ -189,12 +192,12 @@ class FastReadServer final : public ServerBase {
     h.revision = rev_seq_;
     h.gc_floor = gc_floor_;
     for (const std::uint64_t rev : revs_) h.count += rev > acked;
-    ByteWriter w(pool().acquire());
+    ByteWriter& w = out();
     put_delta_ack_header(w, h);
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       if (revs_[i] > acked) rows_.put(w, i);
     }
-    reply(req, kFrReadAckDelta, w.take());
+    reply(req, kFrReadAckDelta, w.bytes());
   }
 
   /// Record the confirmed watermark a reader carried in `req_queue_`,

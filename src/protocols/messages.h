@@ -6,11 +6,11 @@
 //  - the fast-read family (the paper's Algorithm 2 servers): servers keep a
 //    value vector with per-value `updated` sets.
 //
-// Each encoder has a pooled overload taking a BufferPool: protocol hot
-// paths use it (via Process::pool()) so encoding reuses recycled payload
-// capacity; the pool-less overloads allocate fresh and remain for tests
-// and offline tooling. Decoders read through span ByteReaders and never
-// copy the payload bytes.
+// Protocol hot paths encode with the *_into / put_* forms into the
+// network's scratch writer (Process::out()) and send it as a byte span;
+// the encoders returning a fresh vector remain for tests and offline
+// tooling. Decoders read through span ByteReaders and never copy the
+// payload bytes.
 //
 // Updated sets have one in-memory form from the server to the read
 // decision: FrRows, a word bitset per valuevector entry over the key
@@ -24,7 +24,6 @@
 
 #include "common/codec.h"
 #include "common/tag.h"
-#include "sim/buffer_pool.h"
 #include "sim/message.h"
 
 namespace mwreg {
@@ -55,13 +54,6 @@ enum MsgTypes : MsgType {
 };
 
 // ---- ABD family payloads ----
-
-inline std::vector<std::uint8_t> encode_value(BufferPool& pool,
-                                              const TaggedValue& v) {
-  ByteWriter w(pool.acquire());
-  w.put_value(v);
-  return w.take();
-}
 
 inline std::vector<std::uint8_t> encode_value(const TaggedValue& v) {
   ByteWriter w;
@@ -294,12 +286,6 @@ class FrRows {
   std::vector<std::uint64_t> bits_;  ///< words_ per row, row-major
 };
 
-inline std::vector<std::uint8_t> encode_tag(BufferPool& pool, const Tag& t) {
-  ByteWriter w(pool.acquire());
-  w.put_tag(t);
-  return w.take();
-}
-
 inline std::vector<std::uint8_t> encode_tag(const Tag& t) {
   ByteWriter w;
   w.put_tag(t);
@@ -315,13 +301,6 @@ inline void encode_value_list_into(ByteWriter& w,
                                    const std::vector<TaggedValue>& vals) {
   w.put_vector(vals,
                [](ByteWriter& bw, const TaggedValue& v) { bw.put_value(v); });
-}
-
-inline std::vector<std::uint8_t> encode_value_list(
-    BufferPool& pool, const std::vector<TaggedValue>& vals) {
-  ByteWriter w(pool.acquire());
-  encode_value_list_into(w, vals);
-  return w.take();
 }
 
 inline std::vector<std::uint8_t> encode_value_list(
@@ -361,13 +340,6 @@ inline void encode_entries_into(ByteWriter& w,
                                 const std::vector<FrEntry>& entries) {
   w.put_vector(entries,
                [](ByteWriter& bw, const FrEntry& e) { put_fr_entry(bw, e); });
-}
-
-inline std::vector<std::uint8_t> encode_entries(
-    BufferPool& pool, const std::vector<FrEntry>& entries) {
-  ByteWriter w(pool.acquire());
-  encode_entries_into(w, entries);
-  return w.take();
 }
 
 inline std::vector<std::uint8_t> encode_entries(

@@ -23,13 +23,16 @@ class QuorumServer final : public ServerBase {
  protected:
   void handle_request(const Frame& req) final {
     switch (req.type) {
-      case kAbdReadReq:
-        reply(req, kAbdReadAck, encode_value(pool(), value_));
+      case kAbdReadReq: {
+        ByteWriter& w = out();
+        w.put_value(value_);
+        reply(req, kAbdReadAck, w.bytes());
         break;
+      }
       case kAbdWriteReq: {
         const TaggedValue v = decode_value(req.payload);
         if (v.tag > value_.tag) value_ = v;
-        reply(req, kAbdWriteAck, {});
+        reply(req, kAbdWriteAck);
         break;
       }
       default:

@@ -1,10 +1,12 @@
 // Recycled byte buffers for message payloads.
 //
-// Every message hop used to cost at least one fresh std::vector (the
-// ByteWriter encode buffer, plus one copy per fan-out destination). The
-// pool keeps released buffers and hands them back cleared with their old
-// capacity, so steady-state traffic allocates nothing. The miss counter is
-// the observable: once a workload has warmed the pool, misses stop growing
+// The network copies a payload into a pooled buffer in two places only:
+// every message of the per-message delivery lane, and a frame parked on a
+// blocked link in either lane (the batched lane otherwise keeps payloads
+// in batch chunks and event records). The pool keeps released buffers and
+// hands them back cleared with their old capacity, so steady-state
+// traffic allocates nothing. The miss counter is the observable: once a
+// workload has warmed the pool, misses stop growing
 // (tests/alloc_regression_test.cpp asserts exactly that), and
 // bench_simcore_throughput reports it per run.
 //

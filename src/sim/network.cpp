@@ -87,23 +87,12 @@ Time Network::arrival_time(NodeId src, NodeId dst) {
   return at;
 }
 
-void Network::send(Message m) {
-  ++stats_.sent;
-  stats_.bytes_sent += m.payload.size();
-  if (crashed(m.src)) {  // a crashed node sends nothing
-    ++stats_.from_crashed;
-    discard(std::move(m));
-    return;
-  }
-  deliver_later(std::move(m), sim_.now());
-}
-
 void Network::send_bytes(NodeId src, NodeId dst, MsgType type,
                          std::uint32_t key, std::uint64_t rpc_id,
                          ByteSpan bytes) {
   ++stats_.sent;
   stats_.bytes_sent += bytes.size();
-  if (crashed(src)) {
+  if (crashed(src)) {  // a crashed node sends nothing
     ++stats_.from_crashed;
     return;
   }
@@ -213,11 +202,11 @@ void Network::route(const Frame& f, Time sent, Time at) {
     // cursor is saved for its drain.
     if (oe.at < 0) {
       ++open_live_;
-    } else if (oe.batch != kLone) {
+    } else if (oe.head != nullptr) {
       oe.tail->used = oe.off;
     }
     oe.at = at;
-    oe.batch = kLone;
+    oe.head = nullptr;
   }
   if (joinable || f.payload.size() > kLoneInlineBytes) {
     // Join the tick's batch, or open it: for a second frame, or a first
@@ -232,7 +221,7 @@ void Network::route(const Frame& f, Time sent, Time at) {
     sim_.schedule_at(at, [this, lf = LoneInline(f, sent)]() {
       // Leave the table, so a same-tick send from the handler rides alone
       // again instead of opening a batch behind a delivered frame.
-      close_entry(sim_.now(), kLone);
+      close_entry(sim_.now(), nullptr);
       deliver_one(lf.frame(), lf.sent, nullptr);
     });
   }
@@ -278,10 +267,10 @@ Network::OpenEntry& Network::open_entry(Time at) {
   return open_tab_[open_hash(at) & (open_tab_.size() - 1)];
 }
 
-void Network::close_entry(Time at, std::uint32_t batch) {
+void Network::close_entry(Time at, const Chunk* head) {
   OpenEntry& oe = open_entry(at);
-  if (oe.at == at && oe.batch == batch) {
-    if (batch != kLone) oe.tail->used = oe.off;
+  if (oe.at == at && oe.head == head) {
+    if (head != nullptr) oe.tail->used = oe.off;
     oe.at = -1;
     --open_live_;
   }
@@ -295,17 +284,6 @@ void Network::grow_open_table() {
   for (const OpenEntry& e : old) {
     if (e.at >= 0) open_entry(e.at) = e;
   }
-}
-
-std::uint32_t Network::acquire_batch() {
-  if (!free_batches_.empty()) {
-    const std::uint32_t bi = free_batches_.back();
-    free_batches_.pop_back();
-    return bi;
-  }
-  batches_.emplace_back();
-  ++storage_.batches;
-  return static_cast<std::uint32_t>(batches_.size() - 1);
 }
 
 Network::Chunk* Network::acquire_chunk(std::size_t need) {
@@ -344,21 +322,23 @@ void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
   const std::uint64_t seq = sim_.reserve_seq();
   ++coalesce_stats_.enqueued;
   const std::uint32_t need = record_bytes(f.payload.size());
-  if (oe.batch == kLone) {
+  if (oe.head == nullptr) {
     // The tick's second frame, or a first one too large to ride alone:
     // open the batch at this frame's sequence. A lone frame keeps its own,
     // lower-sequenced event.
-    const std::uint32_t nbi = acquire_batch();
-    Chunk* c = acquire_chunk(need);
-    Batch& nb = batches_[nbi];
-    nb.at = oe.at;
-    nb.rd = c;
-    nb.rd_off = 0;
-    nb.sealed = false;
-    oe.batch = nbi;
-    oe.tail = c;
+    Chunk* head = acquire_chunk(need);
+    oe.head = head;
+    oe.tail = head;
     oe.off = 0;
-    sim_.schedule_at_seq(oe.at, seq, [this, nbi] { fire_batch(nbi); });
+    sim_.schedule_at_seq(oe.at, seq, [this, at = oe.at, head] {
+      // Leave the open table (if the entry is still this batch's: eviction
+      // may have reused it, even for this tick), so same-tick sends from
+      // handlers ride alone or open a fresh batch instead of appending to
+      // one that is already draining.
+      close_entry(at, head);
+      ++coalesce_stats_.batches;
+      drain(at, head, 0);
+    });
   } else if (oe.off + need > kChunkRecordBytes) {
     // The record does not fit the tail: continue in a fresh chunk (or a
     // block). A block tail's offset already exceeds kChunkRecordBytes, so
@@ -378,24 +358,11 @@ void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
   oe.off += need;
 }
 
-void Network::fire_batch(std::uint32_t bi) {
-  Batch& b = batches_[bi];
-  if (!b.sealed) {
-    b.sealed = true;
-    // Leave the open table (if we still own our entry — eviction may have
-    // reused it), so same-tick sends from handlers ride alone or open a
-    // fresh batch instead of appending to one that is already draining.
-    close_entry(b.at, bi);
-    ++coalesce_stats_.batches;
-  }
-  // b may move once a handler opens a batch; keep what the drain needs.
-  const Time at = b.at;
-  // Read cursor. Past a record it steps into the next chunk when its own
-  // is done, so off < c->used until the batch is drained.
-  Chunk* c = b.rd;
-  std::uint32_t off = b.rd_off;
-  // The first chunk a frame still to be dispatched can point into; the
-  // chunks before it go back to the pool.
+void Network::drain(Time at, Chunk* c, std::uint32_t off) {
+  // (c, off) is the read cursor. Past a record it steps into the next
+  // chunk when its own is done, so off < c->used until the batch is
+  // drained. `keep` is the first chunk a frame still to be dispatched can
+  // point into; the chunks before it go back to the pool.
   Chunk* keep = c;
   auto record = [&c, &off] {
     return std::launder(reinterpret_cast<const Record*>(c->data() + off));
@@ -418,10 +385,8 @@ void Network::fire_batch(std::uint32_t bi) {
     // frame here) can ever force a yield.
     if (sim_.has_event_before(at, r->seq)) {
       ++coalesce_stats_.continuations;
-      Batch& rb = batches_[bi];
-      rb.rd = c;
-      rb.rd_off = off;
-      sim_.schedule_at_seq(at, r->seq, [this, bi] { fire_batch(bi); });
+      sim_.schedule_at_seq(at, r->seq,
+                           [this, at, c, off] { drain(at, c, off); });
       return;
     }
     const NodeId dst = r->dst;
@@ -475,7 +440,6 @@ void Network::fire_batch(std::uint32_t bi) {
     keep = c;
   }
   release_chunks(keep, nullptr);
-  free_batches_.push_back(bi);
 }
 
 void Network::refuse_while_dispatching(const char* call, NodeId a,

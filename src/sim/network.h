@@ -9,8 +9,14 @@
 // (node ids are dense by construction — ClusterConfig lays them out
 // contiguously), so the per-delivery checks are array loads instead of
 // std::set lookups, with a zero-cost fast path while no fault is active.
-// Payload buffers come from a per-network BufferPool and are recycled after
-// delivery, so steady-state traffic performs no allocation.
+//
+// One send path. A payload enters the network only through send_bytes(),
+// which copies it before returning: into a recycled BufferPool buffer in
+// the per-message lane, into a batch chunk or an event record in the
+// batched one, whose pool then serves only frames parked on blocked links.
+// Senders encode into the network's scratch writer (Process::out(),
+// cleared on each call); send_bytes() never dispatches synchronously, so a
+// sender need only finish its sends before its next out().
 //
 // Batched delivery (Options::coalesce). The per-message engine costs one
 // heap event + one dispatch + one pooled buffer per message; at quorum
@@ -50,6 +56,12 @@
 // Storage changes where bytes live, never which run a frame rides in or
 // in what order (DESIGN.md section 8.3).
 //
+// A batch is its delivery event: there is no batch object. The first-fire
+// closure holds the tick and the batch's head chunk, a continuation the
+// tick and the (chunk, offset) it resumes at, and an open-tick entry names
+// its batch by the head chunk, which no other batch can hold until this
+// one has fired and drained it.
+//
 // Contract: crash/recover/block/unblock transitions originate from simulator
 // events (fault plans, scheduled test steps) or between runs — never from
 // inside a message handler or delivery hook. The network enforces this:
@@ -69,6 +81,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "sim/buffer_pool.h"
 #include "sim/delay_model.h"
@@ -139,56 +152,55 @@ struct CoalesceStats {
 /// past a chunk. alloc_regression_test pins chunk creation flat after
 /// warm-up; bench_simcore_throughput reports the created counts.
 struct BatchStorageStats {
-  std::uint64_t batches = 0;  ///< Batch objects created
   std::uint64_t chunks = 0;   ///< kChunkBytes chunks created
   std::uint64_t blocks = 0;   ///< blocks created for oversized records
   std::uint64_t spills = 0;   ///< appends that continued a batch in a new chunk
 };
 
+/// Network::Options. Declared outside the class so that its member
+/// defaults can serve Network's constructor's default argument.
+struct NetworkOptions {
+  /// When true, per-link delivery preserves send order (delays are
+  /// clamped to be nondecreasing per link). The paper's model is non-FIFO.
+  bool fifo = false;
+  /// Batch all deliveries landing on one tick into one simulator event,
+  /// dispatched as maximal same-destination runs.
+  bool coalesce = false;
+  /// Delivery-time quantum in simulated ns: arrival times round UP to a
+  /// multiple of tick, in both engines, so coalescing on/off stays
+  /// bit-identical at any tick. 1 = exact-ns (default; no timing change).
+  Duration tick = 1;
+};
+
 class Network {
  public:
-  struct Options {
-    /// When true, per-link delivery preserves send order (delays are
-    /// clamped to be nondecreasing per link). The paper's model is non-FIFO.
-    bool fifo = false;
-    /// Batch all deliveries landing on one tick into one simulator event,
-    /// dispatched as maximal same-destination runs.
-    bool coalesce = false;
-    /// Delivery-time quantum in simulated ns: arrival times round UP to a
-    /// multiple of tick, in both engines, so coalescing on/off stays
-    /// bit-identical at any tick. 1 = exact-ns (default; no timing change).
-    Duration tick = 1;
-  };
+  using Options = NetworkOptions;
 
   Network(Simulator& sim, std::unique_ptr<DelayModel> delay, Rng rng,
-          Options opts);
-  /// Back-compat convenience: fifo-only options.
-  Network(Simulator& sim, std::unique_ptr<DelayModel> delay, Rng rng,
-          bool fifo = false)
-      : Network(sim, std::move(delay), std::move(rng), Options{fifo, false, 1}) {}
+          Options opts = {});
 
   Simulator& sim() { return sim_; }
 
-  /// Pool every payload buffer should come from and return to; processes
-  /// reach it through Process::pool().
+  /// The per-message lane's payload buffers and parked frames; its stats
+  /// are the pool-miss half of the steady-allocation counters.
   BufferPool& pool() { return pool_; }
 
-  [[nodiscard]] bool coalescing() const { return opts_.coalesce; }
+  /// The scratch writer, cleared. Senders encode a payload here and pass
+  /// it to send_bytes(); Process::out() forwards here.
+  ByteWriter& out() {
+    out_.clear();
+    return out_;
+  }
 
   /// Register the handler for a node. Must be called before any message is
   /// delivered to `id`. The process must outlive the network run.
   void attach(NodeId id, Process& p);
 
-  /// Send a message. The src/dst fields must be filled in.
-  void send(Message m);
-
-  /// Fan-out entry point: send one message whose payload is copied from
-  /// `bytes` (the caller keeps ownership). With coalescing on the bytes go
-  /// straight into the tick's batch chunk, or into the event record of a
-  /// lone frame — no pooled buffer, no Message materialization; with it off
-  /// this acquires a pooled copy, exactly what broadcast call sites used to
-  /// do by hand. Empty payloads skip the pool in both modes (capacity-0
-  /// buffers never recycle).
+  /// Send one message, copying `bytes` before returning; nothing is
+  /// dispatched from inside the call. Checks run in a fixed order: source
+  /// crash, destination crash, block, then the delay draw, so dropped and
+  /// parked messages draw no randomness. Empty payloads skip the pool
+  /// (capacity-0 buffers never recycle).
   void send_bytes(NodeId src, NodeId dst, MsgType type, std::uint32_t key,
                   std::uint64_t rpc_id, ByteSpan bytes);
 
@@ -281,19 +293,6 @@ class Network {
   };
   static_assert(sizeof(Record) == kRecordHeaderBytes,
                 "a record header is kRecordHeaderBytes");
-  /// One coalesced delivery-tick batch: every frame but a lone first one
-  /// that arrives at time `at` while the tick is joinable, appended in send
-  /// order — which IS global (time, seq) delivery order, because sequences
-  /// are reserved monotonically at send time. The records live in a chunk
-  /// list starting at (rd, rd_off), the next record to drain: the head
-  /// until the first fire, then wherever a continuation resumes. The
-  /// append cursor lives in the batch's open-tick entry.
-  struct Batch {
-    Time at = 0;
-    Chunk* rd = nullptr;
-    std::uint32_t rd_off = 0;
-    bool sealed = false;
-  };
   /// A lone frame carries its header and payload in its event record: the
   /// capture (network pointer + LoneInline) fills the simulator's inline
   /// closure storage exactly, which leaves this many payload bytes. A first
@@ -324,15 +323,18 @@ class Network {
   /// coalescing but never correctness: its sequences all precede those of
   /// any frame later sent for the same tick, so it delivers first, in
   /// order. A batch's entry holds its append cursor (tail, off) and saves
-  /// it into tail->used when it leaves the table, by seal or eviction.
-  static constexpr std::uint32_t kLone = 0xFFFFFFFFu;
+  /// it into tail->used when it leaves the table, by first fire or
+  /// eviction.
   struct OpenEntry {
-    Time at = -1;                ///< -1: free
-    std::uint32_t batch = kLone; ///< batch index, or kLone
-    std::uint32_t off = 0;       ///< append offset into tail
-    Chunk* tail = nullptr;       ///< the batch's last chunk
+    Time at = -1;           ///< -1: free
+    Chunk* head = nullptr;  ///< the batch's first chunk; null: a lone frame
+    Chunk* tail = nullptr;  ///< the batch's last chunk
+    std::uint32_t off = 0;  ///< append offset into tail
   };
 
+  /// Per-message lane, and redelivery from an unblocked link: crash check,
+  /// block check, delay draw, then `m` rides its own event (or, batched,
+  /// is routed).
   void deliver_later(Message m, Time sent);
   /// Per-message delivery of `f`: crash check, block check, then the hook
   /// and handler. `owner` holds f's payload, parked as is on a blocked link
@@ -361,21 +363,22 @@ class Network {
   void route(const Frame& f, Time sent, Time at);
   /// The table slot `at` maps to.
   OpenEntry& open_entry(Time at);
-  /// Free `at`'s entry if it still holds `batch` (kLone: a lone frame),
-  /// saving a batch's cursor.
-  void close_entry(Time at, std::uint32_t batch);
+  /// Free `at`'s entry if it still holds the batch whose head chunk is
+  /// `head` (null: a lone frame), saving a batch's cursor.
+  void close_entry(Time at, const Chunk* head);
   /// Double the open table; live entries rehash without colliding.
   void grow_open_table();
-  std::uint32_t acquire_batch();
   /// A pooled chunk, or a block when a `need`-byte record overflows one.
   Chunk* acquire_chunk(std::size_t need);
   /// Return chunks [from, to) of a chain to their free lists, LIFO.
   void release_chunks(Chunk* from, Chunk* to);
+  /// Append `f` to the entry's batch, opening it (and scheduling its first
+  /// fire at this frame's sequence) when the entry holds a lone frame.
   void enqueue_frame(OpenEntry& oe, const Frame& f, Time sent);
-  /// Seal (leave the open table) on the first fire, then drain from the
-  /// batch's read position as maximal same-destination runs, yielding to
-  /// the heap whenever an earlier event is due.
-  void fire_batch(std::uint32_t bi);
+  /// Drain tick `at`'s batch from record (c, off) as maximal
+  /// same-destination runs, yielding to the heap whenever an earlier event
+  /// is due; the remainder reschedules as a continuation.
+  void drain(Time at, Chunk* c, std::uint32_t off);
 
   Simulator& sim_;
   std::unique_ptr<DelayModel> delay_;
@@ -401,9 +404,9 @@ class Network {
   bool dispatching_ = false;
   NetworkStats stats_;
   CoalesceStats coalesce_stats_;
+  /// The scratch writer out() hands to senders.
+  ByteWriter out_;
 
-  std::vector<Batch> batches_;
-  std::vector<std::uint32_t> free_batches_;
   /// Owns every chunk and block; the free lists thread through them.
   std::vector<std::unique_ptr<std::uint8_t[]>> chunk_mem_;
   /// Free lists by Chunk::cls: [0] the pooled chunks, [k] 2^k-byte blocks.
@@ -446,20 +449,9 @@ class Process {
  protected:
   Network& net() { return net_; }
   Simulator& sim() { return net_.sim(); }
-  /// Payload buffers should be acquired here and handed to send(); the
-  /// network recycles them after delivery.
-  BufferPool& pool() { return net_.pool(); }
-
-  void send(NodeId dst, MsgType type, std::uint64_t rpc_id,
-            std::vector<std::uint8_t> payload) {
-    Message m;
-    m.src = id_;
-    m.dst = dst;
-    m.type = type;
-    m.rpc_id = rpc_id;
-    m.payload = std::move(payload);
-    net_.send(std::move(m));
-  }
+  /// The network's scratch writer, cleared: encode a payload here and hand
+  /// out().bytes() to a send before calling out() again.
+  ByteWriter& out() { return net_.out(); }
 
  private:
   NodeId id_;

@@ -237,15 +237,19 @@ TEST(Codec, WriterIsReusableAfterTake) {
   EXPECT_TRUE(r2.exhausted());
 }
 
-TEST(Codec, WriterAdoptsRecycledBufferClearedWithCapacityKept) {
-  std::vector<std::uint8_t> recycled{9, 9, 9, 9, 9, 9, 9, 9};
-  const std::size_t cap = recycled.capacity();
-  ByteWriter w(std::move(recycled));
-  EXPECT_TRUE(w.bytes().empty());  // stale contents cleared
+TEST(Codec, ClearedWriterKeepsItsCapacity) {
+  // clear() is how the network's scratch writer serves message after
+  // message: the bytes go, the storage stays.
+  ByteWriter w;
+  w.put_string("a payload long enough to need storage");
+  const std::size_t cap = w.bytes().capacity();
+  const std::uint8_t* storage = w.bytes().data();
+  w.clear();
+  EXPECT_TRUE(w.bytes().empty());
+  EXPECT_EQ(w.bytes().capacity(), cap);
   w.put_varint(5);
-  const std::vector<std::uint8_t> out = w.take();
-  EXPECT_GE(out.capacity(), cap);  // old storage reused, not reallocated
-  ByteReader r(out);
+  EXPECT_EQ(w.bytes().data(), storage);  // old storage reused
+  ByteReader r(w.bytes());
   EXPECT_EQ(r.get_varint(), 5u);
   EXPECT_TRUE(r.exhausted());
 }

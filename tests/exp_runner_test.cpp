@@ -55,6 +55,18 @@ TEST(ExperimentSpec, RejectsEmptySeedRange) {
   EXPECT_NE(spec.validate(), "");
 }
 
+TEST(ExperimentSpec, RejectsACrashCountOutsideAnyClustersServers) {
+  ExperimentSpec spec = small_spec();  // clusters with S = 5 and S = 7
+  spec.workload.crash_after_ops = 1;
+  spec.workload.crash_servers = 5;
+  EXPECT_EQ(spec.validate(), "");
+  spec.workload.crash_servers = 6;  // fits S = 7, not S = 5
+  EXPECT_NE(spec.validate(), "");
+  EXPECT_THROW((void)Runner().run(spec), std::invalid_argument);
+  spec.workload.crash_servers = -1;
+  EXPECT_NE(spec.validate(), "");
+}
+
 TEST(ExperimentSpec, AcceptsFastReadKeysWiderThan64ClientIds) {
   // Fast-read witness sets are sized from each key's group, so a key may
   // span any number of client ids. Single register: W + R = 65 client ids.

@@ -4,8 +4,10 @@
 // promises.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <cctype>
+#include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -279,6 +281,28 @@ TEST(CrashTolerance, FastReadMwSurvivesTCrashes) {
   EXPECT_EQ(h.history().completed_count(), 50u);
   const CheckResult tw = check_tag_witness(h.history());
   EXPECT_TRUE(tw.atomic) << tw.violation;
+}
+
+TEST(CrashTolerance, CrashCountOutsideZeroToSIsRefusedBeforeAnyCrash) {
+  // A count outside [0, S] is refused before any server crashes, whether
+  // the harness is asked directly or through the workload's crash option.
+  const ClusterConfig cfg{5, 2, 2, 2};
+  SimHarness h(*protocol_by_name("mw-abd(W2R2)"), opts(cfg, 7));
+  for (const int count : {-1, cfg.s() + 1, cfg.s() + 2}) {
+    SCOPED_TRACE(count);
+    EXPECT_THROW((void)h.crash_random_servers(count), std::invalid_argument);
+    WorkloadOptions w;
+    w.crash_servers = count;
+    w.crash_after_ops = 1;
+    EXPECT_THROW(run_random_workload(h, w), std::invalid_argument);
+    EXPECT_EQ(crashed_servers(h), 0);
+    EXPECT_EQ(h.history().size(), 0u);
+  }
+  EXPECT_TRUE(h.crash_random_servers(0).empty());
+  const std::vector<NodeId> all = h.crash_random_servers(cfg.s());
+  EXPECT_EQ(std::set<NodeId>(all.begin(), all.end()).size(),
+            static_cast<std::size_t>(cfg.s()));
+  EXPECT_EQ(crashed_servers(h), cfg.s());
 }
 
 TEST(CrashTolerance, TooManyCrashesBlockProgressButNotSafety) {

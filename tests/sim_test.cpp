@@ -362,7 +362,9 @@ class Recorder final : public Process {
   std::vector<Message> received;
   std::vector<Time> times;
 
-  void post(NodeId dst, MsgType type) { send(dst, type, 0, {}); }
+  void post(NodeId dst, MsgType type) {
+    net().send_bytes(id(), dst, type, 0, 0, {});
+  }
   /// Send `n` payload bytes 0, 1, 2, ... through the fan-out entry point.
   void post_bytes(NodeId dst, MsgType type, std::size_t n) {
     std::vector<std::uint8_t> bytes(n);
@@ -374,7 +376,9 @@ class Recorder final : public Process {
 struct Rig {
   explicit Rig(std::unique_ptr<DelayModel> delay, bool fifo = false,
                std::uint64_t seed = 1)
-      : net(sim, std::move(delay), Rng(seed), fifo), a(0, net), b(1, net) {}
+      : net(sim, std::move(delay), Rng(seed), Network::Options{fifo, false, 1}),
+        a(0, net),
+        b(1, net) {}
   Simulator sim;
   Network net;
   Recorder a, b;
@@ -803,7 +807,6 @@ TEST(NetworkCoalesce, LoneFrameMakesNoBatch) {
   EXPECT_EQ(cs.batches, 0u);
   EXPECT_EQ(cs.enqueued, 0u);
   EXPECT_EQ(cs.frames, 0u);
-  EXPECT_EQ(rig.net.storage_stats().batches, 0u);
   EXPECT_EQ(rig.net.storage_stats().chunks, 0u);
   EXPECT_EQ(rig.sim.executed(), 1u);
   EXPECT_EQ(logical_events(rig.sim, cs), 1u);
@@ -928,6 +931,67 @@ TEST(NetworkCoalesce, EvictedLoneEntryLeavesALaterFrameOfItsTickLone) {
   EXPECT_EQ(log[1], std::make_pair(MsgType{2}, Time{100}));
   EXPECT_EQ(log[2], std::make_pair(MsgType{3}, Time{100}));
   EXPECT_EQ(log[3], std::make_pair(MsgType{1}, Time{other}));
+}
+
+/// Logs every frame it receives into a log shared by several Relays, and
+/// answers a frame of type `trigger` with a kAnswer frame to node `to`.
+class Relay final : public Process {
+ public:
+  using Log = std::vector<std::pair<MsgType, Time>>;
+  static constexpr MsgType kAnswer = 50;
+  static constexpr MsgType kNever = 99;  ///< a trigger no frame carries
+
+  Relay(NodeId id, Network& net, Log& log, MsgType trigger, NodeId to)
+      : Process(id, net), log_(log), trigger_(trigger), to_(to) {}
+  void on_message(const Frame& m) override {
+    log_.emplace_back(m.type, sim().now());
+    if (m.type == trigger_) net().send_bytes(id(), to_, kAnswer, 0, 0, {});
+  }
+
+ private:
+  Log& log_;
+  MsgType trigger_;
+  NodeId to_;
+};
+
+TEST(NetworkCoalesce, SendFromAnEvictedBatchJoinsTheBatchThatReopenedItsTick) {
+  // Frames 0, 1, 3 and 4 arrive at tick 100; frame 2 arrives at a tick
+  // whose open-table slot collides with 100's. Frame 0 rides alone and
+  // frame 1 opens batch A; frame 2 evicts A's entry, so frame 3 rides
+  // alone and frame 4 reopens tick 100 as batch B. A fires before B, and
+  // its handler answers frame 1 with a zero-delay frame into tick 100. B
+  // is still open, so the answer must join it: A's first fire, like frame
+  // 0's and frame 3's, may close only its own entry, not whatever now
+  // holds its tick. The answer arrives last at tick 100, as in the
+  // per-message engine. The colliding tick is found through the stats.
+  auto run_once = [](Duration other, bool coalesce, MsgType trigger) {
+    Simulator sim;
+    Network net(sim,
+                std::make_unique<ScriptedDelay>(
+                    std::vector<Duration>{100, 100, other, 100, 100, 0}),
+                Rng(1), Network::Options{false, coalesce, 1});
+    Relay::Log log;
+    Relay a(0, net, log, Relay::kNever, 1);
+    Relay b(1, net, log, trigger, 0);
+    for (MsgType i = 0; i < 5; ++i) net.send_bytes(0, 1, i, 0, 0, {});
+    sim.run();
+    expect_stats_invariant(net.stats());
+    return std::make_pair(net.coalesce_stats(), log);
+  };
+  Duration other = 101;
+  for (; other < 1'000'000; ++other) {
+    if (run_once(other, true, Relay::kNever).first.lone == 3) break;
+  }
+  ASSERT_LT(other, 1'000'000) << "no tick collided with tick 100";
+  const auto [cs, log] = run_once(other, true, /*trigger=*/1);
+  EXPECT_EQ(cs.lone, 3u);
+  EXPECT_EQ(cs.enqueued, 3u);
+  EXPECT_EQ(cs.batches, 2u);
+  EXPECT_EQ(cs.frames, 3u);
+  EXPECT_EQ(log, run_once(other, false, /*trigger=*/1).second);
+  const Relay::Log want = {{0, 100}, {1, 100}, {3, 100}, {4, 100},
+                           {Relay::kAnswer, 100}, {2, other}};
+  EXPECT_EQ(log, want);
 }
 
 // ---------- Batch storage: records in pooled chunks ----------
