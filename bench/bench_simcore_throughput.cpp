@@ -553,6 +553,13 @@ Row million_row(int clients, bool coalesce) {
     writes.insert(writes.end(), kw.begin(), kw.end());
     reads.insert(reads.end(), kr.begin(), kr.end());
   }
+  // What the run's high-water structures hold: event-record chunks per
+  // record class and the key histories' blocks.
+  std::uint64_t history_blocks = 0;
+  for (int k = 0; k < h.num_keys(); ++k) {
+    history_blocks += h.key_history(k).blocks_created();
+  }
+  const Simulator::AllocStats& slab = h.sim().alloc_stats();
   Row row = {field("protocol", "mw-abd(W2R2)"),
              field("keyspace", h.keyspace().to_string()),
              col("clients", clients), col("ops_per_client", kOps),
@@ -563,7 +570,10 @@ Row million_row(int clients, bool coalesce) {
              col("events_per_sec", r.per_sec(r.events)),
              col("write_p99_ms", summarize_latency(std::move(writes)).p99_ms),
              col("read_p99_ms", summarize_latency(std::move(reads)).p99_ms),
-             field("per_key_read_p99_max_ms", per_key_read_p99_max)};
+             field("per_key_read_p99_max_ms", per_key_read_p99_max),
+             field("small_record_chunks", slab.small_chunks),
+             field("large_record_chunks", slab.large_chunks),
+             field("history_blocks", history_blocks)};
   r.probe(row);
   return row;
 }

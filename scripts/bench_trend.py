@@ -83,7 +83,9 @@ SPEC = Section(None, dict(
         ("protocol", "clients", "ops_per_client", "coalesce"),
         dict(keyspace=EXACT, mean_run_len=EXACT, events=EXACT, msgs=EXACT,
              wall_ms=REPORT, events_per_sec=HOST, write_p99_ms=EXACT,
-             read_p99_ms=EXACT, per_key_read_p99_max_ms=EXACT, **STEADY)),
+             read_p99_ms=EXACT, per_key_read_p99_max_ms=EXACT,
+             small_record_chunks=EXACT, large_record_chunks=EXACT,
+             history_blocks=EXACT, **STEADY)),
     checked_soak=Section(None, dict(
         workload=EXACT, protocol=EXACT, keyspace=EXACT, clients=EXACT,
         ops_per_client=EXACT, ops_checked=(">=", 10**6),
@@ -447,6 +449,11 @@ CASES = MALFORMED + [
      "coalescing.exact_ns_lone: 2 != baseline 1"),
     ("created-chunks-moved", 1, edit("coalescing.created_chunks", 2),
      "coalescing.created_chunks: 2 != baseline 1"),
+    ("history-blocks-moved", 1, edit("million_client.1.history_blocks", 3),
+     "million_client/mw/100000/10/true.history_blocks: 3 != baseline 1"),
+    ("small-record-chunks-moved", 1,
+     edit("million_client.0.small_record_chunks", 2),
+     "million_client/mw/100000/10/false.small_record_chunks: 2 != baseline 1"),
     ("coalesced-million-drop", 1,
      edit("million_client.1.events_per_sec", x(0.5)),
      "million_client/mw/100000/10/true.events_per_sec:"),

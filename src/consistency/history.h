@@ -7,8 +7,12 @@
 // everything after its invocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/tag.h"
@@ -60,8 +64,92 @@ class HistorySink {
 /// recorder memory tracks the concurrency window rather than the horizon;
 /// op ids stay stable (they index the full logical history) and ops() then
 /// returns only the live suffix.
+///
+/// Storage: records live in fixed blocks of kBlockOps that never move, so a
+/// history pays for its records plus at most one partly filled block at
+/// each end, never a vector's doubling slack, and a reference from op()
+/// stays valid while later ops are recorded. Retiring a block's last
+/// record recycles the block for later records.
 class History {
  public:
+  static constexpr std::size_t kBlockOps = 256;
+
+ private:
+  struct Block {
+    OpRecord ops[kBlockOps];
+  };
+  using BlockPtr = std::unique_ptr<Block>;
+
+ public:
+  /// The live records in id order: a forward range over the blocks.
+  class OpRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = OpRecord;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const OpRecord*;
+      using reference = const OpRecord&;
+
+      iterator() = default;
+      reference operator*() const { return *p_; }
+      pointer operator->() const { return p_; }
+      iterator& operator++() {
+        // Step into the next block only if there is one: past the last
+        // record of a full last block, p_ is the range's end.
+        if (++p_ == stop_ && blk_ + 1 != last_) {
+          ++blk_;
+          p_ = (*blk_)->ops;
+          stop_ = p_ + kBlockOps;
+        }
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return p_ == o.p_; }
+      bool operator!=(const iterator& o) const { return p_ != o.p_; }
+
+     private:
+      friend class OpRange;
+      iterator(const BlockPtr* blk, const BlockPtr* last, std::size_t i)
+          : p_((*blk)->ops + i),
+            stop_((*blk)->ops + kBlockOps),
+            blk_(blk),
+            last_(last) {}
+      const OpRecord* p_ = nullptr;
+      const OpRecord* stop_ = nullptr;
+      const BlockPtr* blk_ = nullptr;
+      const BlockPtr* last_ = nullptr;
+    };
+    using const_iterator = iterator;
+
+    [[nodiscard]] iterator begin() const { return begin_; }
+    [[nodiscard]] iterator end() const { return end_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+
+   private:
+    friend class History;
+    OpRange(const std::vector<BlockPtr>& blocks, std::size_t first,
+            std::size_t last)
+        : size_(last - first) {
+      if (size_ == 0) return;
+      const BlockPtr* b = blocks.data();
+      const BlockPtr* e = b + blocks.size();
+      begin_ = iterator(b, e, first);
+      // `last` is one past the final record: in the last block, or at the
+      // stop of a full one.
+      end_ = iterator(e - 1, e, last - (blocks.size() - 1) * kBlockOps);
+    }
+    iterator begin_;
+    iterator end_;
+    std::size_t size_ = 0;
+  };
+
   /// Record an invocation; the value of a write may be filled in later (the
   /// tag is chosen mid-operation by two-round-trip writers).
   OpId begin_op(NodeId client, OpKind kind, Time invoke);
@@ -76,12 +164,14 @@ class History {
   void set_value(OpId id, const TaggedValue& value);
 
   /// Live records (the suffix with id >= retired_count(), in id order).
-  [[nodiscard]] const std::vector<OpRecord>& ops() const { return ops_; }
-  /// Logical history length, retired prefix included.
-  [[nodiscard]] std::size_t size() const { return base_ + ops_.size(); }
-  [[nodiscard]] const OpRecord& op(OpId id) const {
-    return ops_.at(static_cast<std::size_t>(id) - base_);
+  [[nodiscard]] OpRange ops() const {
+    return OpRange(blocks_, base_ - block_base_, size_ - block_base_);
   }
+  /// Logical history length, retired prefix included.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// The live record `id`; throws std::out_of_range for a retired or
+  /// unrecorded id.
+  [[nodiscard]] const OpRecord& op(OpId id) const { return live(id); }
 
   [[nodiscard]] std::size_t completed_count() const;
 
@@ -109,14 +199,29 @@ class History {
   /// Number of records retired so far (== id of the first live record).
   [[nodiscard]] std::size_t retired_count() const { return base_; }
 
-  void clear() {
-    ops_.clear();
-    base_ = 0;
+  /// Blocks this history has ever allocated; a warm retiring history
+  /// recycles its blocks and allocates none.
+  [[nodiscard]] std::uint64_t blocks_created() const {
+    return blocks_created_;
   }
 
+  /// Forget every record; the blocks are kept for reuse.
+  void clear();
+
  private:
-  std::vector<OpRecord> ops_;   ///< live suffix; ops_[i].id == base_ + i
-  std::size_t base_ = 0;        ///< count of retired records
+  [[nodiscard]] const OpRecord& live(OpId id) const;
+  [[nodiscard]] OpRecord& live(OpId id) {
+    return const_cast<OpRecord&>(std::as_const(*this).live(id));
+  }
+
+  /// Live blocks in id order; blocks_[i] holds ids block_base_ +
+  /// i * kBlockOps onward.
+  std::vector<BlockPtr> blocks_;
+  std::vector<BlockPtr> spare_;  ///< recycled blocks, reused LIFO
+  std::size_t block_base_ = 0;   ///< id of blocks_[0]'s first record
+  std::size_t base_ = 0;         ///< count of retired records
+  std::size_t size_ = 0;         ///< count of recorded records
+  std::uint64_t blocks_created_ = 0;
   std::vector<HistorySink*> sinks_;
 };
 

@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -25,19 +23,34 @@ CheckResult check_tag_witness(const History& h) {
   }
 
   // (RF): reads return bottom or an actual written value, payload included.
-  std::map<Tag, std::int64_t> written;  // tag -> payload (pending included)
+  // `written` maps tag -> payload over every write, pending included, as a
+  // flat vector sorted by tag; of writes sharing a tag, the last recorded
+  // wins.
+  struct Written {
+    Tag tag;
+    std::int64_t payload;
+  };
+  std::vector<Written> written;
   for (const OpRecord& r : h.ops()) {
-    if (r.kind == OpKind::kWrite) written[r.value.tag] = r.value.payload;
+    if (r.kind == OpKind::kWrite) {
+      written.push_back(Written{r.value.tag, r.value.payload});
+    }
   }
+  const auto by_tag = [](const Written& a, const Written& b) {
+    return a.tag < b.tag;
+  };
+  // Stable, so of writes sharing a tag the last recorded sorts last.
+  std::stable_sort(written.begin(), written.end(), by_tag);
   for (const OpRecord& r : h.ops()) {
     if (r.kind != OpKind::kRead || !r.completed()) continue;
     if (r.value.tag == kBottomTag) continue;
-    auto it = written.find(r.value.tag);
-    if (it == written.end()) {
+    auto it = std::upper_bound(written.begin(), written.end(),
+                               Written{r.value.tag, 0}, by_tag);
+    if (it == written.begin() || !((--it)->tag == r.value.tag)) {
       return CheckResult::bad("read-from: " + describe(r) +
                               " returns a tag never written");
     }
-    if (it->second != r.value.payload) {
+    if (it->payload != r.value.payload) {
       return CheckResult::bad("read-from: " + describe(r) +
                               " returns a payload differing from the write's");
     }
@@ -69,10 +82,13 @@ CheckResult check_tag_witness(const History& h) {
   // Tags of pending writes that some completed read returned: such a write
   // MUST appear in any linearization (it visibly took effect), so it is
   // subject to the same real-time constraints as a completed write.
-  std::set<Tag> read_tags;
+  std::vector<Tag> read_tags;
   for (const OpRecord& r : h.ops()) {
-    if (r.kind == OpKind::kRead && r.completed()) read_tags.insert(r.value.tag);
+    if (r.kind == OpKind::kRead && r.completed()) {
+      read_tags.push_back(r.value.tag);
+    }
   }
+  std::sort(read_tags.begin(), read_tags.end());
 
   Tag max_finished = kBottomTag;
   bool any_finished = false;
@@ -94,7 +110,10 @@ CheckResult check_tag_witness(const History& h) {
       // smaller finished write breaks MWA0 / uniqueness, an equal or greater
       // finished read would have read this write before it was invoked.
       // A pending write constrains the order only if it visibly took effect.
-      if (!op.completed() && read_tags.find(t) == read_tags.end()) continue;
+      if (!op.completed() &&
+          !std::binary_search(read_tags.begin(), read_tags.end(), t)) {
+        continue;
+      }
       if (t <= max_finished) {
         return CheckResult::bad("real-time: " + describe(op) +
                                 " has tag <= earlier finished " +

@@ -28,10 +28,10 @@ ClientTable::ClientTable(Network& net, const ClusterConfig& global,
   next_rpc_.assign(static_cast<std::size_t>(n), 1);
   acks_.assign(static_cast<std::size_t>(n), 0);
   op_.assign(static_cast<std::size_t>(n), -1);
-  wr_payload_.assign(static_cast<std::size_t>(n), 0);
-  acc_tag_.assign(static_cast<std::size_t>(n), Tag{});
-  acc_val_.assign(static_cast<std::size_t>(n), TaggedValue{});
-  local_ts_.assign(static_cast<std::size_t>(n), 0);
+  wr_payload_.assign(static_cast<std::size_t>(w_), 0);
+  acc_tag_.assign(static_cast<std::size_t>(w_), Tag{});
+  local_ts_.assign(static_cast<std::size_t>(w_), 0);
+  acc_val_.assign(static_cast<std::size_t>(r_), TaggedValue{});
   // The Process ctor claimed the first client id; claim the rest.
   for (int s = 1; s < n; ++s) net.attach(slot_node(s), *this);
   if (reader_key_affine()) {
@@ -163,7 +163,7 @@ OpId ClientTable::start_read(int ri, std::uint32_t key) {
   switch (reader_program_) {
     case TableReaderProgram::kAbdTwoRound:
     case TableReaderProgram::kAbdOneRoundMax:
-      acc_val_[s] = TaggedValue{};
+      acc_val_[static_cast<std::size_t>(ri)] = TaggedValue{};
       phase_[s] = 1;
       broadcast(slot, key, kAbdReadReq);
       break;
@@ -242,25 +242,26 @@ void ClientTable::on_reader_reply(int slot, const Frame& m) {
   switch (reader_program_) {
     case TableReaderProgram::kAbdTwoRound:
     case TableReaderProgram::kAbdOneRoundMax: {
+      TaggedValue& acc = acc_val_[static_cast<std::size_t>(ri)];
       if (phase_[s] == 1) {
         const TaggedValue v = decode_value(m.payload);
-        if (v.tag > acc_val_[s].tag) acc_val_[s] = v;
+        if (v.tag > acc.tag) acc = v;
         if (++acks_[s] < kc.quorum()) return;
         ++rounds_done_;
         if (reader_program_ == TableReaderProgram::kAbdOneRoundMax) {
-          complete_read(slot, acc_val_[s]);
+          complete_read(slot, acc);
           return;
         }
         // RT 2: write back ("atomic reads must write").
         phase_[s] = 2;
         ByteWriter& w = out();
-        w.put_value(acc_val_[s]);
+        w.put_value(acc);
         broadcast(slot, key_[s], kAbdWriteReq, w.bytes());
         return;
       }
       if (++acks_[s] < kc.quorum()) return;
       ++rounds_done_;
-      complete_read(slot, acc_val_[s]);
+      complete_read(slot, acc);
       return;
     }
     case TableReaderProgram::kFrFull: {

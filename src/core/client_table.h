@@ -163,10 +163,12 @@ class ClientTable final : public Process {
   std::vector<std::uint64_t> next_rpc_;  ///< per-slot counter, starts at 1
   std::vector<std::int32_t> acks_;
   std::vector<OpId> op_;
+  // ---- one role's state: writers index it by slot (= wi), readers by
+  // ri = slot - w_, so no slot pays for the other role's ----
   std::vector<std::int64_t> wr_payload_;  ///< writers: value being written
   std::vector<Tag> acc_tag_;   ///< writers: RT1 max, then the assigned tag
-  std::vector<TaggedValue> acc_val_;  ///< abd readers: best value so far
   std::vector<std::int64_t> local_ts_;  ///< local-timestamp writers
+  std::vector<TaggedValue> acc_val_;  ///< abd readers: best value so far
   std::vector<std::unique_ptr<FrReaderState>> fr_;  ///< fr readers only
   /// The fr readers' read decision, sized for every key's group.
   FrPicker picker_;

@@ -96,6 +96,13 @@ void Network::send_bytes(NodeId src, NodeId dst, MsgType type,
     ++stats_.from_crashed;
     return;
   }
+  // Same check order as deliver_later: crash, block, then delay sample —
+  // blocked and dropped messages draw no randomness in either engine, and
+  // a dropped one takes no copy.
+  if (crashed(dst)) {
+    ++stats_.to_crashed;
+    return;
+  }
   Frame f;
   f.src = src;
   f.dst = dst;
@@ -105,12 +112,6 @@ void Network::send_bytes(NodeId src, NodeId dst, MsgType type,
   f.payload = bytes;
   if (!opts_.coalesce) {
     deliver_later(pooled_copy(f), sim_.now());
-    return;
-  }
-  // Same check order as deliver_later: crash, block, then delay sample —
-  // blocked and dropped messages draw no randomness in either engine.
-  if (crashed(dst)) {
-    ++stats_.to_crashed;
     return;
   }
   if (link_blocked(src, dst)) {

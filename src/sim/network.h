@@ -294,9 +294,11 @@ class Network {
   static_assert(sizeof(Record) == kRecordHeaderBytes,
                 "a record header is kRecordHeaderBytes");
   /// A lone frame carries its header and payload in its event record: the
-  /// capture (network pointer + LoneInline) fills the simulator's inline
-  /// closure storage exactly, which leaves this many payload bytes. A first
-  /// frame with a larger payload opens its tick's batch instead.
+  /// capture (network pointer + LoneInline, 88 bytes) takes a large
+  /// record, and carries this many payload bytes. A first frame with a
+  /// larger payload opens its tick's batch instead. The large record could
+  /// hold 24 more; a larger budget would let more first frames ride alone
+  /// and so move every lone and batch count (DESIGN.md section 12.1).
   static constexpr std::size_t kLoneInlineBytes = 44;
   struct LoneInline {
     /// Copies f's header and payload; f.payload fits kLoneInlineBytes.
@@ -313,9 +315,9 @@ class Network {
     std::uint32_t len;
     std::uint8_t bytes[kLoneInlineBytes];
   };
-  static_assert(sizeof(Network*) + sizeof(LoneInline) ==
+  static_assert(sizeof(Network*) + sizeof(LoneInline) <=
                     Simulator::kInlineEventBytes,
-                "a lone frame's capture must fill the inline event storage");
+                "a lone frame's capture must fit an event record");
   /// Open-tick table entry, direct-mapped by deliver-time: the tick holds
   /// either a lone frame (its own event is scheduled) or a joinable batch.
   /// Collisions simply evict — the evicted lone frame or batch stays

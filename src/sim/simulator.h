@@ -7,11 +7,15 @@
 //
 // Hot-path layout: the ready queue is a flat binary heap of 16-byte
 // (time, seq·slot) entries; the closures themselves live in slab-allocated
-// event records with inline storage for the common capture sizes (a Message
-// delivery capture fits), so scheduling and executing an event allocates
-// nothing once the slab and heap have warmed up. Closures larger than the
-// inline buffer spill to the heap and are counted in alloc_stats() — the
-// allocation-regression test keeps the steady state at zero.
+// event records of two size classes, picked at compile time from the
+// closure's size: 64-byte records for captures of up to kSmallEventBytes
+// (think timers, batch fires and continuations) and 128-byte records for
+// captures of up to kInlineEventBytes (a lone frame, a per-message
+// delivery). The slot index names the class, so scheduling and executing
+// an event allocates nothing once the slabs and heap have warmed up.
+// Closures larger than kInlineEventBytes spill to the heap and are counted
+// in alloc_stats() — the allocation-regression test keeps the steady state
+// at zero.
 //
 // Heap order compares one unsigned 128-bit rank per entry: the time with
 // its sign bit flipped in the high half, the (seq << 24 | slot) key in the
@@ -44,8 +48,8 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (clamped to now if in the past).
-  /// `fn` is any void() callable; its captures are stored inline in the
-  /// event slab when they fit (kInlineEventBytes), else heap-spilled.
+  /// `fn` is any void() callable; its captures are stored inline in an
+  /// event record of the smallest class they fit, else heap-spilled.
   template <typename Fn>
   void schedule_at(Time t, Fn&& fn) {
     if (t < now_) t = now_;
@@ -87,8 +91,8 @@ class Simulator {
   /// True when the earliest pending event orders strictly before (t, seq)
   /// under the (time, seq) tie-break. O(1): one peek at the heap top.
   [[nodiscard]] bool has_event_before(Time t, std::uint64_t seq) const {
-    if (heap_.empty()) return false;
-    const HeapEntry& top = heap_.front();
+    if (heap_size_ == 0) return false;
+    const HeapEntry& top = heap_[0];
     return top.t != t ? top.t < t : (top.key >> kSlotBits) < seq;
   }
 
@@ -102,38 +106,49 @@ class Simulator {
   /// Events at exactly `deadline` are executed; later events stay queued.
   std::size_t run_until(Time deadline);
 
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] bool idle() const { return heap_size_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return heap_size_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Allocation counters for the engine itself. Steady-state operation —
-  /// after the first events have warmed the slab — performs none: slots and
-  /// heap capacity are recycled. tests/alloc_regression_test.cpp pins this.
+  /// after the first events have warmed the slabs — performs none: slots
+  /// and heap capacity are recycled. tests/alloc_regression_test.cpp pins
+  /// this.
   struct AllocStats {
-    std::uint64_t slab_chunks = 0;  ///< event-record chunks ever allocated
-    std::uint64_t heap_spills = 0;  ///< closures too large for inline storage
+    std::uint64_t small_chunks = 0;  ///< 64-byte-record chunks ever allocated
+    std::uint64_t large_chunks = 0;  ///< 128-byte-record chunks ever allocated
+    std::uint64_t heap_spills = 0;   ///< closures too large for any record
   };
   [[nodiscard]] const AllocStats& alloc_stats() const { return alloc_stats_; }
   /// Total engine allocations (chunks + spills), for regression asserts.
   [[nodiscard]] std::uint64_t allocations() const {
-    return alloc_stats_.slab_chunks + alloc_stats_.heap_spills;
+    return alloc_stats_.small_chunks + alloc_stats_.large_chunks +
+           alloc_stats_.heap_spills;
   }
 
-  /// Inline capture budget: sized so a Network delivery closure
-  /// (Message + send time + network pointer) stays inline.
-  static constexpr std::size_t kInlineEventBytes = 88;
+  /// Capture budget of the small record class: a 64-byte record less its
+  /// 16-byte head. Think timers and batch fires fit.
+  static constexpr std::size_t kSmallEventBytes = 48;
+  /// Capture budget of the large record class, a 128-byte record less its
+  /// head: a Network lone-frame or per-message delivery closure fits.
+  static constexpr std::size_t kInlineEventBytes = 112;
 
  private:
   /// Slot indices share a word with the tie-break sequence: seq lives in
   /// the high bits, so comparing keys orders by seq exactly (sequences are
   /// unique), and the entry stays 16 bytes for cache-friendly sifting.
-  /// 2^24 slots bounds *concurrently pending* events at ~16M — enough for
-  /// 10^6 table-driven clients each holding a think-timer plus an in-flight
-  /// fan-out; 2^40 sequences bounds total events per simulator.
+  /// A slot's top bit is its record class (0: small, 1: large) and the
+  /// bits below index that class's slab, so 2^23 slots per class bound
+  /// *concurrently pending* events at ~8M each — enough for 10^6
+  /// table-driven clients each holding a think-timer plus an in-flight
+  /// fan-out; 2^40 sequences bound total events per simulator.
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr unsigned kClassShift = kSlotBits - 1;
+  static constexpr std::uint32_t kIndexMask = (1u << kClassShift) - 1;
 
   struct HeapEntry {
+    HeapEntry() = default;
     /// Built in place (push_entry): a temporary would be stored as two
     /// 8-byte words and copied with one 16-byte load, which cannot be
     /// forwarded from those stores and so waits for them to retire.
@@ -145,63 +160,81 @@ class Simulator {
     }
   };
 
-  /// Type-erased closure in a fixed slab slot. Records never move (the slab
-  /// grows by whole chunks), so closures are constructed in place and run
-  /// from the same address; no move support is needed. `run` invokes and
-  /// then destroys in one indirect call (the execute hot path); `destroy`
-  /// alone is for events that die unexecuted (~Simulator).
-  struct EventRecord {
-    void (*run)(EventRecord&) = nullptr;
-    void (*destroy)(EventRecord&) = nullptr;
-    void* spill = nullptr;  ///< heap fallback for oversized closures
-    alignas(std::max_align_t) unsigned char storage[kInlineEventBytes];
+  /// An event record is this head, then the closure's captures at
+  /// kCaptureOffset; class c's records are 64 << c bytes. Records never
+  /// move (a slab grows by whole chunks), so closures are constructed in
+  /// place and run from the same address; no move support is needed.
+  /// `run` invokes and then destroys in one indirect call (the execute hot
+  /// path); `destroy` alone is for events that die unexecuted
+  /// (~Simulator) or whose closure threw. A spilled closure's record holds
+  /// only the pointer to it.
+  struct RecordHead {
+    void (*run)(unsigned char* capture);
+    void (*destroy)(unsigned char* capture);
   };
-
-  static constexpr std::size_t kChunkRecords = 256;
-  struct Chunk {
-    EventRecord records[kChunkRecords];
-  };
+  static constexpr std::size_t kCaptureOffset = 16;
+  static_assert(sizeof(RecordHead) <= kCaptureOffset &&
+                    kCaptureOffset % alignof(std::max_align_t) == 0,
+                "captures follow the head, max-aligned");
+  static constexpr std::size_t kChunkRecords = 256;  ///< records per chunk
 
   template <typename F>
   std::uint32_t emplace_closure(F&& fn) {
     using Fn = std::decay_t<F>;
-    const std::uint32_t slot = acquire_slot();
-    EventRecord& rec = record(slot);
-    if constexpr (sizeof(Fn) <= kInlineEventBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(rec.storage)) Fn(std::forward<F>(fn));
-      rec.run = [](EventRecord& r) {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(r.storage));
-        (*f)();
-        f->~Fn();
-      };
-      rec.destroy = [](EventRecord& r) {
-        std::launder(reinterpret_cast<Fn*>(r.storage))->~Fn();
-      };
+    constexpr bool kInline = sizeof(Fn) <= kInlineEventBytes &&
+                             alignof(Fn) <= alignof(std::max_align_t);
+    // A spilled closure's record holds one pointer: a small one.
+    constexpr unsigned kClass = kInline && sizeof(Fn) > kSmallEventBytes;
+    const std::uint32_t slot = acquire_slot(kClass);
+    unsigned char* rec = record(kClass, slot & kIndexMask);
+    unsigned char* cap = rec + kCaptureOffset;
+    if constexpr (kInline) {
+      ::new (static_cast<void*>(cap)) Fn(std::forward<F>(fn));
+      ::new (static_cast<void*>(rec)) RecordHead{
+          [](unsigned char* c) {
+            Fn* f = std::launder(reinterpret_cast<Fn*>(c));
+            (*f)();
+            f->~Fn();
+          },
+          [](unsigned char* c) {
+            std::launder(reinterpret_cast<Fn*>(c))->~Fn();
+          }};
     } else {
-      rec.spill = new Fn(std::forward<F>(fn));
+      ::new (static_cast<void*>(cap)) Fn*(new Fn(std::forward<F>(fn)));
       ++alloc_stats_.heap_spills;
-      rec.run = [](EventRecord& r) {
-        Fn* f = static_cast<Fn*>(r.spill);
-        (*f)();
-        delete f;
-        r.spill = nullptr;
-      };
-      rec.destroy = [](EventRecord& r) {
-        delete static_cast<Fn*>(r.spill);
-        r.spill = nullptr;
-      };
+      ::new (static_cast<void*>(rec)) RecordHead{
+          [](unsigned char* c) {
+            Fn* f = *std::launder(reinterpret_cast<Fn**>(c));
+            (*f)();
+            delete f;
+          },
+          [](unsigned char* c) {
+            delete *std::launder(reinterpret_cast<Fn**>(c));
+          }};
     }
     return slot;
   }
 
-  [[nodiscard]] EventRecord& record(std::uint32_t slot) {
-    return chunks_[slot / kChunkRecords]->records[slot % kChunkRecords];
+  /// Record `i` of class `cls`'s slab: a chunk, then a power-of-two
+  /// stride. emplace_closure passes a compile-time class.
+  [[nodiscard]] unsigned char* record(unsigned cls, std::uint32_t i) {
+    return chunks_[cls][i / kChunkRecords].get() +
+           (static_cast<std::size_t>(i % kChunkRecords) << (6 + cls));
+  }
+  /// The record `slot` names.
+  [[nodiscard]] unsigned char* record(std::uint32_t slot) {
+    return record(slot >> kClassShift, slot & kIndexMask);
+  }
+  [[nodiscard]] static RecordHead& head(unsigned char* rec) {
+    return *std::launder(reinterpret_cast<RecordHead*>(rec));
   }
 
-  std::uint32_t acquire_slot();
+  /// A free slot of record class `cls`, growing its slab by a chunk if none.
+  std::uint32_t acquire_slot(unsigned cls);
   /// Append (t, key) to the heap and sift it up to its place.
   void push_entry(Time t, std::uint64_t key);
+  /// push_entry's cold path: double the heap's capacity, then push.
+  void grow_heap_and_push(Time t, std::uint64_t key);
   void sift_up(std::size_t i);
   void pop_top();
 
@@ -218,9 +251,16 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<HeapEntry> heap_;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<std::uint32_t> free_slots_;
+  /// The heap: heap_size_ live entries in heap_cap_ slots. A plain array,
+  /// so push_entry's fast path is one compare and two stores before the
+  /// sift, and only grow_heap_and_push() reallocates.
+  std::unique_ptr<HeapEntry[]> heap_;
+  std::size_t heap_size_ = 0;
+  std::size_t heap_cap_ = 0;
+  /// Per record class: its chunks (kChunkRecords records each) and free
+  /// slots.
+  std::vector<std::unique_ptr<unsigned char[]>> chunks_[2];
+  std::vector<std::uint32_t> free_slots_[2];
   AllocStats alloc_stats_;
 };
 

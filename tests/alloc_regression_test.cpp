@@ -397,6 +397,7 @@ TEST(AllocRegression, WarmStreamingCheckerHooksAllocateNothing) {
   const AllocCountingSink::Counts warm = sink.allocs;
   const std::size_t retired_records = h.history().retired_count();
   const std::size_t retired_tags = checker.stats().retired_tags;
+  const std::uint64_t history_blocks = h.history().blocks_created();
 
   WorkloadOptions burst;
   burst.ops_per_writer = 100;
@@ -411,15 +412,47 @@ TEST(AllocRegression, WarmStreamingCheckerHooksAllocateNothing) {
   EXPECT_EQ(checker.stats().ops_seen, 4000u);
   EXPECT_GT(checker.stats().retired_tags, retired_tags);
   EXPECT_GT(h.history().retired_count(), retired_records);
+  EXPECT_EQ(h.history().blocks_created(), history_blocks)
+      << "the retiring history created a block after warmup";
   const CheckResult verdict = checker.finish();
   EXPECT_TRUE(verdict.atomic) << verdict.violation;
   h.history().unsubscribe(&sink);
 }
 
+TEST(AllocRegression, WarmRetiringHistoryAllocatesNothing) {
+  // A recorder that retires its settled prefix recycles whole blocks: once
+  // the live window has reached its peak, recording, completing and
+  // retiring a burst of ops makes no operator new call at all. The window
+  // (700 ops) straddles several blocks and retirement lands mid-block.
+  constexpr int kWindow = 700;
+  constexpr int kRetireEvery = 50;
+  History h;
+  int next = 0;
+  auto burst = [&](int ops) {
+    for (int i = 0; i < ops; ++i, ++next) {
+      const OpId id = h.begin_op(next % 16, OpKind::kWrite, next);
+      if (id >= kWindow) {
+        const OpId done = id - kWindow;
+        h.end_op(done, next, TaggedValue{Tag{done + 1, 0}, done});
+        if (next % kRetireEvery == 0) h.retire_prefix(done + 1);
+      }
+    }
+  };
+  burst(5'000);  // warmup: the window and the spare blocks reach their peak
+  const std::uint64_t blocks = h.blocks_created();
+  const std::size_t retired = h.retired_count();
+  const std::uint64_t before = g_operator_news.load();
+  burst(5'000);
+  EXPECT_EQ(g_operator_news.load() - before, 0u);
+  EXPECT_EQ(h.blocks_created(), blocks);
+  EXPECT_GT(h.retired_count(), retired + 4'000);
+  EXPECT_LE(h.ops().size(), static_cast<std::size_t>(kWindow + kRetireEvery));
+}
+
 TEST(AllocRegression, DeliveryClosureFitsTheInlineEventBudget) {
   // The per-hop closure (Network pointer + Message + send time) must stay
-  // inside the simulator's inline storage: a heap spill on the delivery
-  // path would silently reintroduce an allocation per message.
+  // inside the simulator's large event record: a heap spill on the
+  // delivery path would silently reintroduce an allocation per message.
   const Protocol* proto = protocol_by_name("mw-abd(W2R2)");
   ASSERT_NE(proto, nullptr);
   SimHarness::Options o;

@@ -1,9 +1,16 @@
 // Tests for the three atomicity checkers, including cross-validation on
 // randomized histories: the Wing-Gong exhaustive search is ground truth, the
 // unique-value graph checker must agree with it exactly, and a tag-witness
-// pass must imply both.
+// pass must imply both. Also: History's block storage against a reference
+// vector, and the flat batch checks against their node-container forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -291,6 +298,346 @@ TEST_P(CheckerCrossValidation, GraphAgreesWithWingGong) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerCrossValidation,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// ---------- History block storage ----------
+
+void expect_same_record(const OpRecord& got, const OpRecord& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.client, want.client);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.invoke, want.invoke);
+  EXPECT_EQ(got.resp, want.resp);
+  EXPECT_EQ(got.value, want.value);
+}
+
+/// `h` holds exactly the reference records [base, ref.size()): through
+/// ops() iteration, op(id), size() and retired_count(); retired and
+/// unrecorded ids throw.
+void expect_matches(const History& h, const std::vector<OpRecord>& ref,
+                    std::size_t base) {
+  ASSERT_EQ(h.size(), ref.size());
+  ASSERT_EQ(h.retired_count(), base);
+  ASSERT_EQ(h.ops().size(), ref.size() - base);
+  EXPECT_EQ(h.ops().empty(), ref.size() == base);
+  std::size_t i = base;
+  for (const OpRecord& r : h.ops()) {
+    ASSERT_LT(i, ref.size());
+    expect_same_record(r, ref[i++]);
+  }
+  EXPECT_EQ(i, ref.size());
+  for (std::size_t id = base; id < ref.size(); ++id) {
+    expect_same_record(h.op(static_cast<OpId>(id)), ref[id]);
+  }
+  if (base > 0) {
+    EXPECT_THROW((void)h.op(static_cast<OpId>(base - 1)), std::out_of_range);
+  }
+  EXPECT_THROW((void)h.op(static_cast<OpId>(ref.size())), std::out_of_range);
+  EXPECT_THROW((void)h.op(-1), std::out_of_range);
+}
+
+TEST(HistoryBlocks, RetireMidBlockAtABoundaryAndAcrossBlocks) {
+  constexpr auto kB = static_cast<OpId>(History::kBlockOps);
+  History h;
+  std::vector<OpRecord> ref;
+  auto begin = [&](NodeId client, OpKind kind) {
+    OpRecord r;
+    r.id = h.begin_op(client, kind, static_cast<Time>(ref.size()));
+    r.client = client;
+    r.kind = kind;
+    r.invoke = static_cast<Time>(ref.size());
+    ASSERT_EQ(r.id, static_cast<OpId>(ref.size()));
+    ref.push_back(r);
+  };
+  for (OpId i = 0; i < 2 * kB + kB / 2; ++i) {
+    begin(i % 7, i % 3 == 0 ? OpKind::kWrite : OpKind::kRead);
+  }
+  EXPECT_EQ(h.blocks_created(), 3u);
+  expect_matches(h, ref, 0);
+
+  // Values land in the right block, before and after retirement.
+  auto end = [&](OpId id, std::int64_t payload) {
+    const TaggedValue v{Tag{payload, 1}, payload};
+    h.end_op(id, 10'000 + id, v);
+    ref[static_cast<std::size_t>(id)].resp = 10'000 + id;
+    ref[static_cast<std::size_t>(id)].value = v;
+  };
+  auto set = [&](OpId id, std::int64_t payload) {
+    const TaggedValue v{Tag{payload, 2}, payload};
+    h.set_value(id, v);
+    ref[static_cast<std::size_t>(id)].value = v;
+  };
+  end(3, 3);
+  end(kB - 1, 4);
+  end(kB, 5);
+  set(2 * kB + 1, 6);
+
+  h.retire_prefix(kB / 2);  // mid-block
+  expect_matches(h, ref, kB / 2);
+  h.retire_prefix(kB / 4);  // backwards: a no-op
+  expect_matches(h, ref, kB / 2);
+  h.retire_prefix(kB);  // exactly a block boundary
+  expect_matches(h, ref, kB);
+  end(kB + 1, 7);
+  set(2 * kB + 2, 8);
+  h.retire_prefix(2 * kB + 3);  // across a block, into the next
+  expect_matches(h, ref, 2 * kB + 3);
+  end(2 * kB + 3, 9);
+  expect_matches(h, ref, 2 * kB + 3);
+
+  // Retire everything, then keep recording: retired blocks are recycled.
+  h.retire_prefix(static_cast<OpId>(ref.size()) + 50);  // clamps to size()
+  expect_matches(h, ref, ref.size());
+  for (OpId i = 0; i < kB; ++i) begin(i % 5, OpKind::kRead);
+  expect_matches(h, ref, 2 * kB + kB / 2);
+  EXPECT_EQ(h.blocks_created(), 3u) << "a retired block was not reused";
+  end(static_cast<OpId>(ref.size()) - 1, 10);
+  expect_matches(h, ref, 2 * kB + kB / 2);
+
+  h.clear();
+  ref.clear();
+  expect_matches(h, ref, 0);
+  for (OpId i = 0; i < 2 * kB + 1; ++i) begin(i % 5, OpKind::kWrite);
+  expect_matches(h, ref, 0);
+  EXPECT_EQ(h.blocks_created(), 3u) << "clear() dropped its blocks";
+}
+
+TEST(HistoryBlocks, RecordsNeverMoveWhileTheHistoryGrows) {
+  History h;
+  const OpId id = h.begin_op(1, OpKind::kWrite, 0);
+  const OpRecord* first = &h.op(id);
+  for (std::size_t i = 0; i < 5 * History::kBlockOps; ++i) {
+    h.begin_op(2, OpKind::kRead, static_cast<Time>(i + 1));
+  }
+  EXPECT_EQ(&h.op(id), first);
+  EXPECT_EQ(first->id, id);
+}
+
+TEST(HistoryBlocks, RandomOperationsMatchAReferenceVector) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    History h;
+    std::vector<OpRecord> ref;
+    std::size_t base = 0;
+    // Bursts of invocations and slow retirement grow the live window
+    // past several blocks; fast retirement shrinks it to nothing.
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t roll = rng.next_below(100);
+      const std::size_t live = ref.size() - base;
+      if (roll < 45 || live == 0) {
+        OpRecord r;
+        r.client = static_cast<NodeId>(rng.next_below(9));
+        r.kind = rng.next_bool() ? OpKind::kWrite : OpKind::kRead;
+        r.invoke = step;
+        r.id = h.begin_op(r.client, r.kind, r.invoke);
+        ref.push_back(r);
+      } else if (roll < 75) {
+        const auto id = static_cast<OpId>(base + rng.next_below(live));
+        const TaggedValue v{Tag{step, 3}, rng.next_in(-5, 5)};
+        h.end_op(id, step, v);
+        ref[static_cast<std::size_t>(id)].resp = step;
+        ref[static_cast<std::size_t>(id)].value = v;
+      } else if (roll < 85) {
+        const auto id = static_cast<OpId>(base + rng.next_below(live));
+        const TaggedValue v{Tag{step, 4}, step};
+        h.set_value(id, v);
+        ref[static_cast<std::size_t>(id)].value = v;
+      } else {
+        const std::size_t stride =
+            seed % 2 == 0 ? History::kBlockOps * 2 : History::kBlockOps / 3;
+        const std::size_t target = base + rng.next_below(stride);
+        h.retire_prefix(static_cast<OpId>(target));
+        base = std::max(base, std::min(target, ref.size()));
+      }
+      if (step % 97 == 0) expect_matches(h, ref, base);
+    }
+    expect_matches(h, ref, base);
+    // Blocks held at once never exceed the peak window's span plus one at
+    // each end; recycling keeps the total near that, not the horizon.
+    EXPECT_LT(h.blocks_created(), ref.size() / History::kBlockOps)
+        << "seed " << seed;
+  }
+}
+
+// ---------- Flat batch checks against their node-container forms ----------
+//
+// History::well_formed, History::unique_write_tags and check_tag_witness
+// run on sorted flat vectors. These are the std::map / std::set forms they
+// replaced, kept as the oracle: verdicts and violation strings must match
+// on every history, including writes that share a tag (the last recorded
+// write's payload is the one a read must return).
+
+bool node_well_formed(const History& h) {
+  std::map<NodeId, Time> last_resp;
+  for (const OpRecord& r : h.ops()) {
+    if (r.completed() && r.resp < r.invoke) return false;
+    auto it = last_resp.find(r.client);
+    if (it != last_resp.end() && r.invoke < it->second) return false;
+    last_resp[r.client] = r.completed() ? r.resp : kTimeMax;
+  }
+  return true;
+}
+
+bool node_unique_write_tags(const History& h) {
+  std::set<Tag> seen;
+  for (const OpRecord& r : h.ops()) {
+    if (r.kind != OpKind::kWrite || !r.completed()) continue;
+    if (!seen.insert(r.value.tag).second) return false;
+  }
+  return true;
+}
+
+std::string node_describe(const OpRecord& r) {
+  std::ostringstream os;
+  os << (r.kind == OpKind::kWrite ? "write" : "read") << " op#" << r.id
+     << " by client " << r.client << " value " << r.value.to_string();
+  return os.str();
+}
+
+CheckResult node_tag_witness(const History& h) {
+  if (!node_well_formed(h)) {
+    return CheckResult::bad("history is not well-formed");
+  }
+  if (!node_unique_write_tags(h)) {
+    return CheckResult::bad("completed write tags are not unique");
+  }
+  std::map<Tag, std::int64_t> written;
+  for (const OpRecord& r : h.ops()) {
+    if (r.kind == OpKind::kWrite) written[r.value.tag] = r.value.payload;
+  }
+  for (const OpRecord& r : h.ops()) {
+    if (r.kind != OpKind::kRead || !r.completed()) continue;
+    if (r.value.tag == kBottomTag) continue;
+    auto it = written.find(r.value.tag);
+    if (it == written.end()) {
+      return CheckResult::bad("read-from: " + node_describe(r) +
+                              " returns a tag never written");
+    }
+    if (it->second != r.value.payload) {
+      return CheckResult::bad("read-from: " + node_describe(r) +
+                              " returns a payload differing from the write's");
+    }
+  }
+  struct Ev {
+    Time at;
+    bool is_resp;
+    const OpRecord* op;
+  };
+  std::vector<Ev> evs;
+  for (const OpRecord& r : h.ops()) {
+    evs.push_back(Ev{r.invoke, false, &r});
+    if (r.completed()) evs.push_back(Ev{r.resp, true, &r});
+  }
+  std::sort(evs.begin(), evs.end(), [](const Ev& a, const Ev& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.is_resp != b.is_resp) return !a.is_resp;
+    return a.op->id < b.op->id;
+  });
+  std::set<Tag> read_tags;
+  for (const OpRecord& r : h.ops()) {
+    if (r.kind == OpKind::kRead && r.completed()) read_tags.insert(r.value.tag);
+  }
+  Tag max_finished = kBottomTag;
+  bool any_finished = false;
+  const OpRecord* max_holder = nullptr;
+  for (const Ev& ev : evs) {
+    const OpRecord& op = *ev.op;
+    if (ev.is_resp) {
+      if (!any_finished || op.value.tag > max_finished) {
+        max_finished = op.value.tag;
+        max_holder = &op;
+        any_finished = true;
+      }
+      continue;
+    }
+    if (!any_finished) continue;
+    const Tag t = op.value.tag;
+    if (op.kind == OpKind::kWrite) {
+      if (!op.completed() && read_tags.find(t) == read_tags.end()) continue;
+      if (t <= max_finished) {
+        return CheckResult::bad("real-time: " + node_describe(op) +
+                                " has tag <= earlier finished " +
+                                node_describe(*max_holder));
+      }
+    } else {
+      if (!op.completed()) continue;
+      if (t < max_finished) {
+        return CheckResult::bad("real-time: " + node_describe(op) +
+                                " returns a tag older than earlier finished " +
+                                node_describe(*max_holder));
+      }
+    }
+  }
+  return CheckResult::ok();
+}
+
+void expect_flat_matches_node(const History& h) {
+  EXPECT_EQ(h.well_formed(), node_well_formed(h)) << h.to_string();
+  EXPECT_EQ(h.unique_write_tags(), node_unique_write_tags(h))
+      << h.to_string();
+  const CheckResult flat = check_tag_witness(h);
+  const CheckResult node = node_tag_witness(h);
+  EXPECT_EQ(flat.atomic, node.atomic) << h.to_string();
+  EXPECT_EQ(flat.refused, node.refused) << h.to_string();
+  EXPECT_EQ(flat.violation, node.violation) << h.to_string();
+}
+
+TEST(FlatBatchChecks, PendingAndCompletedWritesSharingATagLastRecordedWins) {
+  const Tag t{3, 1};
+  for (const bool pending_last : {false, true}) {
+    for (const std::int64_t read_payload : {7, 8}) {
+      Builder b;
+      if (pending_last) {
+        b.write(0, 10, t, 7);        // completed, recorded first
+        b.write(1, kTimeMax, t, 8);  // pending, same tag, recorded last
+      } else {
+        b.write(1, kTimeMax, t, 7);
+        b.write(0, 10, t, 8);
+      }
+      b.read(20, 30, t, read_payload);
+      expect_flat_matches_node(b.h);
+      // The last recorded write's payload (8) is the one a read may return.
+      EXPECT_EQ(check_tag_witness(b.h).atomic, read_payload == 8)
+          << check_tag_witness(b.h).violation;
+    }
+  }
+}
+
+TEST(FlatBatchChecks, RandomHistoriesMatchTheNodeContainerForms) {
+  // Few clients, few tags and few payloads, so every verdict shows up:
+  // overlapping ops of one client, duplicate completed tags, pending and
+  // completed writes sharing a tag, unknown tags, payload mismatches and
+  // real-time inversions.
+  int verdicts[5] = {};
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    Builder b;
+    const int n = 1 + static_cast<int>(rng.next_below(12));
+    for (int i = 0; i < n; ++i) {
+      const Time s = rng.next_in(0, 40);
+      const Time f = rng.next_bool(0.2) ? kTimeMax : rng.next_in(s, 60);
+      const auto client = static_cast<NodeId>(rng.next_below(6));
+      const Tag tag = rng.next_bool(0.1)
+                          ? kBottomTag
+                          : Tag{rng.next_in(1, 4),
+                                static_cast<NodeId>(rng.next_below(2))};
+      const std::int64_t payload = rng.next_in(0, 2);
+      if (rng.next_bool()) {
+        b.write(s, f, tag, payload, client);
+      } else {
+        b.read(s, f, tag, payload, client);
+      }
+    }
+    expect_flat_matches_node(b.h);
+    const CheckResult node = node_tag_witness(b.h);
+    const std::string& v = node.violation;
+    ++verdicts[node.atomic ? 0
+               : v.rfind("history", 0) == 0 ? 1
+               : v.rfind("completed", 0) == 0 ? 2
+               : v.rfind("read-from", 0) == 0 ? 3
+                                              : 4];
+  }
+  for (int k = 0; k < 5; ++k) EXPECT_GT(verdicts[k], 0) << "verdict " << k;
+}
 
 }  // namespace
 }  // namespace mwreg

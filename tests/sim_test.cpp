@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -143,7 +145,9 @@ TEST(Simulator, SlabRecyclesSlotsSteadyState) {
   const std::uint64_t warm = sim.allocations();
   EXPECT_EQ(sim.run(), 10'000u);
   EXPECT_EQ(sim.allocations(), warm);
-  EXPECT_EQ(sim.alloc_stats().slab_chunks, 1u);
+  // A std::function capture fits the small record class.
+  EXPECT_EQ(sim.alloc_stats().small_chunks, 1u);
+  EXPECT_EQ(sim.alloc_stats().large_chunks, 0u);
 }
 
 TEST(Simulator, OversizedClosuresSpillButStillRun) {
@@ -188,6 +192,113 @@ TEST(Simulator, DestroysUnexecutedEventsCleanly) {
     EXPECT_EQ(token.use_count(), 3);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// ---------- event record classes ----------
+
+/// A closure of exactly N capture bytes (alignment 1), which bumps the
+/// counter whose address its first bytes hold.
+template <std::size_t N>
+struct SizedCapture {
+  unsigned char bytes[N] = {};
+  explicit SizedCapture(int* hits) { std::memcpy(bytes, &hits, sizeof hits); }
+  void operator()() const {
+    int* hits = nullptr;
+    std::memcpy(&hits, bytes, sizeof hits);
+    ++*hits;
+  }
+};
+constexpr std::size_t kSmall = Simulator::kSmallEventBytes;
+constexpr std::size_t kLarge = Simulator::kInlineEventBytes;
+static_assert(sizeof(SizedCapture<kSmall + 1>) == kSmall + 1,
+              "one byte over the small budget");
+
+TEST(SimulatorRecords, CaptureSizePicksTheRecordClass) {
+  Simulator sim;
+  int hits = 0;
+  std::vector<int> order;
+  sim.schedule_at(1, SizedCapture<kSmall>(&hits));  // exactly the budget
+  EXPECT_EQ(sim.alloc_stats().small_chunks, 1u);
+  EXPECT_EQ(sim.alloc_stats().large_chunks, 0u);
+  sim.schedule_at(1, SizedCapture<kSmall + 1>(&hits));  // one byte more
+  EXPECT_EQ(sim.alloc_stats().small_chunks, 1u);
+  EXPECT_EQ(sim.alloc_stats().large_chunks, 1u);
+  sim.schedule_at(1, SizedCapture<kLarge>(&hits));
+  EXPECT_EQ(sim.alloc_stats().large_chunks, 1u);
+  EXPECT_EQ(sim.alloc_stats().heap_spills, 0u);
+  // Past the large budget the closure spills; its record holds the pointer.
+  sim.schedule_at(1, SizedCapture<kLarge + 1>(&hits));
+  EXPECT_EQ(sim.alloc_stats().heap_spills, 1u);
+  EXPECT_EQ(sim.alloc_stats().small_chunks, 1u);
+  EXPECT_EQ(sim.alloc_stats().large_chunks, 1u);
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(hits, 4);
+
+  // Mixed classes keep (time, seq) order, and a second round of the same
+  // mix reuses the first round's slots in each class.
+  auto mix = [&sim, &order] {
+    for (int i = 0; i < 600; ++i) {
+      const int t = 100 - i % 7;
+      if (i % 2 == 0) {
+        sim.schedule_after(t, [&order, i] { order.push_back(i); });
+      } else {
+        const std::array<char, kSmall> pad{};
+        sim.schedule_after(t, [&order, i, pad] { order.push_back(i + pad[0]); });
+      }
+    }
+  };
+  std::vector<int> want(600);
+  for (int i = 0; i < 600; ++i) want[static_cast<std::size_t>(i)] = i;
+  std::stable_sort(want.begin(), want.end(),
+                   [](int a, int b) { return 100 - a % 7 < 100 - b % 7; });
+  mix();
+  sim.run();
+  EXPECT_EQ(order, want);
+  const std::uint64_t grown = sim.allocations();
+  order.clear();
+  mix();
+  sim.run();
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.allocations(), grown) << "a recycled slot was not reused";
+}
+
+TEST(SimulatorRecords, UnexecutedEventsOfEveryClassAreDestroyed) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    const std::array<char, kSmall> pad{};
+    const std::array<char, kLarge + 1> huge{};
+    sim.schedule_at(10, [token] { (void)*token; });
+    sim.schedule_at(20, [token, pad] { (void)*token, (void)pad; });
+    sim.schedule_at(30, [token, huge] { (void)*token, (void)huge; });
+    EXPECT_EQ(sim.alloc_stats().small_chunks, 1u);
+    EXPECT_EQ(sim.alloc_stats().large_chunks, 1u);
+    EXPECT_EQ(sim.alloc_stats().heap_spills, 1u);
+    EXPECT_EQ(token.use_count(), 4);
+    EXPECT_EQ(sim.run_until(5), 0u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimulatorRecords, AThrowingClosureFreesItsSlotInEitherClass) {
+  // Each cycle schedules one throwing closure and steps it. Were its slot
+  // not freed, 1,000 cycles would need several chunks of its class.
+  Simulator sim;
+  auto token = std::make_shared<int>(1);
+  const std::array<char, kSmall> pad{};
+  for (int i = 0; i < 1000; ++i) {
+    sim.schedule_after(1, [token] { throw std::runtime_error("small"); });
+    EXPECT_THROW(sim.step(), std::runtime_error);
+    sim.schedule_after(1, [token, pad] {
+      (void)pad;
+      throw std::runtime_error("large");
+    });
+    EXPECT_THROW(sim.step(), std::runtime_error);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "a thrown closure was not destroyed";
+  EXPECT_EQ(sim.alloc_stats().small_chunks, 1u);
+  EXPECT_EQ(sim.alloc_stats().large_chunks, 1u);
+  EXPECT_TRUE(sim.idle());
 }
 
 // ---------- heap order oracle ----------
@@ -1407,6 +1518,50 @@ TEST(NetworkContract, HookFaultMutationsAreRefusedInEveryLane) {
       }
     }
   }
+}
+
+TEST(Network, SendToACrashedNodeTakesNoCopyInEitherLane) {
+  // The destination-crash check runs before the payload is copied, so in
+  // the per-message lane too a dropped message costs no pool buffer; it
+  // draws no delay either, so the first delivery after recovery lands
+  // where it would have with no drops at all.
+  struct Probe {
+    NetworkStats stats;
+    std::uint64_t acquired = 0;
+    Time first_delivery = -1;
+  };
+  auto probe = [](bool coalesce, int drops) {
+    Simulator sim;
+    Network net(sim, std::make_unique<UniformDelay>(1, 1000), Rng(3),
+                Network::Options{false, coalesce, 1});
+    Recorder b(1, net);
+    const std::vector<std::uint8_t> bytes(16, 0xab);
+    net.crash(1);
+    for (int i = 0; i < drops; ++i) {
+      net.send_bytes(0, 1, 7, 0, static_cast<std::uint64_t>(i),
+                     ByteSpan(bytes));
+    }
+    sim.run();
+    Probe p;
+    p.stats = net.stats();
+    p.acquired = net.pool().stats().acquired;
+    net.recover(1);
+    net.send_bytes(0, 1, 8, 0, 0, ByteSpan(bytes));
+    sim.run();
+    EXPECT_EQ(b.times.size(), 1u);
+    if (!b.times.empty()) p.first_delivery = b.times[0];
+    return p;
+  };
+  const Probe per_message = probe(false, 1000);
+  const Probe batched = probe(true, 1000);
+  for (const Probe& p : {per_message, batched}) {
+    EXPECT_EQ(p.stats.sent, 1000u);
+    EXPECT_EQ(p.stats.to_crashed, 1000u);
+    EXPECT_EQ(p.acquired, 0u);
+  }
+  EXPECT_EQ(stats_fields(per_message.stats), stats_fields(batched.stats));
+  EXPECT_EQ(per_message.first_delivery, batched.first_delivery);
+  EXPECT_EQ(per_message.first_delivery, probe(false, 0).first_delivery);
 }
 
 // ---------- Delay models ----------
