@@ -554,7 +554,8 @@ Row million_row(int clients, bool coalesce) {
     reads.insert(reads.end(), kr.begin(), kr.end());
   }
   // What the run's high-water structures hold: event-record chunks per
-  // record class and the key histories' blocks.
+  // record class, the key histories' blocks, and the batch chunks with the
+  // number of records that needed the wide header.
   std::uint64_t history_blocks = 0;
   for (int k = 0; k < h.num_keys(); ++k) {
     history_blocks += h.key_history(k).blocks_created();
@@ -573,7 +574,9 @@ Row million_row(int clients, bool coalesce) {
              field("per_key_read_p99_max_ms", per_key_read_p99_max),
              field("small_record_chunks", slab.small_chunks),
              field("large_record_chunks", slab.large_chunks),
-             field("history_blocks", history_blocks)};
+             field("history_blocks", history_blocks),
+             field("batch_chunks", h.net().storage_stats().chunks),
+             field("wide_records", h.net().storage_stats().wide)};
   r.probe(row);
   return row;
 }

@@ -85,7 +85,8 @@ SPEC = Section(None, dict(
              wall_ms=REPORT, events_per_sec=HOST, write_p99_ms=EXACT,
              read_p99_ms=EXACT, per_key_read_p99_max_ms=EXACT,
              small_record_chunks=EXACT, large_record_chunks=EXACT,
-             history_blocks=EXACT, **STEADY)),
+             history_blocks=EXACT, batch_chunks=EXACT, wide_records=EXACT,
+             **STEADY)),
     checked_soak=Section(None, dict(
         workload=EXACT, protocol=EXACT, keyspace=EXACT, clients=EXACT,
         ops_per_client=EXACT, ops_checked=(">=", 10**6),
@@ -454,6 +455,10 @@ CASES = MALFORMED + [
     ("small-record-chunks-moved", 1,
      edit("million_client.0.small_record_chunks", 2),
      "million_client/mw/100000/10/false.small_record_chunks: 2 != baseline 1"),
+    ("batch-chunks-moved", 1, edit("million_client.1.batch_chunks", 2),
+     "million_client/mw/100000/10/true.batch_chunks: 2 != baseline 1"),
+    ("wide-records-moved", 1, edit("million_client.1.wide_records", 5),
+     "million_client/mw/100000/10/true.wide_records: 5 != baseline 1"),
     ("coalesced-million-drop", 1,
      edit("million_client.1.events_per_sec", x(0.5)),
      "million_client/mw/100000/10/true.events_per_sec:"),

@@ -53,7 +53,7 @@ SimHarness::SimHarness(const Protocol& proto, Options opts)
     for (int j = 0; j < num_shards; ++j) {
       for (int i = 0; i < servers_per_group; ++i) {
         const NodeId id = static_cast<NodeId>(j * servers_per_group + i);
-        auto router = std::make_unique<KeyRouter>(id, *net_, num_shards);
+        auto router = std::make_unique<KeyRouter>(id, *net_, j, num_shards);
         for (int k = j; k < nk; k += num_shards) {
           router->add_replica(
               proto.make_server(id, *net_, key_cfgs_[static_cast<std::size_t>(k)]));

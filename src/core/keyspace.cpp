@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace mwreg {
 
@@ -61,6 +62,14 @@ std::vector<ClusterConfig> key_clusters(const ClusterConfig& cfg,
     out.push_back(kc);
   }
   return out;
+}
+
+void KeyRouter::refuse_key(std::uint32_t key) const {
+  throw std::logic_error(
+      "KeyRouter " + std::to_string(id()) + " (shard " +
+      std::to_string(shard_) + " of " + std::to_string(shards_) + ", " +
+      std::to_string(replicas_.size()) + " replicas) does not host key " +
+      std::to_string(key));
 }
 
 }  // namespace mwreg

@@ -90,11 +90,12 @@ class ZipfSampler {
 /// key on its shard and dispatches incoming requests on Frame::key.
 /// Replicas are constructed with this router's node id (their replies carry
 /// the right src); the router re-claims the network slot after each one so
-/// deliveries land here first.
+/// deliveries land here first. A frame whose key this shard does not host,
+/// or that no replica holds, throws std::logic_error in every build.
 class KeyRouter final : public Process {
  public:
-  KeyRouter(NodeId id, Network& net, int shards)
-      : Process(id, net), shards_(shards) {}
+  KeyRouter(NodeId id, Network& net, int shard, int shards)
+      : Process(id, net), shard_(shard), shards_(shards) {}
 
   /// Add the replica for the next key on this shard (call in increasing
   /// key order: keys j, j+shards, j+2*shards, ... for shard j).
@@ -105,7 +106,7 @@ class KeyRouter final : public Process {
   }
 
   void on_message(const Frame& m) override {
-    replica_of(m.key).on_message(m);
+    replicas_[replica_index(m.key)]->on_message(m);
   }
 
   /// Batched delivery: forward maximal same-replica runs as subspans, so a
@@ -114,16 +115,9 @@ class KeyRouter final : public Process {
   void on_deliver_batch(FrameSpan frames) override {
     std::size_t i = 0;
     while (i < frames.size()) {
-      const std::size_t rep =
-          static_cast<std::size_t>(frames[i].key) /
-          static_cast<std::size_t>(shards_);
+      const std::size_t rep = replica_index(frames[i].key);
       std::size_t j = i + 1;
-      while (j < frames.size() &&
-             static_cast<std::size_t>(frames[j].key) /
-                     static_cast<std::size_t>(shards_) ==
-                 rep) {
-        ++j;
-      }
+      while (j < frames.size() && replica_index(frames[j].key) == rep) ++j;
       replicas_[rep]->on_deliver_batch(frames.subspan(i, j - i));
       i = j;
     }
@@ -132,11 +126,20 @@ class KeyRouter final : public Process {
   [[nodiscard]] std::size_t num_replicas() const { return replicas_.size(); }
 
  private:
-  [[nodiscard]] Process& replica_of(std::uint32_t key) const {
-    return *replicas_[static_cast<std::size_t>(key) /
-                      static_cast<std::size_t>(shards_)];
+  /// The index of `key`'s replica; throws if this router does not host it.
+  /// The quotient and remainder come from one division.
+  [[nodiscard]] std::size_t replica_index(std::uint32_t key) const {
+    const std::uint32_t shards = static_cast<std::uint32_t>(shards_);
+    const std::uint32_t rep = key / shards;
+    if (key % shards != static_cast<std::uint32_t>(shard_) ||
+        rep >= replicas_.size()) {
+      refuse_key(key);
+    }
+    return rep;
   }
+  [[noreturn]] void refuse_key(std::uint32_t key) const;
 
+  int shard_;
   int shards_;
   std::vector<std::unique_ptr<Process>> replicas_;
 };

@@ -240,6 +240,22 @@ bool merge_partials(const std::vector<Partial>& partials,
                     "mismatch) — refusing to merge shards of different runs");
     }
   }
+  // total_trials is read from a file: size nothing by it until the records
+  // actually present account for every trial. Once they do, each index
+  // below is in range and seen once exactly when all are present.
+  std::uint64_t records = 0;
+  for (const Partial& p : partials) records += p.results.size();
+  if (records < first.total_trials) {
+    return refuse(error, std::to_string(first.total_trials - records) +
+                             " of " + std::to_string(first.total_trials) +
+                             " trials missing — is a shard's partial absent?");
+  }
+  if (records > first.total_trials) {
+    return refuse(error, std::to_string(records) + " trial records for " +
+                             std::to_string(first.total_trials) +
+                             " trials — a trial appears in more than one "
+                             "partial");
+  }
   // Slot-indexed scatter: expansion order is restored no matter the order
   // the partials arrive in (merge is order-independent by construction).
   std::vector<TrialResult> merged(first.total_trials);
@@ -259,13 +275,6 @@ bool merge_partials(const std::vector<Partial>& partials,
       seen[tr.trial_index] = true;
       merged[tr.trial_index] = tr;
     }
-  }
-  std::uint64_t missing = 0;
-  for (bool s : seen) missing += !s;
-  if (missing > 0) {
-    return refuse(error, std::to_string(missing) + " of " +
-                             std::to_string(first.total_trials) +
-                             " trials missing — is a shard's partial absent?");
   }
   *out = std::move(merged);
   return true;

@@ -88,6 +88,8 @@ bool load_partial(const std::string& path, Partial* out, std::string* error);
 /// *error on: empty input, meta disagreement (name / total / expansion
 /// digest), a trial index out of range or claimed twice, or missing trials
 /// (an incomplete shard set must not quietly render a thinner report).
+/// The claimed total sizes nothing until the partials' record counts sum
+/// to it, so a hostile claim is refused before any allocation.
 bool merge_partials(const std::vector<Partial>& partials,
                     std::vector<TrialResult>* out, std::string* error);
 

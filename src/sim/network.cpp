@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -33,12 +34,117 @@ Frame frame_of(const Message& m) {
   return f;
 }
 
-/// Bytes a record of an `len`-byte payload takes: header, then the
-/// payload padded so the next record's header stays 8-byte aligned.
-std::uint32_t record_bytes(std::size_t len) {
-  return static_cast<std::uint32_t>(Network::kRecordHeaderBytes +
-                                    ((len + 7) & ~std::size_t{7}));
+/// Bytes a record of an `len`-byte payload under a `header`-byte header
+/// takes: the header, then the payload padded to 4 bytes, the alignment
+/// of a compact header.
+std::uint32_t record_bytes(std::size_t header, std::size_t len) {
+  return static_cast<std::uint32_t>(header + ((len + 3) & ~std::size_t{3}));
 }
+
+/// A batched frame's header, either form, followed by its payload padded
+/// to 4. Both forms open with a word whose bit 0 is kWideFlag. A record
+/// starts only 4-byte aligned: a compact header (4-byte fields) lives in
+/// place, a wide one is copied in and out.
+constexpr std::uint32_t kWideFlag = 1;
+
+/// The header of a frame whose fields all fit: `word` packs the length
+/// (bits 1-12), type (13-20) and key (21-31) over a clear flag bit.
+struct CompactHeader {
+  std::uint32_t word;
+  std::uint32_t seq_off;  ///< sequence less the batch's first
+  NodeId src;
+  NodeId dst;
+  std::uint32_t rpc_id;
+  std::uint32_t delay;    ///< deliver time less send time
+};
+static_assert(sizeof(CompactHeader) == Network::kCompactHeaderBytes,
+              "a compact header is kCompactHeaderBytes");
+
+/// Every other frame's header: `word` is kWideFlag, and each field has its
+/// full width.
+struct WideHeader {
+  std::uint32_t word;
+  std::uint32_t len;
+  std::uint64_t seq;  ///< reserved simulator sequence of this frame
+  Time sent;          ///< original send time (delivery hooks)
+  std::uint64_t rpc_id;
+  NodeId src;
+  NodeId dst;
+  MsgType type;
+  std::uint32_t key;
+};
+static_assert(sizeof(WideHeader) == Network::kWideHeaderBytes,
+              "a wide header is kWideHeaderBytes");
+
+/// A record in a batch's chunk, read in place under either header form.
+/// Each accessor loads only the fields it needs, straight from the chunk.
+class RecordRef {
+ public:
+  explicit RecordRef(const std::uint8_t* p) : p_(p) {
+    std::memcpy(&word_, p, sizeof word_);
+  }
+
+  [[nodiscard]] NodeId dst() const {
+    return wide() ? wide_field<NodeId>(offsetof(WideHeader, dst))
+                  : compact().dst;
+  }
+  /// The frame's reserved sequence, in a batch whose first is `base`.
+  [[nodiscard]] std::uint64_t seq(std::uint64_t base) const {
+    return wide() ? wide_field<std::uint64_t>(offsetof(WideHeader, seq))
+                  : base + compact().seq_off;
+  }
+  /// The frame's send time, in a batch delivered at `at`.
+  [[nodiscard]] Time sent(Time at) const {
+    return wide() ? wide_field<Time>(offsetof(WideHeader, sent))
+                  : at - compact().delay;
+  }
+  /// Header plus padded payload.
+  [[nodiscard]] std::uint32_t size() const {
+    return record_bytes(header_bytes(), len());
+  }
+  /// Fill `f` with the frame, its payload viewing the record's own bytes.
+  void frame(Frame& f) const {
+    if (wide()) {
+      WideHeader h;
+      std::memcpy(&h, p_, sizeof h);
+      f.src = h.src;
+      f.dst = h.dst;
+      f.type = h.type;
+      f.key = h.key;
+      f.rpc_id = h.rpc_id;
+    } else {
+      const CompactHeader& h = compact();
+      f.src = h.src;
+      f.dst = h.dst;
+      f.type = (word_ >> 13) & Network::kCompactMaxType;
+      f.key = word_ >> 21;
+      f.rpc_id = h.rpc_id;
+    }
+    f.payload = ByteSpan(p_ + header_bytes(), len());
+  }
+
+ private:
+  [[nodiscard]] bool wide() const { return (word_ & kWideFlag) != 0; }
+  [[nodiscard]] std::size_t header_bytes() const {
+    return wide() ? sizeof(WideHeader) : sizeof(CompactHeader);
+  }
+  [[nodiscard]] std::uint32_t len() const {
+    return wide() ? wide_field<std::uint32_t>(offsetof(WideHeader, len))
+                  : (word_ >> 1) & Network::kCompactMaxLen;
+  }
+  [[nodiscard]] const CompactHeader& compact() const {
+    return *std::launder(reinterpret_cast<const CompactHeader*>(p_));
+  }
+  template <typename T>
+  [[nodiscard]] T wide_field(std::size_t offset) const {
+    T v;
+    std::memcpy(&v, p_ + offset, sizeof v);
+    return v;
+  }
+
+  const std::uint8_t* p_;
+  std::uint32_t word_;
+};
 
 int span_bucket(std::size_t n) {
   int b = 0;
@@ -251,19 +357,6 @@ Frame Network::LoneInline::frame() const {
   return f;
 }
 
-Frame Network::Record::frame() const {
-  Frame f;
-  f.src = src;
-  f.dst = dst;
-  f.type = type;
-  f.key = key;
-  f.rpc_id = rpc_id;
-  f.payload = ByteSpan(reinterpret_cast<const std::uint8_t*>(this) +
-                           sizeof(Record),
-                       len);
-  return f;
-}
-
 Network::OpenEntry& Network::open_entry(Time at) {
   return open_tab_[open_hash(at) & (open_tab_.size() - 1)];
 }
@@ -322,7 +415,24 @@ void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
   // regardless of which batch it rides in.
   const std::uint64_t seq = sim_.reserve_seq();
   ++coalesce_stats_.enqueued;
-  const std::uint32_t need = record_bytes(f.payload.size());
+  if (oe.head != nullptr && seq - oe.base > kCompactMaxSeqOffset) {
+    // A compact header could not hold this frame's offset from the batch's
+    // first sequence. Evict the batch, saving its cursor, as a collision
+    // would, and open a fresh one for the tick: every sequence the evicted
+    // batch holds precedes this frame's, so it still drains first.
+    oe.tail->used = oe.off;
+    oe.head = nullptr;
+  }
+  const auto len = static_cast<std::uint32_t>(f.payload.size());
+  const Duration delay = oe.at - sent;
+  // Wide when any field is past its compact width, a negative delay
+  // included; `|`, not `||`, so the tests cost no branches.
+  const bool wide =
+      ((f.rpc_id | static_cast<std::uint64_t>(delay)) > 0xFFFFFFFFu) |
+      (f.payload.size() > kCompactMaxLen) | (f.type > kCompactMaxType) |
+      (f.key > kCompactMaxKey);
+  const std::size_t header = wide ? kWideHeaderBytes : kCompactHeaderBytes;
+  const std::uint32_t need = record_bytes(header, len);
   if (oe.head == nullptr) {
     // The tick's second frame, or a first one too large to ride alone:
     // open the batch at this frame's sequence. A lone frame keeps its own,
@@ -330,16 +440,20 @@ void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
     Chunk* head = acquire_chunk(need);
     oe.head = head;
     oe.tail = head;
+    oe.base = seq;
     oe.off = 0;
-    sim_.schedule_at_seq(oe.at, seq, [this, at = oe.at, head] {
+    auto fire = [this, at = oe.at, head, seq] {
       // Leave the open table (if the entry is still this batch's: eviction
       // may have reused it, even for this tick), so same-tick sends from
       // handlers ride alone or open a fresh batch instead of appending to
       // one that is already draining.
       close_entry(at, head);
       ++coalesce_stats_.batches;
-      drain(at, head, 0);
-    });
+      drain(at, head, 0, seq);
+    };
+    static_assert(sizeof(fire) <= Simulator::kSmallEventBytes,
+                  "a batch's first fire takes a small event record");
+    sim_.schedule_at_seq(oe.at, seq, std::move(fire));
   } else if (oe.off + need > kChunkRecordBytes) {
     // The record does not fit the tail: continue in a fresh chunk (or a
     // block). A block tail's offset already exceeds kChunkRecordBytes, so
@@ -352,31 +466,41 @@ void Network::enqueue_frame(OpenEntry& oe, const Frame& f, Time sent) {
     ++storage_.spills;
   }
   std::uint8_t* w = oe.tail->data() + oe.off;
-  const auto len = static_cast<std::uint32_t>(f.payload.size());
-  ::new (static_cast<void*>(w))
-      Record{seq, sent, f.rpc_id, f.src, f.dst, f.type, f.key, len};
-  if (len > 0) std::memcpy(w + sizeof(Record), f.payload.data(), len);
+  if (wide) {
+    const WideHeader h{kWideFlag, len,   seq,    sent, f.rpc_id,
+                       f.src,     f.dst, f.type, f.key};
+    std::memcpy(w, &h, sizeof h);
+    ++storage_.wide;
+  } else {
+    // Built in place, field by field: a stack copy would be stored in
+    // 4-byte words and reloaded in 16, which store forwarding cannot serve.
+    ::new (static_cast<void*>(w))
+        CompactHeader{(len << 1) | (f.type << 13) | (f.key << 21),
+                      static_cast<std::uint32_t>(seq - oe.base),
+                      f.src,
+                      f.dst,
+                      static_cast<std::uint32_t>(f.rpc_id),
+                      static_cast<std::uint32_t>(delay)};
+  }
+  if (len > 0) std::memcpy(w + header, f.payload.data(), len);
   oe.off += need;
 }
 
-void Network::drain(Time at, Chunk* c, std::uint32_t off) {
+void Network::drain(Time at, Chunk* c, std::uint32_t off, std::uint64_t base) {
   // (c, off) is the read cursor. Past a record it steps into the next
   // chunk when its own is done, so off < c->used until the batch is
   // drained. `keep` is the first chunk a frame still to be dispatched can
   // point into; the chunks before it go back to the pool.
   Chunk* keep = c;
-  auto record = [&c, &off] {
-    return std::launder(reinterpret_cast<const Record*>(c->data() + off));
-  };
-  auto advance = [&c, &off](const Record* r) {
-    off += record_bytes(r->len);
+  auto advance = [&c, &off](const RecordRef& r) {
+    off += r.size();
     if (off == c->used && c->next != nullptr) {
       c = c->next;
       off = 0;
     }
   };
   while (off < c->used) {
-    const Record* r = record();
+    RecordRef r(c->data() + off);
     // Yield whenever an intermediate event — a timer, a fault-plan step, an
     // evicted sibling batch or lone frame — orders before the next frame's
     // (time, seq); the remainder reschedules at that frame's reserved
@@ -384,26 +508,31 @@ void Network::drain(Time at, Chunk* c, std::uint32_t off) {
     // tick's records are in ascending sequence order by construction, so
     // no event enqueued during this drain (its sequence is above every
     // frame here) can ever force a yield.
-    if (sim_.has_event_before(at, r->seq)) {
+    const std::uint64_t seq = r.seq(base);
+    if (sim_.has_event_before(at, seq)) {
       ++coalesce_stats_.continuations;
-      sim_.schedule_at_seq(at, r->seq,
-                           [this, at, c, off] { drain(at, c, off); });
+      auto resume = [this, at, c, base, off] { drain(at, c, off, base); };
+      static_assert(sizeof(resume) <= Simulator::kSmallEventBytes,
+                    "a continuation takes a small event record");
+      sim_.schedule_at_seq(at, seq, std::move(resume));
       return;
     }
-    const NodeId dst = r->dst;
+    const NodeId dst = r.dst();
     Process* p = static_cast<std::size_t>(dst) < procs_.size()
                      ? procs_[static_cast<std::size_t>(dst)]
                      : nullptr;
     if (num_crashed_ == 0 && num_blocked_ == 0 && !hook_) {
       // Fast path: no fault is active, so every frame up to the next
-      // destination switch or intermediate event delivers as one run.
+      // destination switch or intermediate event delivers as one run. Each
+      // frame is decoded straight into the run array.
       run_.clear();
-      do {
-        run_.push_back(r->frame());
+      for (;;) {
+        r.frame(run_.emplace_back());
         advance(r);
-        r = off < c->used ? record() : nullptr;
-      } while (r != nullptr && r->dst == dst &&
-               !sim_.has_event_before(at, r->seq));
+        if (off >= c->used) break;
+        r = RecordRef(c->data() + off);
+        if (r.dst() != dst || sim_.has_event_before(at, r.seq(base))) break;
+      }
       const std::size_t len = run_.size();
       if (p != nullptr) {
         stats_.delivered += len;
@@ -418,8 +547,9 @@ void Network::drain(Time at, Chunk* c, std::uint32_t off) {
     } else {
       // Slow path: re-check fault state frame by frame, same order as the
       // per-message engine (crash check, then block check, then delivery).
-      const Frame f = r->frame();
-      const Time sent = r->sent;
+      Frame f;
+      r.frame(f);
+      const Time sent = r.sent(at);
       advance(r);
       if (crashed(dst)) {
         ++stats_.to_crashed;

@@ -45,8 +45,13 @@
 //
 // Batch storage. A batched frame is one record (sequence, send time,
 // header, length, payload) appended to its batch's list of fixed-size
-// chunks (kChunkBytes). A record never crosses a chunk boundary; one too
-// large for a chunk gets a block of its own. Chunks and blocks come from
+// chunks (kChunkBytes). Its header takes one of two forms: a 24-byte
+// compact one whenever the frame's fields fit it (sequence as an offset
+// from the batch's first, delay instead of send time, 32-bit rpc id, and
+// length, type and key packed into one word), else a 48-byte wide one with
+// every field at full width; bit 0 of the first word names the form. A
+// record never crosses a chunk boundary; one too large for a chunk gets a
+// block of its own, under either header. Chunks and blocks come from
 // one per-network pool and go back to it LIFO as soon as the drain has
 // dispatched every frame they hold, so the next batch to grow usually
 // writes into memory a drain has just read. The open-tick entry holds
@@ -57,8 +62,9 @@
 // in what order (DESIGN.md section 8.3).
 //
 // A batch is its delivery event: there is no batch object. The first-fire
-// closure holds the tick and the batch's head chunk, a continuation the
-// tick and the (chunk, offset) it resumes at, and an open-tick entry names
+// closure holds the tick, the batch's head chunk and its first sequence
+// (the base compact records count from), a continuation the tick, the
+// (chunk, offset) it resumes at and the base, and an open-tick entry names
 // its batch by the head chunk, which no other batch can hold until this
 // one has fired and drained it.
 //
@@ -155,6 +161,7 @@ struct BatchStorageStats {
   std::uint64_t chunks = 0;   ///< kChunkBytes chunks created
   std::uint64_t blocks = 0;   ///< blocks created for oversized records
   std::uint64_t spills = 0;   ///< appends that continued a batch in a new chunk
+  std::uint64_t wide = 0;     ///< records stored with the wide header
 };
 
 /// Network::Options. Declared outside the class so that its member
@@ -254,14 +261,27 @@ class Network {
   }
 
   /// Batch storage geometry. A pooled chunk is kChunkBytes: a 16-byte
-  /// header, then kChunkRecordBytes of records. A record is a
-  /// kRecordHeaderBytes header, then its payload padded to 8 bytes.
+  /// header, then kChunkRecordBytes of records. A record is a compact or a
+  /// wide header, then its payload padded to 4 bytes.
   static constexpr std::size_t kChunkBytes = 1024;
   static constexpr std::size_t kChunkRecordBytes = kChunkBytes - 16;
-  static constexpr std::size_t kRecordHeaderBytes = 48;
-  /// Largest payload whose record fits a chunk; a larger one gets a block.
-  static constexpr std::size_t kChunkPayloadBytes =
-      kChunkRecordBytes - kRecordHeaderBytes;
+  static constexpr std::size_t kCompactHeaderBytes = 24;
+  static constexpr std::size_t kWideHeaderBytes = 48;
+  /// Largest payload whose record fits a chunk, per header form; a larger
+  /// one gets a block.
+  static constexpr std::size_t kChunkCompactPayloadBytes =
+      kChunkRecordBytes - kCompactHeaderBytes;
+  static constexpr std::size_t kChunkWidePayloadBytes =
+      kChunkRecordBytes - kWideHeaderBytes;
+  /// The largest length, type, key and sequence offset (from the batch's
+  /// first) a compact header holds; rpc ids and delays (deliver time less
+  /// send time) get 32 bits. A frame past any of these widths takes the
+  /// wide header, except that one past the sequence offset opens a fresh
+  /// batch for its tick instead (DESIGN.md section 8.3).
+  static constexpr std::size_t kCompactMaxLen = (1u << 12) - 1;
+  static constexpr MsgType kCompactMaxType = (1u << 8) - 1;
+  static constexpr std::uint32_t kCompactMaxKey = (1u << 11) - 1;
+  static constexpr std::uint64_t kCompactMaxSeqOffset = 0xFFFFFFFFu;
 
  private:
   /// A pooled chunk or an oversized block: this header, then records.
@@ -277,22 +297,6 @@ class Network {
   };
   static_assert(sizeof(Chunk) + kChunkRecordBytes == kChunkBytes,
                 "a chunk's header is 16 bytes");
-  /// One batched frame, followed by `len` payload bytes padded to 8.
-  struct Record {
-    /// The frame, viewing the payload bytes that follow this header.
-    [[nodiscard]] Frame frame() const;
-
-    std::uint64_t seq;  ///< reserved simulator sequence of this frame
-    Time sent;          ///< original send time (delivery hooks)
-    std::uint64_t rpc_id;
-    NodeId src;
-    NodeId dst;
-    MsgType type;
-    std::uint32_t key;
-    std::uint32_t len;
-  };
-  static_assert(sizeof(Record) == kRecordHeaderBytes,
-                "a record header is kRecordHeaderBytes");
   /// A lone frame carries its header and payload in its event record: the
   /// capture (network pointer + LoneInline, 88 bytes) takes a large
   /// record, and carries this many payload bytes. A first frame with a
@@ -328,10 +332,11 @@ class Network {
   /// it into tail->used when it leaves the table, by first fire or
   /// eviction.
   struct OpenEntry {
-    Time at = -1;           ///< -1: free
-    Chunk* head = nullptr;  ///< the batch's first chunk; null: a lone frame
-    Chunk* tail = nullptr;  ///< the batch's last chunk
-    std::uint32_t off = 0;  ///< append offset into tail
+    Time at = -1;            ///< -1: free
+    Chunk* head = nullptr;   ///< the batch's first chunk; null: a lone frame
+    Chunk* tail = nullptr;   ///< the batch's last chunk
+    std::uint64_t base = 0;  ///< the batch's first sequence
+    std::uint32_t off = 0;   ///< append offset into tail
   };
 
   /// Per-message lane, and redelivery from an unblocked link: crash check,
@@ -375,12 +380,14 @@ class Network {
   /// Return chunks [from, to) of a chain to their free lists, LIFO.
   void release_chunks(Chunk* from, Chunk* to);
   /// Append `f` to the entry's batch, opening it (and scheduling its first
-  /// fire at this frame's sequence) when the entry holds a lone frame.
+  /// fire at this frame's sequence) when the entry holds a lone frame, or
+  /// when the frame's sequence offset would not fit a compact header.
   void enqueue_frame(OpenEntry& oe, const Frame& f, Time sent);
-  /// Drain tick `at`'s batch from record (c, off) as maximal
-  /// same-destination runs, yielding to the heap whenever an earlier event
-  /// is due; the remainder reschedules as a continuation.
-  void drain(Time at, Chunk* c, std::uint32_t off);
+  /// Drain tick `at`'s batch, whose first sequence is `base`, from record
+  /// (c, off) as maximal same-destination runs, yielding to the heap
+  /// whenever an earlier event is due; the remainder reschedules as a
+  /// continuation.
+  void drain(Time at, Chunk* c, std::uint32_t off, std::uint64_t base);
 
   Simulator& sim_;
   std::unique_ptr<DelayModel> delay_;

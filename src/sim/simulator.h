@@ -78,6 +78,10 @@ class Simulator {
   /// an event. Pair with schedule_at_seq().
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
+  /// Consume `n` sequence numbers at once, as n reserve_seq() calls would.
+  /// Tests use it to space a batch's frames past 32 bits of sequence.
+  void skip_seqs(std::uint64_t n) { next_seq_ += n; }
+
   /// Schedule `fn` at absolute time `t` under a sequence number previously
   /// obtained from reserve_seq(). Each reserved sequence may be scheduled
   /// at most once (heap keys must stay unique).

@@ -21,6 +21,7 @@
 #include "core/workload.h"
 #include "exp/aggregator.h"
 #include "exp/runner.h"
+#include "protocols/messages.h"
 #include "protocols/protocols.h"
 #include "sim/fault_plan.h"
 
@@ -166,6 +167,39 @@ TEST(Keyspace, PerKeyHistoriesAreLinearizable) {
     completed += h.key_history(k).completed_count();
   }
   EXPECT_EQ(completed, std::size_t{2 * 12 + 4 * 12});
+}
+
+TEST(Keyspace, RouterRefusesAKeyItsShardDoesNotHost) {
+  // Four keys on two shards: keys 0 and 2 live on shard 0 (servers 0-4),
+  // keys 1 and 3 on shard 1. A read request for key 2 sent to server 0
+  // reaches key 2's replica and is answered. One for key 1, hosted on the
+  // other shard, or for key 4, past the keyspace, reaches no replica: the
+  // router throws, naming itself and the key.
+  const Protocol* proto = protocol_by_name("mw-abd(W2R2)");
+  ASSERT_NE(proto, nullptr);
+  for (const std::uint32_t key : {2u, 1u, 4u}) {
+    SCOPED_TRACE(key);
+    SimHarness::Options o;
+    o.cfg = ClusterConfig{5, 2, 2, 1};
+    o.keyspace = KeyspaceConfig{4, 2, 0.0};
+    SimHarness h(*proto, std::move(o));
+    const NodeId client = 10;  // the first writer, after both shards
+    h.net().send_bytes(client, 0, kAbdReadReq, key, 1, {});
+    if (key == 2) {
+      h.sim().run();
+      EXPECT_EQ(h.net().stats().delivered, 2u);  // the request and its ack
+      continue;
+    }
+    try {
+      h.sim().run();
+      ADD_FAILURE() << "key " << key << " was dispatched to a replica";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("KeyRouter 0 "), std::string::npos) << what;
+      EXPECT_NE(what.find("key " + std::to_string(key)), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Keyspace, ReaderBlocksPartitionReaders) {

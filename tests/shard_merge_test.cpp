@@ -257,6 +257,22 @@ TEST(ShardMerge, RefusesIncompleteDuplicateOrForeignShards) {
   EXPECT_FALSE(merge_partials({}, &merged, &err));
 }
 
+TEST(ShardMerge, HostileTrialTotalIsRefusedBeforeAnyAllocation) {
+  // Every partial claims more trials than a vector can hold; sizing the
+  // merge by that claim would throw std::length_error. The records present
+  // fall short of it, so the merge refuses first, allocating nothing.
+  std::vector<Partial> partials = shard_run(ref_batch(), 2);
+  const std::uint64_t claim =
+      static_cast<std::uint64_t>(std::vector<TrialResult>().max_size()) + 1;
+  for (Partial& p : partials) p.meta.total_trials = claim;
+  std::vector<TrialResult> merged;
+  std::string err;
+  EXPECT_FALSE(merge_partials(partials, &merged, &err));
+  EXPECT_NE(err.find("missing"), std::string::npos) << err;
+  EXPECT_NE(err.find(std::to_string(claim)), std::string::npos) << err;
+  EXPECT_TRUE(merged.empty());
+}
+
 // ---------- artifact robustness ----------
 
 TEST(PartialCodec, RoundTripsBitExactly) {

@@ -1110,27 +1110,50 @@ TEST(NetworkCoalesce, SendFromAnEvictedBatchJoinsTheBatchThatReopenedItsTick) {
 /// Sends `n` payload bytes that depend on `type` as well as their index, so
 /// a record decoded from the wrong offset cannot pass for another.
 void send_pattern(Network& net, NodeId src, NodeId dst, MsgType type,
-                  std::size_t n) {
+                  std::size_t n, std::uint64_t rpc_id = 0,
+                  std::uint32_t key = 0) {
   std::vector<std::uint8_t> bytes(n);
   for (std::size_t i = 0; i < n; ++i) {
     bytes[i] = static_cast<std::uint8_t>(i * 7 + type * 31);
   }
-  net.send_bytes(src, dst, type, 0, 0, ByteSpan(bytes));
+  net.send_bytes(src, dst, type, key, rpc_id, ByteSpan(bytes));
 }
 
-void post_pattern(CoalescedRig& rig, MsgType type, std::size_t n) {
-  send_pattern(rig.net, 0, 1, type, n);
+void post_pattern(CoalescedRig& rig, MsgType type, std::size_t n,
+                  std::uint64_t rpc_id = 0) {
+  send_pattern(rig.net, 0, 1, type, n, rpc_id);
 }
 
-/// Payload bytes whose record takes exactly `record` bytes of a chunk.
-std::size_t payload_for_record(std::size_t record) {
-  return record - Network::kRecordHeaderBytes;
+/// The two forms a batched record's header takes.
+enum class Header { kCompact, kWide };
+
+/// An rpc id that gives a record the header `h`: 2^32 does not fit a
+/// compact header.
+std::uint64_t rpc_for(Header h) {
+  return h == Header::kWide ? std::uint64_t{1} << 32 : 0;
 }
 
-/// One lane's run: what node 1 received (type, time, payload) and, when
-/// a hook is set, what it saw (type, sent, delivered), plus the counters.
+/// Payload bytes whose record takes exactly `record` bytes of a chunk
+/// under header `h`.
+std::size_t payload_for_record(std::size_t record,
+                               Header h = Header::kCompact) {
+  return record - (h == Header::kWide ? Network::kWideHeaderBytes
+                                      : Network::kCompactHeaderBytes);
+}
+
+/// The largest payload whose record under header `h` fits a chunk.
+std::size_t chunk_payload(Header h) {
+  return h == Header::kWide ? Network::kChunkWidePayloadBytes
+                            : Network::kChunkCompactPayloadBytes;
+}
+
+/// One lane's run: what node 1 received (type, time, payload, key, rpc
+/// id) and, when a hook is set, what it saw (type, sent, delivered), plus
+/// the counters.
 struct LaneRun {
-  std::vector<std::tuple<MsgType, Time, std::vector<std::uint8_t>>> got;
+  std::vector<std::tuple<MsgType, Time, std::vector<std::uint8_t>,
+                         std::uint32_t, std::uint64_t>>
+      got;
   std::vector<std::tuple<MsgType, Time, Time>> hooked;
   NetworkStats stats;
   CoalesceStats coalesce;
@@ -1151,8 +1174,8 @@ LaneRun run_lane(bool coalesce, std::unique_ptr<DelayModel> delay,
   script(rig);
   rig.sim.run();
   for (std::size_t i = 0; i < rig.b.received.size(); ++i) {
-    out.got.emplace_back(rig.b.received[i].type, rig.b.times[i],
-                         rig.b.received[i].payload);
+    const Message& m = rig.b.received[i];
+    out.got.emplace_back(m.type, rig.b.times[i], m.payload, m.key, m.rpc_id);
   }
   out.stats = rig.net.stats();
   out.coalesce = rig.net.coalesce_stats();
@@ -1177,6 +1200,7 @@ LaneRun expect_lanes_agree(const std::function<std::unique_ptr<DelayModel>()>&
   EXPECT_EQ(stats_fields(batched.stats), stats_fields(per_message.stats));
   expect_stats_invariant(batched.stats);
   EXPECT_EQ(per_message.storage.chunks, 0u);
+  EXPECT_EQ(per_message.storage.wide, 0u);
   return batched;
 }
 
@@ -1184,68 +1208,296 @@ auto constant_100 = [] { return std::make_unique<ConstantDelay>(100); };
 
 TEST(NetworkChunks, RecordThatExactlyFillsAChunkTakesNoSecond) {
   // After the lone frame, two records of half a chunk each fill the
-  // batch's first chunk to its last byte.
+  // batch's first chunk to its last byte, under either header.
   const std::size_t half = Network::kChunkRecordBytes / 2;
-  const LaneRun r = expect_lanes_agree(constant_100, [half](CoalescedRig& g) {
-    g.a.post(1, 0);
-    post_pattern(g, 1, payload_for_record(half));
-    post_pattern(g, 2, payload_for_record(half));
-  });
-  ASSERT_EQ(r.got.size(), 3u);
-  EXPECT_EQ(r.coalesce.frames, 2u);
-  EXPECT_EQ(r.storage.chunks, 1u);
-  EXPECT_EQ(r.storage.spills, 0u);
-  EXPECT_EQ(r.storage.blocks, 0u);
+  for (const Header h : {Header::kCompact, Header::kWide}) {
+    SCOPED_TRACE(h == Header::kWide ? "wide" : "compact");
+    const std::uint64_t rpc = rpc_for(h);
+    const LaneRun r =
+        expect_lanes_agree(constant_100, [half, h, rpc](CoalescedRig& g) {
+          g.a.post(1, 0);
+          post_pattern(g, 1, payload_for_record(half, h), rpc);
+          post_pattern(g, 2, payload_for_record(half, h), rpc);
+        });
+    ASSERT_EQ(r.got.size(), 3u);
+    EXPECT_EQ(r.coalesce.frames, 2u);
+    EXPECT_EQ(r.storage.chunks, 1u);
+    EXPECT_EQ(r.storage.spills, 0u);
+    EXPECT_EQ(r.storage.blocks, 0u);
+    EXPECT_EQ(r.storage.wide, h == Header::kWide ? 2u : 0u);
 
-  // The largest payload a chunk holds, alone in its batch, fills it too.
-  const LaneRun one = expect_lanes_agree(constant_100, [](CoalescedRig& g) {
-    post_pattern(g, 0, Network::kChunkPayloadBytes);
-  });
-  EXPECT_EQ(one.coalesce.frames, 1u);
-  EXPECT_EQ(one.storage.chunks, 1u);
-  EXPECT_EQ(one.storage.blocks, 0u);
+    // The largest payload a chunk holds, alone in its batch, fills it too.
+    const LaneRun one =
+        expect_lanes_agree(constant_100, [h, rpc](CoalescedRig& g) {
+          post_pattern(g, 0, chunk_payload(h), rpc);
+        });
+    EXPECT_EQ(one.coalesce.frames, 1u);
+    EXPECT_EQ(one.storage.chunks, 1u);
+    EXPECT_EQ(one.storage.blocks, 0u);
+    EXPECT_EQ(one.storage.wide, h == Header::kWide ? 1u : 0u);
+  }
+  static_assert(Network::kChunkCompactPayloadBytes == 984 &&
+                    Network::kChunkWidePayloadBytes == 960,
+                "a 1 KB chunk holds a 984-byte compact or 960-byte wide payload");
 }
 
 TEST(NetworkChunks, RecordThatDoesNotFitTheTailSpillsIntoTheNextChunk) {
-  // The second record is 8 bytes too long for what the first left, so it
+  // The second record is 4 bytes too long for what the first left, so it
   // opens the batch's second chunk; a third, small, joins it there.
   const std::size_t half = Network::kChunkRecordBytes / 2;
-  const LaneRun r = expect_lanes_agree(constant_100, [half](CoalescedRig& g) {
-    g.a.post(1, 0);
-    post_pattern(g, 1, payload_for_record(half));
-    post_pattern(g, 2, payload_for_record(half + 8));
-    post_pattern(g, 3, 5);
-  });
-  ASSERT_EQ(r.got.size(), 4u);
-  EXPECT_EQ(r.coalesce.frames, 3u);
-  EXPECT_EQ(r.coalesce.batches, 1u);
-  EXPECT_EQ(r.storage.chunks, 2u);
-  EXPECT_EQ(r.storage.spills, 1u);
-  // One same-destination run, across the chunk boundary.
-  EXPECT_EQ(r.coalesce.hist[1], 1u);
+  for (const Header h : {Header::kCompact, Header::kWide}) {
+    SCOPED_TRACE(h == Header::kWide ? "wide" : "compact");
+    const std::uint64_t rpc = rpc_for(h);
+    const LaneRun r =
+        expect_lanes_agree(constant_100, [half, h, rpc](CoalescedRig& g) {
+          g.a.post(1, 0);
+          post_pattern(g, 1, payload_for_record(half, h), rpc);
+          post_pattern(g, 2, payload_for_record(half + 4, h), rpc);
+          post_pattern(g, 3, 5, rpc);
+        });
+    ASSERT_EQ(r.got.size(), 4u);
+    EXPECT_EQ(r.coalesce.frames, 3u);
+    EXPECT_EQ(r.coalesce.batches, 1u);
+    EXPECT_EQ(r.storage.chunks, 2u);
+    EXPECT_EQ(r.storage.spills, 1u);
+    EXPECT_EQ(r.storage.wide, h == Header::kWide ? 3u : 0u);
+    // One same-destination run, across the chunk boundary.
+    EXPECT_EQ(r.coalesce.hist[1], 1u);
+  }
+}
+
+TEST(NetworkChunks, PayloadsPadToFourBytes) {
+  // Thirty-six compact records of 1-byte payloads (28 bytes each) or
+  // twelve wide ones of 33-byte payloads (84 bytes each) fill a chunk
+  // exactly; padding to 8 would spill both.
+  for (const Header h : {Header::kCompact, Header::kWide}) {
+    SCOPED_TRACE(h == Header::kWide ? "wide" : "compact");
+    const std::uint64_t rpc = rpc_for(h);
+    const int records = h == Header::kWide ? 12 : 36;
+    const std::size_t len = h == Header::kWide ? 33 : 1;
+    const LaneRun r =
+        expect_lanes_agree(constant_100, [records, len, rpc](CoalescedRig& g) {
+          g.a.post(1, 0);
+          for (int i = 0; i < records; ++i) {
+            post_pattern(g, static_cast<MsgType>(i + 1), len, rpc);
+          }
+        });
+    ASSERT_EQ(r.got.size(), static_cast<std::size_t>(records) + 1);
+    EXPECT_EQ(r.storage.chunks, 1u);
+    EXPECT_EQ(r.storage.spills, 0u);
+    EXPECT_EQ(r.storage.wide, h == Header::kWide ? 12u : 0u);
+  }
 }
 
 TEST(NetworkChunks, PayloadLargerThanAChunkGetsABlock) {
   // A first frame too large for a chunk opens its batch in a block; the
   // next record goes to a fresh chunk, never into the block's slack, and a
-  // larger payload takes a block of a larger size class. A later tick,
-  // sent after the first batch drained, reuses its pooled block and chunk.
-  const std::size_t big = Network::kChunkPayloadBytes + 1;
-  const LaneRun r = expect_lanes_agree(constant_100, [big](CoalescedRig& g) {
-    post_pattern(g, 0, big);
-    post_pattern(g, 1, 3);
-    post_pattern(g, 2, 4 * Network::kChunkBytes);
-    g.sim.schedule_at(150, [&g, big] {
-      post_pattern(g, 3, big);
-      post_pattern(g, 4, 0);
+  // larger payload (past the compact length too, so wide under either
+  // header) takes a block of a larger size class. A later tick, sent after
+  // the first batch drained, reuses its pooled block and chunk.
+  for (const Header h : {Header::kCompact, Header::kWide}) {
+    SCOPED_TRACE(h == Header::kWide ? "wide" : "compact");
+    const std::uint64_t rpc = rpc_for(h);
+    const std::size_t big = chunk_payload(h) + 1;
+    const LaneRun r =
+        expect_lanes_agree(constant_100, [big, rpc](CoalescedRig& g) {
+          post_pattern(g, 0, big, rpc);
+          post_pattern(g, 1, 3, rpc);
+          post_pattern(g, 2, 4 * Network::kChunkBytes, rpc);
+          g.sim.schedule_at(150, [&g, big, rpc] {
+            post_pattern(g, 3, big, rpc);
+            post_pattern(g, 4, 0, rpc);
+          });
+        });
+    ASSERT_EQ(r.got.size(), 5u);
+    EXPECT_EQ(r.coalesce.lone, 0u);
+    EXPECT_EQ(r.coalesce.batches, 2u);
+    EXPECT_EQ(r.storage.blocks, 2u);
+    EXPECT_EQ(r.storage.chunks, 1u);
+    EXPECT_EQ(r.storage.spills, 3u);
+    EXPECT_EQ(r.storage.wide, h == Header::kWide ? 5u : 1u);
+  }
+}
+
+// ---------- Batch storage: the two record headers ----------
+
+/// Sends a lone frame, then two frames with the given header fields,
+/// which open its tick's batch.
+void post_fields(CoalescedRig& g, MsgType type, std::uint32_t key,
+                 std::uint64_t rpc_id, std::size_t len) {
+  g.a.post(1, 0);
+  for (int i = 0; i < 2; ++i) {
+    send_pattern(g.net, 0, 1, type, len, rpc_id, key);
+  }
+}
+
+TEST(NetworkChunks, EachFieldPastItsCompactWidthTakesTheWideHeader) {
+  // For each field a compact header narrows, a batch of two frames at the
+  // field's largest compact value stores compact records, and one past it
+  // stores wide ones; either way both lanes deliver the same frames.
+  struct Case {
+    const char* field;
+    MsgType type;
+    std::uint32_t key;
+    std::uint64_t rpc_id;
+    std::size_t len;
+  };
+  const std::uint64_t max32 = 0xFFFFFFFFu;
+  const std::vector<std::pair<Case, Case>> cases = {
+      {{"rpc id", 1, 0, max32, 3}, {"rpc id", 1, 0, max32 + 1, 3}},
+      {{"type", Network::kCompactMaxType, 0, 7, 3},
+       {"type", Network::kCompactMaxType + 1, 0, 7, 3}},
+      {{"key", 1, Network::kCompactMaxKey, 7, 3},
+       {"key", 1, Network::kCompactMaxKey + 1, 7, 3}},
+      {{"length", 1, 0, 7, Network::kCompactMaxLen},
+       {"length", 1, 0, 7, Network::kCompactMaxLen + 1}},
+  };
+  for (const auto& [fits, past] : cases) {
+    for (const bool wide : {false, true}) {
+      const Case& c = wide ? past : fits;
+      SCOPED_TRACE(std::string(c.field) + (wide ? " past" : " fits"));
+      const LaneRun r = expect_lanes_agree(constant_100, [&c](CoalescedRig& g) {
+        post_fields(g, c.type, c.key, c.rpc_id, c.len);
+      });
+      ASSERT_EQ(r.got.size(), 3u);
+      EXPECT_EQ(std::get<0>(r.got[2]), c.type);
+      EXPECT_EQ(std::get<2>(r.got[2]).size(), c.len);
+      EXPECT_EQ(std::get<3>(r.got[2]), c.key);
+      EXPECT_EQ(std::get<4>(r.got[2]), c.rpc_id);
+      EXPECT_EQ(r.coalesce.enqueued, 2u);
+      EXPECT_EQ(r.storage.wide, wide ? 2u : 0u);
+    }
+  }
+}
+
+TEST(NetworkChunks, DelayPastThirtyTwoBitsTakesTheWideHeader) {
+  // A compact record stores deliver time less send time in 32 bits: a
+  // delay of 2^32 - 1 ns fits, 2^32 ns and a 5 s delay do not. The hook
+  // sees each frame's send time either way.
+  const Duration max32 = 0xFFFFFFFF;
+  for (const Duration d : {max32, max32 + 1, 5 * kSecond}) {
+    SCOPED_TRACE(d);
+    const LaneRun r = expect_lanes_agree(
+        [d] { return std::make_unique<ConstantDelay>(d); },
+        [](CoalescedRig& g) {
+          g.sim.schedule_at(10, [&g] { post_fields(g, 1, 0, 7, 3); });
+        },
+        /*hook=*/true);
+    ASSERT_EQ(r.hooked.size(), 3u);
+    for (const auto& h : r.hooked) {
+      EXPECT_EQ(std::get<1>(h), 10);
+      EXPECT_EQ(std::get<2>(h), 10 + d);
+    }
+    EXPECT_EQ(r.coalesce.enqueued, 2u);
+    EXPECT_EQ(r.storage.wide, d == max32 ? 0u : 2u);
+  }
+}
+
+TEST(NetworkChunks, SequenceOffsetPastThirtyTwoBitsOpensAFreshBatch) {
+  // A compact record stores its sequence as an offset from its batch's
+  // first. Frame 1 opens tick 100's batch; far later a timer lands at that
+  // tick, then frames 2 and 3 follow. When frame 2's offset is the largest
+  // a compact header holds, frame 2 joins the batch, which yields to the
+  // timer before it, and frame 3, one past, opens a fresh batch. One
+  // sequence further, frame 2 opens the fresh batch and frame 3 joins it.
+  // Either way the first batch drains first, and the timer sees what it
+  // sees in the per-message lane.
+  const std::uint64_t max_off = Network::kCompactMaxSeqOffset;
+  for (const std::uint64_t offset : {max_off, max_off + 1}) {
+    SCOPED_TRACE(offset);
+    std::vector<std::size_t> seen;
+    const LaneRun r =
+        expect_lanes_agree(constant_100, [&seen, offset](CoalescedRig& g) {
+          g.a.post(1, 0);
+          post_pattern(g, 1, 5);
+          // Frame 1's sequence is the batch's first; the timer takes the
+          // first after the gap, frame 2 the one after it, at `offset`.
+          g.sim.skip_seqs(offset - 2);
+          g.sim.schedule_at(100, [&g, &seen] {
+            seen.push_back(g.b.received.size());
+          });
+          post_pattern(g, 2, 6);
+          post_pattern(g, 3, 7);
+        });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{2, 2}));
+    ASSERT_EQ(r.got.size(), 4u);
+    EXPECT_EQ(r.coalesce.lone, 1u);
+    EXPECT_EQ(r.coalesce.enqueued, 3u);
+    EXPECT_EQ(r.coalesce.batches, 2u);
+    EXPECT_EQ(r.coalesce.continuations, offset == max_off ? 1u : 0u);
+    // Frames 2 and 3 run together only when they share the fresh batch.
+    EXPECT_EQ(r.coalesce.hist[1], offset == max_off ? 0u : 1u);
+    EXPECT_EQ(r.storage.wide, 0u);
+  }
+}
+
+/// After a lone frame, ten records that alternate compact and wide headers
+/// (208-byte payloads: 232- and 256-byte records) over three chunks, four
+/// in each of the first two; `mid` runs after the seventh, which sits in
+/// the second chunk, just before a wide record.
+void mixed_batch(CoalescedRig& g, const std::function<void()>& mid) {
+  g.a.post(1, 0);
+  for (MsgType i = 1; i <= 10; ++i) {
+    post_pattern(g, i, 208,
+                 rpc_for(i % 2 == 0 ? Header::kWide : Header::kCompact) + i);
+    if (i == 7) mid();
+  }
+}
+
+TEST(NetworkChunks, MixedHeadersCrossChunksAndResumeMidBatch) {
+  // A timer lands between the seventh and eighth records: the drain yields
+  // there and resumes at a wide record inside the second chunk.
+  std::vector<std::size_t> seen;
+  const LaneRun r = expect_lanes_agree(constant_100, [&seen](CoalescedRig& g) {
+    mixed_batch(g, [&g, &seen] {
+      g.sim.schedule_at(100, [&g, &seen] { seen.push_back(g.b.received.size()); });
     });
   });
-  ASSERT_EQ(r.got.size(), 5u);
-  EXPECT_EQ(r.coalesce.lone, 0u);
-  EXPECT_EQ(r.coalesce.batches, 2u);
-  EXPECT_EQ(r.storage.blocks, 2u);
-  EXPECT_EQ(r.storage.chunks, 1u);
-  EXPECT_EQ(r.storage.spills, 3u);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{8, 8}));
+  ASSERT_EQ(r.got.size(), 11u);
+  EXPECT_EQ(r.coalesce.continuations, 1u);
+  EXPECT_EQ(r.coalesce.hist[2], 1u);  // frames 1-7, one run
+  EXPECT_EQ(r.coalesce.hist[1], 1u);  // frames 8-10, another
+  EXPECT_EQ(r.storage.chunks, 3u);
+  EXPECT_EQ(r.storage.spills, 2u);
+  EXPECT_EQ(r.storage.wide, 5u);
+}
+
+TEST(NetworkChunks, MixedHeadersTakeTheSlowPath) {
+  // A blocked link elsewhere keeps the drain on its per-frame path. Mid-
+  // batch, a block on 0 -> 1 parks the rest, and unblocking redelivers it;
+  // a crash drops the rest instead; a hook sees every record's send time.
+  const LaneRun parked = expect_lanes_agree(constant_100, [](CoalescedRig& g) {
+    g.net.block_link(1, 0);
+    mixed_batch(g, [&g] {
+      g.sim.schedule_at(100, [&g] { g.net.block_link(0, 1); });
+    });
+    g.sim.schedule_at(200, [&g] { g.net.unblock_link(0, 1); });
+  });
+  ASSERT_EQ(parked.got.size(), 11u);
+  EXPECT_EQ(std::get<1>(parked.got[7]), 100);
+  EXPECT_EQ(std::get<1>(parked.got[8]), 300);
+  EXPECT_EQ(parked.storage.wide, 7u);  // the redelivered 8 and 10 again
+
+  const LaneRun dropped = expect_lanes_agree(constant_100, [](CoalescedRig& g) {
+    g.net.crash(7);
+    mixed_batch(g, [&g] { g.sim.schedule_at(100, [&g] { g.net.crash(1); }); });
+  });
+  ASSERT_EQ(dropped.got.size(), 8u);
+  EXPECT_EQ(dropped.stats.to_crashed, 3u);
+
+  const LaneRun hooked = expect_lanes_agree(
+      constant_100,
+      [](CoalescedRig& g) {
+        g.sim.schedule_at(10, [&g] { mixed_batch(g, [] {}); });
+      },
+      /*hook=*/true);
+  ASSERT_EQ(hooked.hooked.size(), 11u);
+  for (const auto& h : hooked.hooked) {
+    EXPECT_EQ(std::get<1>(h), 10);
+    EXPECT_EQ(std::get<2>(h), 110);
+  }
+  EXPECT_EQ(hooked.storage.wide, 5u);
 }
 
 /// Three records that fill one chunk, then two in the next.
