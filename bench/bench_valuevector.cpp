@@ -11,7 +11,8 @@
 // diffs (scripts/bench_trend.py).
 //
 // Micro timings: full-snapshot encode vs. delta encode of a large
-// valuevector, isolating the codec cost the delta path removes.
+// valuevector, isolating the codec cost the delta path removes; and the
+// per-entry encode and decode of a fast-read reply's bitset rows.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -118,6 +119,52 @@ void BM_delta_read_ack_encode(benchmark::State& state) {
                           static_cast<std::int64_t>(kChanged));
 }
 BENCHMARK(BM_delta_read_ack_encode)->Arg(64)->Arg(1024);
+
+// ---- microbenchmarks: the per-entry codec of a fast-read reply ----
+
+/// A fastread_keyspace-shaped valuevector in its bitset form: 6 entries of
+/// ~10 witness ids in 50..90, over a group's client span from id 13, with
+/// the 4-byte payloads run_random_workload writes (writer * 10^6 + seq).
+FrRows fastread_rows() {
+  FrRows rows(13, 80);
+  for (int i = 0; i < 6; ++i) {
+    rows.push_back(TaggedValue{Tag{1000 + i, static_cast<NodeId>(13 + i)},
+                               (7 + i) * 1'000'000 + 42});
+    for (NodeId id = 50 + i; id <= 90; id += 4) rows.set(rows.size() - 1, id);
+  }
+  return rows;
+}
+
+void BM_fr_rows_put(benchmark::State& state) {
+  const FrRows rows = fastread_rows();
+  ByteWriter w;  // reused, like the network's scratch writer
+  for (auto _ : state) {
+    w.clear();
+    w.put_varint(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) rows.put(w, i);
+    benchmark::DoNotOptimize(w.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_fr_rows_put);
+
+void BM_fr_rows_get(benchmark::State& state) {
+  const FrRows rows = fastread_rows();
+  ByteWriter w;
+  w.put_varint(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows.put(w, i);
+  const std::vector<std::uint8_t> bytes = w.take();
+  FrRows out(rows.base(), rows.span());  // reused, like a reader's arena
+  for (auto _ : state) {
+    ByteReader r(bytes);
+    benchmark::DoNotOptimize(decode_rows_into(r, out));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_fr_rows_get);
 
 }  // namespace
 }  // namespace mwreg::bench

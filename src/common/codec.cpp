@@ -1,28 +1,18 @@
 #include "common/codec.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace mwreg {
 
-void ByteWriter::put_varint_wide(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+void ByteWriter::grow(std::size_t n) {
+  buf_.resize(std::max(size_ + n, 2 * buf_.size()));
 }
 
 void ByteWriter::put_string(const std::string& s) {
-  put_varint(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::put_tag(const Tag& t) {
-  put_signed(t.ts);
-  put_signed(t.wid);
-}
-
-void ByteWriter::put_value(const TaggedValue& v) {
-  put_tag(v.tag);
-  put_signed(v.payload);
+  std::uint8_t* p = write_varint(room(kMaxVarint + s.size()), s.size());
+  if (!s.empty()) std::memcpy(p, s.data(), s.size());
+  commit(p + s.size());
 }
 
 std::uint8_t ByteReader::get_u8() {
@@ -49,16 +39,10 @@ std::uint64_t ByteReader::get_varint_wide() {
 }
 
 std::string ByteReader::get_string() {
-  const std::uint64_t n = get_varint();
-  if (n > remaining()) {
-    fail();
-    return {};
-  }
+  const std::uint64_t n = get_count();
   if (n == 0) return {};
-  std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<std::size_t>(n));
-  pos_ += n;
-  return s;
+  return std::string(reinterpret_cast<const char*>(get_bytes(n)),
+                     static_cast<std::size_t>(n));
 }
 
 Tag ByteReader::get_tag() {

@@ -50,6 +50,10 @@ bool parse_sweep_cli(int argc, char** argv, SweepCli* cli,
           cli->threads < 0) {
         return fail("--threads needs a non-negative integer, got '" + v + "'");
       }
+      if (cli->threads > kMaxSweepThreads) {
+        return fail("--threads is at most " + std::to_string(kMaxSweepThreads) +
+                    ", got '" + v + "'");
+      }
     } else if (arg == "--shard") {
       std::string v;
       if (!value("--shard", &v) || !parse_shard(v, &cli->shard)) {
@@ -67,7 +71,8 @@ bool parse_sweep_cli(int argc, char** argv, SweepCli* cli,
 }
 
 std::string sweep_cli_usage() {
-  return "[--threads N] [--shard i/N] [--out DIR]";
+  return "[--threads N (at most " + std::to_string(kMaxSweepThreads) +
+         ")] [--shard i/N] [--out DIR]";
 }
 
 std::string join_path(const std::string& dir, const std::string& file) {

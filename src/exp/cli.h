@@ -12,9 +12,15 @@
 
 namespace mwreg::exp {
 
+/// The most worker threads --threads accepts. Runner starts
+/// min(threads, trials) OS threads, and a sweep has thousands of trials, so
+/// an unchecked value could ask the OS for thousands of threads at once.
+inline constexpr int kMaxSweepThreads = 256;
+
 /// Options every sweep driver shares.
 struct SweepCli {
-  /// --threads N (0 = hardware concurrency; Runner's default).
+  /// --threads N, 0 <= N <= kMaxSweepThreads (0 = hardware concurrency;
+  /// Runner's default).
   int threads = 0;
   /// --shard i/N (default 0/1: run everything in this process).
   ShardSpec shard;
@@ -36,8 +42,9 @@ bool parse_int(const std::string& token, int* out);
 bool parse_shard(const std::string& token, ShardSpec* out);
 
 /// Parse argv. Returns false and fills *error on the first malformed flag
-/// (missing value, bad number, shard out of range). Unrecognized tokens
-/// are collected into cli->extra, not errors — the caller decides.
+/// (missing value, bad number, thread count above kMaxSweepThreads, shard
+/// out of range). Unrecognized tokens are collected into cli->extra, not
+/// errors — the caller decides.
 bool parse_sweep_cli(int argc, char** argv, SweepCli* cli, std::string* error);
 
 /// One-line usage for the shared flags, for drivers to print above their

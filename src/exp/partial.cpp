@@ -20,15 +20,17 @@ void put_f64(ByteWriter& w, double v) {
   std::uint64_t bits = 0;
   static_assert(sizeof bits == sizeof v, "double is 64-bit");
   std::memcpy(&bits, &v, sizeof bits);
-  for (int i = 0; i < 8; ++i) {
-    w.put_u8(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
+  std::uint8_t* p = w.room(8);
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  w.commit(p + 8);
 }
 
 double get_f64(ByteReader& r) {
+  const std::uint8_t* p = r.get_bytes(8);
+  if (p == nullptr) return 0;
   std::uint64_t bits = 0;
   for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(r.get_u8()) << (8 * i);
+    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   }
   double v = 0;
   std::memcpy(&v, &bits, sizeof v);

@@ -386,7 +386,15 @@ std::vector<TrialResult> Runner::run_all(
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
+    try {
+      for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
+    } catch (...) {
+      // A thread that fails to start must not destroy the joinable ones
+      // (std::terminate): stop the workers, join them, then rethrow.
+      failed.store(true, std::memory_order_relaxed);
+      for (std::thread& th : pool) th.join();
+      throw;
+    }
     for (std::thread& th : pool) th.join();
   }
   if (first_error) std::rethrow_exception(first_error);

@@ -213,11 +213,15 @@ class FrRows {
     return n;
   }
 
-  /// Row i on the wire: put_fr_entry's bytes for its value and sorted ids.
+  /// Row i on the wire: put_fr_entry's bytes for its value and sorted ids,
+  /// written through one pointer after one capacity check for the entry.
   void put(ByteWriter& w, std::size_t i) const {
-    w.put_value(values_[i]);
-    w.put_varint(count(i));
-    for_each(i, [&w](NodeId id) { w.put_signed(id); });
+    const std::size_t n = count(i);
+    std::uint8_t* p = w.room(ByteWriter::kMaxValue + ByteWriter::kMaxVarint +
+                             kMaxIdBytes * n);
+    p = ByteWriter::write_varint(ByteWriter::write_value(p, values_[i]), n);
+    for_each(i, [&p](NodeId id) { p = ByteWriter::write_signed(p, id); });
+    w.commit(p);
   }
   /// Decode one wire entry as a new last row. On malformed input, or an id
   /// outside the span, the reader fails and no row is added.
@@ -235,8 +239,21 @@ class FrRows {
     std::uint64_t* row = bits_.data() + (size() - 1) * words_;
     std::size_t word = 0;
     std::uint64_t acc = 0;
-    for (std::uint64_t k = 0; k < n && r.ok(); ++k) {
-      const std::uint64_t c = static_cast<std::uint64_t>(r.get_signed()) - base;
+    // The ids from a local cursor: 1- and 2-byte varints inline, anything
+    // else through the reader's own loop from the same byte, so a wide,
+    // truncated or over-long id is taken or refused as get_signed() would.
+    const std::uint8_t* p = r.cursor();
+    const std::uint8_t* const end = r.limit();
+    for (std::uint64_t k = 0; k < n; ++k) {
+      std::uint64_t u = 0;
+      if (!ByteReader::read_short_varint(p, end, u)) {
+        r.seek(p);
+        u = r.get_varint();
+        p = r.cursor();
+        if (!r.ok()) break;
+      }
+      const std::uint64_t c =
+          static_cast<std::uint64_t>(ByteReader::unzigzag(u)) - base;
       if (c >= span) {
         r.fail();
         break;
@@ -249,9 +266,13 @@ class FrRows {
       }
       acc |= 1ULL << (c % 64);
     }
+    r.seek(p);
+    if (!r.ok()) {
+      pop_back();
+      return false;
+    }
     row[word] |= acc;
-    if (!r.ok()) pop_back();
-    return r.ok();
+    return true;
   }
 
   /// Times a row append found no spare capacity: flat once warm.
@@ -276,6 +297,10 @@ class FrRows {
     x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
     return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
   }
+
+  /// Widest id on the wire: a zigzagged 32-bit id has at most 32 bits.
+  static constexpr std::size_t kMaxIdBytes = 5;
+  static_assert(sizeof(NodeId) == 4, "kMaxIdBytes assumes 32-bit ids");
 
   // Kept to 64 bytes: a reader holds one cache per server.
   NodeId base_ = 0;

@@ -121,7 +121,7 @@ TEST(CodecGuard, NestedListLengthCappedByRemainingBytes) {
   w.put_value(TaggedValue{Tag{1, 0}, 7});
   w.put_varint(1000);         // updated-set length: absurd vs. remaining
   w.put_signed(1);
-  const std::vector<std::uint8_t> bytes = w.bytes();
+  const std::vector<std::uint8_t> bytes = w.take();
   const auto entries = decode_entries(bytes);
   EXPECT_TRUE(entries.empty() || entries[0].updated.size() <= bytes.size());
 }
@@ -133,7 +133,7 @@ TEST(DeltaCodec, ReadReqRoundTripsThroughReusableBuffers) {
   const std::uint64_t acked[] = {3, 0, 12, 5, 300};
   ByteWriter w;
   encode_delta_read_req_into(w, queue, acked, 5);
-  const std::vector<std::uint8_t> bytes = w.bytes();
+  const std::vector<std::uint8_t> bytes = w.take();
 
   // Each server decodes its own entry into the same scratch queue
   // (capacity reuse path); an index past the array reads as nothing acked.
@@ -158,7 +158,7 @@ TEST(DeltaCodec, ReadReqCutOffBeforeTheOwnIndexReadsAsNothingAcked) {
   const std::uint64_t acked[] = {3, 200, 12, 5000, 1};
   ByteWriter w;
   encode_delta_read_req_into(w, queue, acked, 5);
-  const std::vector<std::uint8_t> bytes = w.bytes();
+  const std::vector<std::uint8_t> bytes = w.take();
   ByteWriter head;
   encode_value_list_into(head, queue);
   const std::size_t array_start = head.bytes().size();
@@ -193,7 +193,7 @@ TEST(DeltaCodec, AckHeaderAndStreamedEntriesRoundTrip) {
   put_delta_ack_header(w, h);
   put_fr_entry(w, a);
   put_fr_entry(w, b);
-  const std::vector<std::uint8_t> bytes = w.bytes();
+  const std::vector<std::uint8_t> bytes = w.take();
 
   ByteReader r(bytes);
   const FrDeltaHeader got = get_delta_ack_header(r);
@@ -369,6 +369,199 @@ TEST(BitsetCodec, IdOutsideTheSpanOrCountPastTheBytesFailsCleanly) {
   EXPECT_FALSE(r.ok());
 }
 
+// ---- FrRows::put / FrRows::get at every id width and on hostile bytes ----
+
+std::vector<std::uint8_t> copy_of(ByteSpan bytes) {
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
+
+/// A group's client span and witness ids for the width tests. zigzag(63) =
+/// 126 and zigzag(64) = 128, so ids 63 and 64 take one and two bytes; 8191
+/// and 8192 take two and three. Near 10^4 every id takes three.
+struct WidthCase {
+  NodeId base;
+  int span;
+  std::vector<NodeId> ids;
+};
+
+std::vector<WidthCase> width_cases() {
+  const NodeId near = 9973;
+  return {{0, 8200, {0, 1, 63, 64, 65, 127, 128, 8191, 8192, 8199}},
+          {near, 300, {near, 10000, near + 63, near + 64, near + 191,
+                       near + 299}},
+          {50, 41, {50, 63, 64, 90}},
+          {0, 64, {}}};
+}
+
+TEST(BitsetCodec, PutMatchesTheListEncoderAtEveryIdWidth) {
+  const TaggedValue values[] = {
+      TaggedValue{Tag{3, 101}, 7},
+      TaggedValue{Tag{std::numeric_limits<std::int64_t>::max(),
+                      std::numeric_limits<NodeId>::min()},
+                  std::numeric_limits<std::int64_t>::min()}};
+  for (const WidthCase& c : width_cases()) {
+    for (const TaggedValue& v : values) {
+      // One row per prefix of the ids, so the entry sizes step through
+      // every width; each is encoded on a fresh writer and then all of
+      // them on one, so growth lands at every offset the sizes reach.
+      FrRows rows(c.base, c.span);
+      std::vector<FrEntry> ref;
+      for (std::size_t k = 0; k <= c.ids.size(); ++k) {
+        rows.push_back(v);
+        FrEntry e{v, {c.ids.begin(), c.ids.begin() + static_cast<long>(k)}};
+        for (const NodeId id : e.updated) rows.set(rows.size() - 1, id);
+        ref.push_back(std::move(e));
+      }
+      ByteWriter all;
+      ByteWriter all_ref;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ByteWriter fresh;
+        rows.put(fresh, i);
+        ByteWriter listed;
+        put_fr_entry(listed, ref[i]);
+        EXPECT_EQ(copy_of(fresh.bytes()), copy_of(listed.bytes()))
+            << "base " << c.base << " row " << i;
+        rows.put(all, i);
+        put_fr_entry(all_ref, ref[i]);
+      }
+      EXPECT_EQ(copy_of(all.bytes()), copy_of(all_ref.bytes()));
+    }
+  }
+}
+
+/// The reference verdict on one wire entry for a group at (base, span):
+/// decode_fr_entry_into's reads (value, guarded count, signed ids), with
+/// each id kept at its full 64 bits and required inside the span. The ids
+/// come back as the set a bitset row holds: sorted, each once.
+struct EntryVerdict {
+  bool ok = false;
+  TaggedValue value;
+  std::vector<NodeId> ids;
+  std::size_t consumed = 0;  ///< bytes read, when ok
+};
+
+EntryVerdict reference_verdict(ByteSpan bytes, NodeId base, int span) {
+  EntryVerdict v;
+  ByteReader r(bytes);
+  v.value = r.get_value();
+  const std::uint64_t n = r.get_count();
+  for (std::uint64_t k = 0; k < n && r.ok(); ++k) {
+    const std::int64_t id = r.get_signed();
+    if (r.ok() && !(id >= base && id < std::int64_t{base} + span)) return v;
+    v.ids.push_back(static_cast<NodeId>(id));
+  }
+  v.ok = r.ok();
+  v.consumed = bytes.size() - r.remaining();
+  std::sort(v.ids.begin(), v.ids.end());
+  v.ids.erase(std::unique(v.ids.begin(), v.ids.end()), v.ids.end());
+  return v;
+}
+
+/// FrRows::get's verdict on the same bytes, into rows that already hold a
+/// row: a refusal must leave them as they were.
+EntryVerdict rows_verdict(ByteSpan bytes, NodeId base, int span) {
+  FrRows rows(base, span);
+  rows.push_back(TaggedValue{Tag{1, 0}, 1});
+  ByteReader r(bytes);
+  EntryVerdict v;
+  v.ok = rows.get(r);
+  EXPECT_EQ(v.ok, r.ok());
+  if (!v.ok) {
+    EXPECT_EQ(rows.size(), 1u);
+    return v;
+  }
+  EXPECT_EQ(rows.size(), 2u);
+  v.value = rows.value(1);
+  v.ids = ids_of(rows, 1);
+  v.consumed = bytes.size() - r.remaining();
+  return v;
+}
+
+/// Both verdicts on `bytes` and on every strict prefix of it.
+void expect_same_verdicts(const std::vector<std::uint8_t>& bytes, NodeId base,
+                          int span) {
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const ByteSpan s(bytes.data(), cut);
+    const EntryVerdict want = reference_verdict(s, base, span);
+    const EntryVerdict got = rows_verdict(s, base, span);
+    ASSERT_EQ(got.ok, want.ok) << "cut " << cut << " of " << bytes.size();
+    if (!want.ok) continue;
+    EXPECT_EQ(got.value, want.value) << "cut " << cut;
+    EXPECT_EQ(got.ids, want.ids) << "cut " << cut;
+    EXPECT_EQ(got.consumed, want.consumed) << "cut " << cut;
+  }
+}
+
+TEST(BitsetCodec, GetAcceptsAndRefusesExactlyWhatTheReferenceDoes) {
+  const TaggedValue v{Tag{3, 101}, 7};
+  for (const WidthCase& c : width_cases()) {
+    FrEntry e{v, c.ids};
+    ByteWriter w;
+    put_fr_entry(w, e);
+    expect_same_verdicts(w.take(), c.base, c.span);
+  }
+  // Hand-made id lists after a valid value and count. Over-long forms of
+  // a small id (accepted: the reader has never refused them), a 10-byte
+  // id (too wide for any span), an 11-byte varint, ids just outside the
+  // span and at the ends of the wire's range.
+  const NodeId base = 50;
+  const int span = 41;
+  auto entry = [&v](const std::vector<std::uint8_t>& count_bytes,
+                    const std::vector<std::uint8_t>& id_bytes) {
+    ByteWriter w;
+    w.put_value(v);
+    std::vector<std::uint8_t> out = w.take();
+    out.insert(out.end(), count_bytes.begin(), count_bytes.end());
+    out.insert(out.end(), id_bytes.begin(), id_bytes.end());
+    return out;
+  };
+  const std::uint8_t z51 = 102;  // zigzag(51)
+  const std::vector<std::vector<std::uint8_t>> id_lists = {
+      {z51 | 0x80, 0x00},                          // 2-byte over-long 51
+      {z51 | 0x80, 0x80, 0x00},                    // 3-byte over-long 51
+      {0xE4, 0x00, z51},                           // over-long 50, then 51
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+      {0xE4, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+       0x00},                                      // 11 bytes, value 50
+      {98},                                        // zigzag(49): below
+      {0xB6, 0x01},                                // zigzag(91): past
+      {0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},  // max
+      {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},  // min
+  };
+  for (const auto& ids : id_lists) {
+    for (std::uint8_t count = 1; count <= 3; ++count) {
+      expect_same_verdicts(entry({count}, ids), base, span);
+    }
+  }
+  // A count past the bytes that remain (1000), and an over-long count.
+  expect_same_verdicts(entry({0xE8, 0x07}, {z51}), base, span);
+  expect_same_verdicts(entry({0x81, 0x00}, {z51}), base, span);
+}
+
+TEST_P(CodecFuzz, GetMatchesTheReferenceOnMutatedEntries) {
+  Rng rng(GetParam() + 4000);
+  for (int iter = 0; iter < 300; ++iter) {
+    const WidthCase c = width_cases()[rng.next_below(3)];
+    FrEntry e{TaggedValue{Tag{rng.next_in(0, 1 << 20), 7},
+                          rng.next_in(-1000, 1000)},
+              {}};
+    for (const NodeId id : c.ids) {
+      if (rng.next_bool(0.6)) e.updated.push_back(id);
+    }
+    ByteWriter w;
+    put_fr_entry(w, e);
+    std::vector<std::uint8_t> bytes = w.take();
+    const int flips = 1 + static_cast<int>(rng.next_below(3));
+    for (int f = 0; f < flips; ++f) {
+      std::uint8_t& b = bytes[rng.next_below(bytes.size())];
+      b = rng.next_bool(0.5) ? static_cast<std::uint8_t>(rng.next())
+                             : static_cast<std::uint8_t>(b ^ 0x80);
+    }
+    expect_same_verdicts(bytes, c.base, c.span);
+  }
+}
+
 TEST(BitsetCodec, DeltaRefusalKeepsTheCachedRevision) {
   const NodeId base = 10;
   const int span = 40;
@@ -430,7 +623,7 @@ TEST(CodecSpan, SpanReaderMatchesVectorReader) {
   w.put_varint(42);
   w.put_string("span");
   w.put_value(TaggedValue{Tag{3, 1}, -9});
-  const std::vector<std::uint8_t> bytes = w.bytes();
+  const std::vector<std::uint8_t> bytes = w.take();
 
   ByteReader vec_r(bytes);
   ByteReader span_r(bytes.data(), bytes.size());

@@ -1,8 +1,11 @@
 // Unit tests for src/common: tags, cluster math, RNG, codec.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/cluster.h"
 #include "common/codec.h"
@@ -242,11 +245,11 @@ TEST(Codec, ClearedWriterKeepsItsCapacity) {
   // message: the bytes go, the storage stays.
   ByteWriter w;
   w.put_string("a payload long enough to need storage");
-  const std::size_t cap = w.bytes().capacity();
+  const std::size_t cap = w.capacity();
   const std::uint8_t* storage = w.bytes().data();
   w.clear();
   EXPECT_TRUE(w.bytes().empty());
-  EXPECT_EQ(w.bytes().capacity(), cap);
+  EXPECT_EQ(w.capacity(), cap);
   w.put_varint(5);
   EXPECT_EQ(w.bytes().data(), storage);  // old storage reused
   ByteReader r(w.bytes());
@@ -297,7 +300,7 @@ TEST(Codec, VarintWidthBoundaries) {
   w.put_varint(0x80);
   w.put_varint(0x3FFF);
   w.put_varint(0x4000);
-  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{0x80, 0x01, 0xFF, 0x7F,
+  EXPECT_EQ(w.take(), (std::vector<std::uint8_t>{0x80, 0x01, 0xFF, 0x7F,
                                                   0x80, 0x80, 0x01}));
 }
 
@@ -342,6 +345,113 @@ TEST(Codec, MalformedLengthRejected) {
   (void)r.get_string();
   EXPECT_FALSE(r.ok());
 }
+
+// The writer's bytes against a per-byte reference: LEB128 one push_back at
+// a time, zigzag as its definition. Every call is checked as it lands, on a
+// fresh writer, so growth happens at whatever offset the sequence reaches.
+void ref_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  do {
+    std::uint8_t b = v & 0x7F;
+    v >>= 7;
+    if (v != 0) b |= 0x80;
+    out.push_back(b);
+  } while (v != 0);
+}
+
+void ref_signed(std::vector<std::uint8_t>& out, std::int64_t v) {
+  ref_varint(out, v >= 0 ? 2 * static_cast<std::uint64_t>(v)
+                         : 2 * ~static_cast<std::uint64_t>(v) + 1);
+}
+
+class PointerWriter : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PointerWriter, EveryPutMatchesThePerByteReference) {
+  const std::uint64_t uedges[] = {0,      1,      0x7F,       0x80,
+                                  0x3FFF, 0x4000, 0x1FFFFF,   0x200000,
+                                  ~0ULL,  ~0ULL >> 1, 1ULL << 63};
+  const std::int64_t sedges[] = {0,      -1,     1,         63,
+                                 64,     -64,    -65,       8191,
+                                 8192,   -8192,  -8193,     INT64_MIN,
+                                 INT64_MAX, INT64_MIN + 1, INT64_MAX - 1};
+  Rng rng(GetParam());
+  auto unsigned_draw = [&]() -> std::uint64_t {
+    if (rng.next_bool(0.5)) return uedges[rng.next_below(std::size(uedges))];
+    return rng.next() >> rng.next_below(64);
+  };
+  auto signed_draw = [&]() -> std::int64_t {
+    if (rng.next_bool(0.5)) return sedges[rng.next_below(std::size(sedges))];
+    return static_cast<std::int64_t>(rng.next()) >> rng.next_below(64);
+  };
+  ByteWriter w;
+  std::vector<std::uint8_t> ref;
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t op = rng.next_below(7);
+    switch (op) {
+      case 0: {
+        const auto v = static_cast<std::uint8_t>(rng.next());
+        w.put_u8(v);
+        ref.push_back(v);
+        break;
+      }
+      case 1: {
+        const bool v = rng.next_bool();
+        w.put_bool(v);
+        ref.push_back(v ? 1 : 0);
+        break;
+      }
+      case 2: {
+        const std::uint64_t v = unsigned_draw();
+        w.put_varint(v);
+        ref_varint(ref, v);
+        break;
+      }
+      case 3: {
+        const std::int64_t v = signed_draw();
+        w.put_signed(v);
+        ref_signed(ref, v);
+        break;
+      }
+      case 4: {
+        const Tag t{signed_draw(), static_cast<NodeId>(signed_draw())};
+        w.put_tag(t);
+        ref_signed(ref, t.ts);
+        ref_signed(ref, t.wid);
+        break;
+      }
+      case 5: {
+        const TaggedValue v{Tag{signed_draw(), static_cast<NodeId>(
+                                                   signed_draw())},
+                            signed_draw()};
+        w.put_value(v);
+        ref_signed(ref, v.tag.ts);
+        ref_signed(ref, v.tag.wid);
+        ref_signed(ref, v.payload);
+        break;
+      }
+      default: {
+        const std::size_t len = rng.next_bool(0.3)
+                                    ? 0
+                                    : rng.next_below(rng.next_bool(0.2) ? 400
+                                                                        : 20);
+        std::string s(len, '\0');
+        for (char& c : s) c = static_cast<char>(rng.next());
+        w.put_string(s);
+        ref_varint(ref, s.size());
+        ref.insert(ref.end(), s.begin(), s.end());
+        break;
+      }
+    }
+    const ByteSpan got = w.bytes();
+    ASSERT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), ref)
+        << "after call " << i << " (op " << op << ")";
+  }
+  // take() hands over exactly those bytes and leaves the writer empty.
+  EXPECT_EQ(w.take(), ref);
+  EXPECT_TRUE(w.bytes().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PointerWriter,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 // Property sweep: random codec round-trips.
 class CodecProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -479,6 +479,28 @@ TEST(SweepCliParser, RejectsWhatAtoiWouldSwallow) {
   EXPECT_FALSE(parse_sweep_cli(2, const_cast<char**>(argv), &cli, &err));
 }
 
+TEST(SweepCliParser, ThreadCountAboveTheCeilingIsRefused) {
+  // The parser alone: no Runner is built, so no thread starts.
+  const std::string ceiling = std::to_string(kMaxSweepThreads);
+  {
+    const char* argv[] = {"prog", "--threads", ceiling.c_str()};
+    SweepCli cli;
+    std::string err;
+    ASSERT_TRUE(parse_sweep_cli(3, const_cast<char**>(argv), &cli, &err))
+        << err;
+    EXPECT_EQ(cli.threads, kMaxSweepThreads);
+  }
+  for (const std::string& bad :
+       {std::to_string(kMaxSweepThreads + 1), std::string("1000000")}) {
+    const char* argv[] = {"prog", "--threads", bad.c_str()};
+    SweepCli cli;
+    std::string err;
+    EXPECT_FALSE(parse_sweep_cli(3, const_cast<char**>(argv), &cli, &err))
+        << "'" << bad << "' parsed";
+    EXPECT_NE(err.find(ceiling), std::string::npos) << err;
+  }
+}
+
 TEST(SweepCliParser, HelpersComposePathsAndFilenames) {
   int v = 0;
   EXPECT_TRUE(parse_int("42", &v));
